@@ -1,12 +1,14 @@
 """Descriptor-to-word assignment weights.
 
-Five strategies share one output contract: an M-vector of weights summing to
+`weight_matrix` is the one implementation: for N descriptors it returns an
+(N, M) matrix whose row i weights descriptor i over the M words and sums to
 one. Hard assignment is a one-hot at the nearest word; soft assignment is a
 softmax of negative squared distances scaled by beta; the localized variant
 restricts that softmax to the K nearest words; locality-constrained linear
 coding (LLC) solves an affine-constrained least squares with a per-word
 locality penalty, and its approximated form solves the unpenalized system
-over the K nearest words only.
+over the K nearest words only. Distance ties resolve to the lowest word index.
+The single-descriptor functions return one row of that matrix.
 """
 
 from __future__ import annotations
@@ -40,126 +42,105 @@ class AssignConfig:
     k_nn: int = 5
     lam: float = 1e-4
     sigma: float = 1.0
-    center_dist: bool = False  # subtract min distance inside the locality adaptor
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown assignment mode {self.mode!r}")
 
 
-def _distances_sq(dictionary: Dictionary, x: np.ndarray) -> np.ndarray:
+def _softmax_rows(neg_scaled: np.ndarray) -> np.ndarray:
+    w = np.exp(neg_scaled - neg_scaled.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    w[w < _FLUSH] = 0.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _solve_affine_ls(b: np.ndarray, penalty_diag: np.ndarray | None) -> np.ndarray:
+    """Per row n, minimize ||B_n^T a||^2 (+ a^T diag(p_n) a) s.t. sum(a) = 1,
+    where row m of B_n is (d_m - x_n). Solved via C a~ = 1 then normalization,
+    with a trace-scaled ridge added for conditioning."""
+    c = b @ b.transpose(0, 2, 1)
+    k = c.shape[-1]
+    diag = np.arange(k)
+    if penalty_diag is not None:
+        c[:, diag, diag] += penalty_diag
+    c[:, diag, diag] += (1e-8 * np.trace(c, axis1=1, axis2=2) / k)[:, None]
+    try:
+        a = np.linalg.solve(c, np.ones((c.shape[0], k, 1)))[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from None
+    total = a.sum(axis=1, keepdims=True)
+    if not np.isfinite(a).all() or (total == 0.0).any():
+        raise SingularSystem("constrained least squares produced no usable solution")
+    return a / total
+
+
+def weight_matrix(
+    dictionary: Dictionary, descriptors: np.ndarray, config: AssignConfig
+) -> np.ndarray:
+    """Assignment weights of N descriptors over M words, (N, M); each row
+    sums to one."""
+    x = np.asarray(descriptors, dtype=np.float64)
+    m = dictionary.num_words
+    if x.ndim != 2 or x.shape[1] != dictionary.dim:
+        raise DimMismatch(f"descriptors shape {x.shape} != (N, {dictionary.dim})")
+    if config.mode in ("sa", "lsa") and config.beta <= 0:
+        raise NonPositiveBeta(f"beta must be positive, got {config.beta}")
+    if config.mode in ("lsa", "llc-approx") and not 1 <= config.k_nn <= m:
+        raise BadK(f"k_nn {config.k_nn} outside [1, {m}]")
+    if config.mode == "llc" and config.sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {config.sigma}")
+    centers = np.asarray(dictionary.centers, dtype=np.float64)
+    d2 = squared_distances(x, centers)
+    if config.mode == "sa":
+        return _softmax_rows(-config.beta * d2)
+    if config.mode == "llc":
+        if m == 1:
+            return np.ones_like(d2)
+        s = np.exp(np.sqrt(d2) / config.sigma)
+        return _solve_affine_ls(centers[None, :, :] - x[:, None, :], config.lam * s * s)
+    w = np.zeros_like(d2)
+    if config.mode == "hard":
+        np.put_along_axis(w, np.argmin(d2, axis=1)[:, None], 1.0, axis=1)
+    else:
+        # Stable sort keeps the lowest index first on distance ties.
+        near = np.argsort(d2, axis=1, kind="stable")[:, : config.k_nn]
+        if config.mode == "lsa":
+            near_w = _softmax_rows(-config.beta * np.take_along_axis(d2, near, axis=1))
+        elif config.k_nn == 1:
+            near_w = np.ones((x.shape[0], 1))
+        else:
+            near_w = _solve_affine_ls(centers[near] - x[:, None, :], None)
+        np.put_along_axis(w, near, near_w, axis=1)
+    return w
+
+
+def assign(dictionary: Dictionary, x: np.ndarray, config: AssignConfig) -> AssignmentWeights:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (dictionary.dim,):
         raise DimMismatch(f"descriptor shape {x.shape} != ({dictionary.dim},)")
-    centers = np.asarray(dictionary.centers, dtype=np.float64)
-    return squared_distances(x[None, :], centers)[0]
-
-
-def _softmax_weights(neg_scaled: np.ndarray) -> np.ndarray:
-    w = np.exp(neg_scaled - neg_scaled.max())
-    w /= w.sum()
-    w[w < _FLUSH] = 0.0
-    return w / w.sum()
-
-
-def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    # Stable sort keeps the lowest index first on distance ties.
-    return np.argsort(d2, kind="stable")[:k]
+    return AssignmentWeights(weight_matrix(dictionary, x[None, :], config)[0])
 
 
 def assign_hard(dictionary: Dictionary, x: np.ndarray) -> AssignmentWeights:
-    d2 = _distances_sq(dictionary, x)
-    w = np.zeros(dictionary.num_words)
-    w[int(np.argmin(d2))] = 1.0
-    return AssignmentWeights(w)
+    return assign(dictionary, x, AssignConfig(mode="hard"))
 
 
 def assign_soft(dictionary: Dictionary, x: np.ndarray, beta: float) -> AssignmentWeights:
-    if beta <= 0:
-        raise NonPositiveBeta(f"beta must be positive, got {beta}")
-    d2 = _distances_sq(dictionary, x)
-    return AssignmentWeights(_softmax_weights(-beta * d2))
+    return assign(dictionary, x, AssignConfig(mode="sa", beta=beta))
 
 
 def assign_localized_soft(
     dictionary: Dictionary, x: np.ndarray, beta: float, k_nn: int
 ) -> AssignmentWeights:
-    if beta <= 0:
-        raise NonPositiveBeta(f"beta must be positive, got {beta}")
-    d2 = _distances_sq(dictionary, x)
-    if not 1 <= k_nn <= dictionary.num_words:
-        raise BadK(f"k_nn {k_nn} outside [1, {dictionary.num_words}]")
-    near = _k_nearest(d2, k_nn)
-    w = np.zeros(dictionary.num_words)
-    w[near] = _softmax_weights(-beta * d2[near])
-    return AssignmentWeights(w)
-
-
-def _solve_affine_ls(b: np.ndarray, penalty_diag: np.ndarray | None) -> np.ndarray:
-    """Minimize ||B^T a||^2 (+ a^T diag(p) a) s.t. sum(a) = 1, where row m of
-    B is (d_m - x). Solved via C a~ = 1 then normalization, with a trace-scaled
-    ridge added for conditioning."""
-    c = b @ b.T
-    m = c.shape[0]
-    if penalty_diag is not None:
-        c = c + np.diag(penalty_diag)
-    c = c + (1e-8 * np.trace(c) / m) * np.eye(m)
-    try:
-        a = np.linalg.solve(c, np.ones(m))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-    total = a.sum()
-    if not np.isfinite(a).all() or total == 0.0:
-        raise SingularSystem("constrained least squares produced no usable solution")
-    return a / total
+    return assign(dictionary, x, AssignConfig(mode="lsa", beta=beta, k_nn=k_nn))
 
 
 def assign_llc(
-    dictionary: Dictionary,
-    x: np.ndarray,
-    lam: float = 1e-4,
-    sigma: float = 1.0,
-    center_dist: bool = False,
+    dictionary: Dictionary, x: np.ndarray, lam: float = 1e-4, sigma: float = 1.0
 ) -> AssignmentWeights:
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    x = np.asarray(x, dtype=np.float64)
-    d2 = _distances_sq(dictionary, x)
-    if dictionary.num_words == 1:
-        return AssignmentWeights(np.ones(1))
-    dist = np.sqrt(d2)
-    if center_dist:
-        dist = dist - dist.min()
-    s = np.exp(dist / sigma)
-    b = np.asarray(dictionary.centers, dtype=np.float64) - x
-    a = _solve_affine_ls(b, lam * s * s)
-    return AssignmentWeights(a)
+    return assign(dictionary, x, AssignConfig(mode="llc", lam=lam, sigma=sigma))
 
 
-def assign_llc_approx(
-    dictionary: Dictionary, x: np.ndarray, k_nn: int
-) -> AssignmentWeights:
-    x = np.asarray(x, dtype=np.float64)
-    d2 = _distances_sq(dictionary, x)
-    if not 1 <= k_nn <= dictionary.num_words:
-        raise BadK(f"k_nn {k_nn} outside [1, {dictionary.num_words}]")
-    w = np.zeros(dictionary.num_words)
-    near = _k_nearest(d2, k_nn)
-    if k_nn == 1:
-        w[near[0]] = 1.0
-        return AssignmentWeights(w)
-    b = np.asarray(dictionary.centers, dtype=np.float64)[near] - x
-    w[near] = _solve_affine_ls(b, None)
-    return AssignmentWeights(w)
-
-
-def assign(dictionary: Dictionary, x: np.ndarray, config: AssignConfig) -> AssignmentWeights:
-    if config.mode == "hard":
-        return assign_hard(dictionary, x)
-    if config.mode == "sa":
-        return assign_soft(dictionary, x, config.beta)
-    if config.mode == "lsa":
-        return assign_localized_soft(dictionary, x, config.beta, config.k_nn)
-    if config.mode == "llc":
-        return assign_llc(dictionary, x, config.lam, config.sigma, config.center_dist)
-    return assign_llc_approx(dictionary, x, config.k_nn)
+def assign_llc_approx(dictionary: Dictionary, x: np.ndarray, k_nn: int) -> AssignmentWeights:
+    return assign(dictionary, x, AssignConfig(mode="llc-approx", k_nn=k_nn))

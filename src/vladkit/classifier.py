@@ -26,7 +26,6 @@ class TrainHyper:
 class LinearModel:
     weights: np.ndarray  # (C, dim)
     biases: np.ndarray   # (C,)
-    hyper: TrainHyper | None = None
 
     @property
     def num_classes(self) -> int:
@@ -73,7 +72,7 @@ def train_ovr(
     for c in range(num_classes):
         y = np.where(labels == c, 1.0, -1.0)
         weights[c], biases[c] = _train_binary(augmented, y, hyper.reg, perms)
-    return LinearModel(weights=weights, biases=biases, hyper=hyper)
+    return LinearModel(weights=weights, biases=biases)
 
 
 def predict(model: LinearModel, encoding: np.ndarray) -> tuple[int, np.ndarray]:

@@ -13,23 +13,26 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
+from .assignment import MODES
 from .classifier import LinearModel, TrainHyper, predict, tabulate, train_ovr
-from .codebook import Dictionary, kmeans_train, subsample
+from .codebook import kmeans_train, subsample
 from .errors import VladkitError
-from .fileio import FeatureMap, read_feature_map, resolve_entry
+from .fileio import FeatureMap, read_feature_map
 from .pipeline import (
     PipelineConfig,
-    config_from_strings,
     encode_entry,
+    encode_manifest,
     load_config,
     load_descriptor_stack,
+    load_dictionary,
+    load_transform,
     run_bench,
     run_pipeline,
     write_bench_csv,
-    _DEFAULTS,
 )
 from .synth import SynthSpec, split_manifest, synth_dataset
-from .whitening import WhiteningTransform, apply_whitening_batch, fit_whitening
+from .vlad import NORM_SCHEMES
+from .whitening import apply_whitening_batch, fit_whitening
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_encoder_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mode", default="hard", choices=["hard", "sa", "lsa", "llc", "llc-approx"])
+    p.add_argument("--mode", default="hard", choices=MODES)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--knn", type=int, default=5)
     p.add_argument("--lambda", dest="lam", type=float, default=1e-4)
@@ -48,7 +51,7 @@ def _add_encoder_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--norm-scheme",
         default="intra-then-global",
-        choices=["intra-then-global", "global-only", "signed-sqrt-then-global"],
+        choices=NORM_SCHEMES,
     )
     p.add_argument("--pyramid", default=None, help="preset a|b|c or custom RxC,RxC,...")
 
@@ -62,13 +65,6 @@ def _encoder_config(args) -> PipelineConfig:
         sigma=args.sigma,
         norm_scheme=args.norm_scheme,
         pyramid=args.pyramid,
-    )
-
-
-def _load_transform(path) -> WhiteningTransform:
-    mean, projection = fileio.read_whitening(path)
-    return WhiteningTransform(
-        mean=mean.astype(np.float64), projection=projection.astype(np.float64), epsilon=0.0
     )
 
 
@@ -200,7 +196,7 @@ def _cmd_preprocess(args) -> int:
         fileio.write_whitening(transform.mean, transform.projection, args.out)
         print(f"fit whitening {transform.input_dim}->{transform.output_dim}")
         return 0
-    transform = _load_transform(args.transform)
+    transform = load_transform(args.transform)
     fmap = read_feature_map(args.input)
     whitened = apply_whitening_batch(transform, fmap.descriptors().astype(np.float64))
     out = whitened.reshape(fmap.height, fmap.width, transform.output_dim)
@@ -212,7 +208,7 @@ def _cmd_codebook(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
     descriptors = load_descriptor_stack(manifest, args.manifest)
     if args.transform is not None:
-        descriptors = apply_whitening_batch(_load_transform(args.transform), descriptors)
+        descriptors = apply_whitening_batch(load_transform(args.transform), descriptors)
     cap = args.subsample if args.subsample is not None else 256 * args.words
     descriptors = subsample(descriptors, cap, args.seed)
     dictionary, report = kmeans_train(
@@ -227,33 +223,22 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    dictionary = Dictionary(
-        centers=fileio.read_dictionary(args.dictionary).astype(np.float64)
-    )
-    transform = _load_transform(args.transform) if args.transform else None
+    dictionary = load_dictionary(args.dictionary)
+    transform = load_transform(args.transform) if args.transform else None
     fmap = read_feature_map(args.input)
     values = encode_entry(fmap, dictionary, transform, _encoder_config(args))
     fileio.write_encoding(values, args.out)
     return 0
 
 
-def _encode_manifest_with(args, dictionary, transform):
-    config = _encoder_config(args)
-    manifest = fileio.load_manifest(args.manifest)
-    encodings, labels = [], []
-    for rel, label in manifest.entries:
-        fmap = read_feature_map(resolve_entry(args.manifest, rel))
-        encodings.append(encode_entry(fmap, dictionary, transform, config))
-        labels.append(label)
-    return np.stack(encodings), np.array(labels, dtype=int), manifest
+def _encode_manifest(args, manifest):
+    dictionary = load_dictionary(args.dictionary)
+    transform = load_transform(args.transform) if args.transform else None
+    return encode_manifest(manifest, args.manifest, dictionary, transform, _encoder_config(args))
 
 
 def _cmd_train(args) -> int:
-    dictionary = Dictionary(
-        centers=fileio.read_dictionary(args.dictionary).astype(np.float64)
-    )
-    transform = _load_transform(args.transform) if args.transform else None
-    x, y, _ = _encode_manifest_with(args, dictionary, transform)
+    x, y = _encode_manifest(args, fileio.load_manifest(args.manifest))
     model = train_ovr(x, y, TrainHyper(reg=args.reg, epochs=args.epochs, seed=args.seed))
     fileio.write_model(model.weights, model.biases, args.out)
     print(f"trained model: {model.num_classes} classes, dim {model.dim}")
@@ -261,13 +246,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    dictionary = Dictionary(
-        centers=fileio.read_dictionary(args.dictionary).astype(np.float64)
-    )
-    transform = _load_transform(args.transform) if args.transform else None
     weights, biases = fileio.read_model(args.model)
     model = LinearModel(weights.astype(np.float64), biases.astype(np.float64))
-    x, y, manifest = _encode_manifest_with(args, dictionary, transform)
+    manifest = fileio.load_manifest(args.manifest)
+    x, y = _encode_manifest(args, manifest)
     predicted = np.array([predict(model, row)[0] for row in x])
     report = tabulate(y, predicted, max(manifest.num_classes, model.num_classes))
     print(f"accuracy={report.accuracy}")
@@ -280,7 +262,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = config_from_strings({**_DEFAULTS, "words": str(args.words), "seed": str(args.seed)})
+    config = PipelineConfig(words=args.words, seed=args.seed)
     rows = run_bench(
         args.modes.split(","),
         args.pyramids.split(","),

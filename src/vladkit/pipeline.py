@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import Field, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,26 +21,6 @@ from .fileio import DatasetManifest, read_feature_map, resolve_entry
 from .spm import PyramidSpec, encode_spm, parse_pyramid
 from .vlad import NORM_SCHEMES, EncoderConfig, encode
 from .whitening import WhiteningTransform, fit_whitening
-
-_DEFAULTS = {
-    "mode": "hard",
-    "beta": "1.0",
-    "knn": "5",
-    "lambda": "1e-4",
-    "sigma": "1.0",
-    "norm_scheme": "intra-then-global",
-    "pyramid": "none",
-    "whiten": "true",
-    "pca_dim": "auto",
-    "epsilon": "auto",
-    "words": "64",
-    "max_iters": "100",
-    "tol": "1e-4",
-    "subsample": "auto",
-    "reg": "1e-4",
-    "epochs": "50",
-    "seed": "0",
-}
 
 
 @dataclass(frozen=True)
@@ -83,32 +63,42 @@ class PipelineConfig:
         return parse_pyramid(self.pyramid)
 
 
+# Config-text spelling of a field name, and of None, where they differ from
+# the default (the field name itself, and "auto"). Field types are read from
+# the annotation strings, e.g. "int | None".
+_KEY_TEXT = {"lam": "lambda"}
+_NONE_TEXT = {"pyramid": "none"}
+_FIELDS = {_KEY_TEXT.get(f.name, f.name): f for f in fields(PipelineConfig)}
+_BOOL_TEXT = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _value_text(name: str, value) -> str:
+    if value is None:
+        return _NONE_TEXT.get(name, "auto")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _parse_value(f: Field, text: str):
+    kind, _, optional = f.type.partition(" | ")
+    if optional and text == _NONE_TEXT.get(f.name, "auto"):
+        return None
+    if kind == "bool":
+        if text.lower() not in _BOOL_TEXT:
+            raise ValueError(f"{f.name} must be true/1/yes or false/0/no, got {text!r}")
+        return _BOOL_TEXT[text.lower()]
+    return {"str": str, "int": int, "float": float}[kind](text)
+
+
 def config_to_text(config: PipelineConfig) -> str:
     """Canonical flat key=value rendering; also the cache-key input."""
-    values = {
-        "mode": config.mode,
-        "beta": repr(config.beta),
-        "knn": str(config.knn),
-        "lambda": repr(config.lam),
-        "sigma": repr(config.sigma),
-        "norm_scheme": config.norm_scheme,
-        "pyramid": config.pyramid if config.pyramid is not None else "none",
-        "whiten": "true" if config.whiten else "false",
-        "pca_dim": "auto" if config.pca_dim is None else str(config.pca_dim),
-        "epsilon": "auto" if config.epsilon is None else repr(config.epsilon),
-        "words": str(config.words),
-        "max_iters": str(config.max_iters),
-        "tol": repr(config.tol),
-        "subsample": "auto" if config.subsample is None else str(config.subsample),
-        "reg": repr(config.reg),
-        "epochs": str(config.epochs),
-        "seed": str(config.seed),
-    }
+    values = {key: _value_text(f.name, getattr(config, f.name)) for key, f in _FIELDS.items()}
     return "".join(f"{k} = {values[k]}\n" for k in sorted(values))
 
 
 def parse_config_text(text: str) -> PipelineConfig:
-    values = dict(_DEFAULTS)
+    values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -118,40 +108,18 @@ def parse_config_text(text: str) -> PipelineConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _DEFAULTS:
+        if key not in _FIELDS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         values[key] = value
     return config_from_strings(values)
 
 
-def _opt_int(text: str) -> int | None:
-    return None if text == "auto" else int(text)
-
-
-def _opt_float(text: str) -> float | None:
-    return None if text == "auto" else float(text)
-
-
 def config_from_strings(values: dict[str, str]) -> PipelineConfig:
+    """A config from config-text keys and values; absent keys keep their
+    defaults."""
     try:
         return PipelineConfig(
-            mode=values["mode"],
-            beta=float(values["beta"]),
-            knn=int(values["knn"]),
-            lam=float(values["lambda"]),
-            sigma=float(values["sigma"]),
-            norm_scheme=values["norm_scheme"],
-            pyramid=None if values["pyramid"] == "none" else values["pyramid"],
-            whiten=values["whiten"].lower() in ("true", "1", "yes"),
-            pca_dim=_opt_int(values["pca_dim"]),
-            epsilon=_opt_float(values["epsilon"]),
-            words=int(values["words"]),
-            max_iters=int(values["max_iters"]),
-            tol=float(values["tol"]),
-            subsample=_opt_int(values["subsample"]),
-            reg=float(values["reg"]),
-            epochs=int(values["epochs"]),
-            seed=int(values["seed"]),
+            **{_FIELDS[key].name: _parse_value(_FIELDS[key], text) for key, text in values.items()}
         )
     except ValueError as exc:
         raise ParseError(f"bad config value: {exc}") from None
@@ -169,7 +137,20 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-# -- encoding helpers --------------------------------------------------------
+# -- loading and encoding helpers -------------------------------------------
+
+def load_transform(path) -> WhiteningTransform:
+    """A stored whitening transform, widened to float64."""
+    mean, projection = fileio.read_whitening(path)
+    return WhiteningTransform(
+        mean=mean.astype(np.float64), projection=projection.astype(np.float64), epsilon=0.0
+    )
+
+
+def load_dictionary(path) -> Dictionary:
+    """A stored dictionary, widened to float64."""
+    return Dictionary(centers=fileio.read_dictionary(path).astype(np.float64))
+
 
 def load_descriptor_stack(manifest: DatasetManifest, manifest_path) -> np.ndarray:
     """All descriptors from every manifest entry, stacked row-wise."""
@@ -237,34 +218,15 @@ def run_pipeline(
     transform = None
     transform_path = cache / "transform.vlw"
     if config.whiten:
-        if transform_path.exists():
-            mean, projection = fileio.read_whitening(transform_path)
-            transform = WhiteningTransform(
-                mean=mean.astype(np.float64),
-                projection=projection.astype(np.float64),
-                epsilon=0.0,
-            )
-        else:
+        if not transform_path.exists():
             descriptors = load_descriptor_stack(train_manifest, train_manifest_path)
             transform = fit_whitening(descriptors, config.pca_dim, config.epsilon)
             fileio.write_whitening(transform.mean, transform.projection, transform_path)
-            # Reload so cached and fresh runs use identical float32 parameters.
-            mean, projection = fileio.read_whitening(transform_path)
-            transform = WhiteningTransform(
-                mean=mean.astype(np.float64),
-                projection=projection.astype(np.float64),
-                epsilon=transform.epsilon,
-            )
+        # Reload so cached and fresh runs use identical float32 parameters.
+        transform = load_transform(transform_path)
 
     dict_path = cache / "dictionary.vld"
-    if dict_path.exists():
-        centers = fileio.read_dictionary(dict_path)
-        if centers.shape[0] != config.words:
-            raise CacheMismatch(
-                f"cached dictionary has {centers.shape[0]} words, config wants {config.words}"
-            )
-        dictionary = Dictionary(centers=centers.astype(np.float64))
-    else:
+    if not dict_path.exists():
         descriptors = load_descriptor_stack(train_manifest, train_manifest_path)
         if transform is not None:
             from .whitening import apply_whitening_batch
@@ -272,12 +234,14 @@ def run_pipeline(
             descriptors = apply_whitening_batch(transform, descriptors)
         cap = config.subsample if config.subsample is not None else 256 * config.words
         descriptors = subsample(descriptors, cap, config.seed)
-        dictionary, _ = kmeans_train(
+        trained, _ = kmeans_train(
             descriptors, config.words, config.max_iters, config.tol, config.seed
         )
-        fileio.write_dictionary(dictionary.centers, dict_path)
-        dictionary = Dictionary(
-            centers=fileio.read_dictionary(dict_path).astype(np.float64)
+        fileio.write_dictionary(trained.centers, dict_path)
+    dictionary = load_dictionary(dict_path)
+    if dictionary.num_words != config.words:
+        raise CacheMismatch(
+            f"cached dictionary has {dictionary.num_words} words, config wants {config.words}"
         )
     if transform is not None and dictionary.dim != transform.output_dim:
         raise CacheMismatch(
@@ -355,15 +319,8 @@ def run_bench(
             cache = Path(work_dir) / (
                 f"cache_{_cache_key(combo, train_manifest_path, test_manifest_path)}"
             )
-            dictionary = Dictionary(
-                centers=fileio.read_dictionary(cache / "dictionary.vld").astype(np.float64)
-            )
-            transform = None
-            if combo.whiten:
-                mean, projection = fileio.read_whitening(cache / "transform.vlw")
-                transform = WhiteningTransform(
-                    mean.astype(np.float64), projection.astype(np.float64), 0.0
-                )
+            dictionary = load_dictionary(cache / "dictionary.vld")
+            transform = load_transform(cache / "transform.vlw") if combo.whiten else None
             sample = read_feature_map(
                 resolve_entry(test_manifest_path, test_manifest.entries[0][0])
             )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import AssignConfig, assign
+from .assignment import AssignConfig, weight_matrix
 from .codebook import Dictionary
 from .errors import DimMismatch, EmptyInput
 from .fileio import FeatureMap
@@ -31,15 +31,6 @@ class EncoderConfig:
             raise ValueError(f"unknown normalization scheme {self.norm_scheme!r}")
 
 
-def weight_matrix(
-    dictionary: Dictionary, descriptors: np.ndarray, config: AssignConfig
-) -> np.ndarray:
-    """Assignment weights for each descriptor, stacked to (N, M)."""
-    return np.stack(
-        [assign(dictionary, x, config).weights for x in descriptors]
-    )
-
-
 def vlad_aggregate(
     dictionary: Dictionary, descriptors: np.ndarray, config: AssignConfig
 ) -> np.ndarray:
@@ -47,10 +38,6 @@ def vlad_aggregate(
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.ndim != 2 or descriptors.shape[0] == 0:
         raise EmptyInput("need at least one descriptor")
-    if descriptors.shape[1] != dictionary.dim:
-        raise DimMismatch(
-            f"descriptor dim {descriptors.shape[1]} != dictionary dim {dictionary.dim}"
-        )
     centers = np.asarray(dictionary.centers, dtype=np.float64)
     w = weight_matrix(dictionary, descriptors, config)
     # block m = sum_i w_im x_i - (sum_i w_im) d_m
@@ -97,8 +84,4 @@ def encode(
     descriptors = feature_map.descriptors().astype(np.float64)
     if transform is not None:
         descriptors = apply_whitening_batch(transform, descriptors)
-    elif descriptors.shape[1] != dictionary.dim:
-        raise DimMismatch(
-            f"feature map dim {descriptors.shape[1]} != dictionary dim {dictionary.dim}"
-        )
     return l2_normalize(encode_descriptors(dictionary, descriptors, config))

@@ -36,13 +36,6 @@ class WhiteningTransform:
         return (x - self.mean) @ self.projection.T
 
 
-def default_epsilon(descriptors: np.ndarray) -> float:
-    x = np.asarray(descriptors, dtype=np.float64)
-    centered = x - x.mean(axis=0)
-    total_var = float(np.sum(centered * centered) / x.shape[0])
-    return 1e-6 * total_var / x.shape[1]
-
-
 def fit_whitening(
     descriptors: np.ndarray,
     output_dim: int | None = None,

@@ -19,6 +19,7 @@ from vladkit.assignment import (
     assign_llc_approx,
     assign_localized_soft,
     assign_soft,
+    weight_matrix,
 )
 from vladkit.codebook import Dictionary
 
@@ -277,3 +278,32 @@ def test_support_matches_nonzero_pattern():
     for config in ALL_CONFIGS:
         w = assign(d, x, config)
         assert np.array_equal(w.support, np.flatnonzero(w.weights))
+
+
+# -- batched kernel ----------------------------------------------------------
+
+def test_weight_matrix_rows_match_single_descriptor_all_modes():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        d = rand_dict(rng)
+        x = rng.standard_normal((int(rng.integers(2, 12)), d.dim))
+        for config in ALL_CONFIGS:
+            w = weight_matrix(d, x, config)
+            assert w.shape == (len(x), d.num_words)
+            for row, xi in zip(w, x):
+                single = assign(d, xi, config).weights
+                assert np.array_equal(np.flatnonzero(row), np.flatnonzero(single))
+                assert np.allclose(row, single, rtol=0.0, atol=1e-12)
+
+
+def test_lsa_and_llc_approx_ties_take_lowest_indices():
+    # Words 1-4 tie for the first row; words 1 and 3 tie behind word 0 for the
+    # second. k = 2 must keep the lowest-indexed words in both.
+    d = Dictionary(centers=np.array([[5.0], [0.5], [0.0], [0.5], [0.0]]))
+    x = np.array([[0.25], [4.9]])
+    lsa = weight_matrix(d, x, AssignConfig(mode="lsa", beta=1.0, k_nn=2))
+    approx = weight_matrix(d, x, AssignConfig(mode="llc-approx", k_nn=2))
+    for w in (lsa, approx):
+        assert np.flatnonzero(w[0]).tolist() == [1, 2]
+        assert np.allclose(w[0, 1:3], [0.5, 0.5], atol=1e-6)
+        assert np.flatnonzero(w[1]).tolist() == [0, 1]

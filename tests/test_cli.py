@@ -181,11 +181,12 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
 
 def test_pipeline_bad_config_exits(tmp_path, workspace, capsys):
     config = tmp_path / "config"
-    config.write_text("unknown_key = 1\n")
-    assert main([
-        "pipeline", "--config", str(config),
-        "--train-manifest", str(workspace / "data" / "train.tsv"),
-        "--test-manifest", str(workspace / "data" / "test.tsv"),
-        "--work-dir", str(tmp_path / "work"),
-    ]) == 2
+    for text in ("unknown_key = 1\n", "whiten = maybe\n"):
+        config.write_text(text)
+        assert main([
+            "pipeline", "--config", str(config),
+            "--train-manifest", str(workspace / "data" / "train.tsv"),
+            "--test-manifest", str(workspace / "data" / "test.tsv"),
+            "--work-dir", str(tmp_path / "work"),
+        ]) == 2
     capsys.readouterr()

@@ -42,6 +42,65 @@ def test_config_text_roundtrip():
     assert parse_config_text(config_to_text(config)) == config
 
 
+def test_config_text_golden_default():
+    assert config_to_text(PipelineConfig()) == (
+        "beta = 1.0\n"
+        "epochs = 50\n"
+        "epsilon = auto\n"
+        "knn = 5\n"
+        "lambda = 0.0001\n"
+        "max_iters = 100\n"
+        "mode = hard\n"
+        "norm_scheme = intra-then-global\n"
+        "pca_dim = auto\n"
+        "pyramid = none\n"
+        "reg = 0.0001\n"
+        "seed = 0\n"
+        "sigma = 1.0\n"
+        "subsample = auto\n"
+        "tol = 0.0001\n"
+        "whiten = true\n"
+        "words = 64\n"
+    )
+
+
+def test_config_text_golden_every_optional_set():
+    config = PipelineConfig(
+        mode="llc-approx", beta=0.5, knn=3, lam=0.002, sigma=0.7, norm_scheme="global-only",
+        pyramid="2x2,1x3", whiten=False, pca_dim=12, epsilon=1e-06, words=16, max_iters=40,
+        tol=1e-05, subsample=4096, reg=0.01, epochs=7, seed=9,
+    )
+    text = (
+        "beta = 0.5\n"
+        "epochs = 7\n"
+        "epsilon = 1e-06\n"
+        "knn = 3\n"
+        "lambda = 0.002\n"
+        "max_iters = 40\n"
+        "mode = llc-approx\n"
+        "norm_scheme = global-only\n"
+        "pca_dim = 12\n"
+        "pyramid = 2x2,1x3\n"
+        "reg = 0.01\n"
+        "seed = 9\n"
+        "sigma = 0.7\n"
+        "subsample = 4096\n"
+        "tol = 1e-05\n"
+        "whiten = false\n"
+        "words = 16\n"
+    )
+    assert config_to_text(config) == text
+    assert parse_config_text(text) == config
+
+
+def test_config_whiten_is_a_strict_bool():
+    for text, value in [("true", True), ("YES", True), ("1", True),
+                        ("false", False), ("No", False), ("0", False)]:
+        assert parse_config_text(f"whiten = {text}\n").whiten is value
+    with pytest.raises(ParseError):
+        parse_config_text("whiten = maybe\n")
+
+
 def test_config_unknown_key_rejected():
     with pytest.raises(ParseError):
         parse_config_text("bogus = 1\n")
