@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import Dictionary, squared_distances
-from .errors import BadK, DimMismatch, NonPositiveBeta, SingularSystem
+from .errors import BadK, DimMismatch, NonPositiveBeta, NonPositiveSigma, SingularSystem
 
 MODES = ("hard", "sa", "lsa", "llc", "llc-approx")
 
@@ -89,7 +89,7 @@ def weight_matrix(
     if config.mode in ("lsa", "llc-approx") and not 1 <= config.k_nn <= m:
         raise BadK(f"k_nn {config.k_nn} outside [1, {m}]")
     if config.mode == "llc" and config.sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {config.sigma}")
+        raise NonPositiveSigma(f"sigma must be positive, got {config.sigma}")
     centers = np.asarray(dictionary.centers, dtype=np.float64)
     d2 = squared_distances(x, centers)
     if config.mode == "sa":

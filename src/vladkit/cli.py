@@ -12,22 +12,25 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio
+from . import fileio, pipeline
 from .assignment import MODES
-from .classifier import LinearModel, TrainHyper, predict, tabulate, train_ovr
-from .codebook import kmeans_train, subsample
+from .classifier import train_ovr
+from .codebook import subsample
 from .errors import VladkitError
 from .fileio import FeatureMap, read_feature_map
 from .pipeline import (
     PipelineConfig,
     encode_entry,
     encode_manifest,
+    evaluate,
     load_config,
     load_descriptor_stack,
     load_dictionary,
+    load_model,
     load_transform,
     run_bench,
     run_pipeline,
+    train_dictionary,
     write_bench_csv,
 )
 from .synth import SynthSpec, split_manifest, synth_dataset
@@ -42,30 +45,33 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_encoder_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mode", default="hard", choices=MODES)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--knn", type=int, default=5)
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-4)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument(
-        "--norm-scheme",
-        default="intra-then-global",
-        choices=NORM_SCHEMES,
-    )
-    p.add_argument("--pyramid", default=None, help="preset a|b|c or custom RxC,RxC,...")
+_ENCODER_KEYS = ("mode", "beta", "knn", "lambda", "sigma", "norm_scheme", "pyramid")
+_CHOICES = {"mode": MODES, "norm_scheme": NORM_SCHEMES}
 
 
-def _encoder_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        mode=args.mode,
-        beta=args.beta,
-        knn=args.knn,
-        lam=args.lam,
-        sigma=args.sigma,
-        norm_scheme=args.norm_scheme,
-        pyramid=args.pyramid,
-    )
+def _flag_type(f):
+    def parse(text):
+        return pipeline._parse_value(f, text)
+    # argparse names the type in its error message: "invalid int value: 'abc'".
+    parse.__name__ = f.type.partition(" | ")[0]
+    return parse
+
+
+def _add_config_flags(p: argparse.ArgumentParser, keys):
+    """One flag per config-file key, `_` spelled `-`, with the field's default
+    and the config file's parsing (so `auto` and `none` work as there)."""
+    for key in keys:
+        f = pipeline._FIELDS[key]
+        p.add_argument(
+            f"--{key.replace('_', '-')}", dest=f.name, type=_flag_type(f), default=f.default,
+            choices=_CHOICES.get(key), help=f"default {pipeline._value_text(f.name, f.default)}",
+        )
+
+
+def _config(args) -> PipelineConfig:
+    """The config set by a subcommand's config flags; other fields default."""
+    names = {f.name for f in pipeline._FIELDS.values()}
+    return PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,29 +116,22 @@ def build_parser() -> argparse.ArgumentParser:
     train_p = cb.add_parser("train")
     train_p.add_argument("--manifest", required=True)
     train_p.add_argument("--transform", default=None)
-    train_p.add_argument("--words", type=int, default=64)
     train_p.add_argument("--out", required=True)
-    train_p.add_argument("--seed", type=int, default=0)
-    train_p.add_argument("--max-iters", type=int, default=100)
-    train_p.add_argument("--tol", type=float, default=1e-4)
-    train_p.add_argument("--subsample", type=int, default=None)
+    _add_config_flags(train_p, ("words", "seed", "max_iters", "tol", "subsample"))
 
     p = sub.add_parser("encode", help="encode one feature map")
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    _add_encoder_flags(p)
+    _add_config_flags(p, _ENCODER_KEYS)
 
     p = sub.add_parser("train", help="train a one-vs-rest linear model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--reg", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    _add_encoder_flags(p)
+    _add_config_flags(p, ("reg", "epochs", "seed") + _ENCODER_KEYS)
 
     p = sub.add_parser("evaluate", help="evaluate a model on a manifest")
     p.add_argument("--manifest", required=True)
@@ -140,17 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
     p.add_argument("--confusion-out", default=None)
-    _add_encoder_flags(p)
+    _add_config_flags(p, _ENCODER_KEYS)
 
     p = sub.add_parser("bench", help="cross-product benchmark of modes x pyramids")
     p.add_argument("--train-manifest", required=True)
     p.add_argument("--test-manifest", required=True)
     p.add_argument("--modes", required=True, help="comma-separated assignment modes")
     p.add_argument("--pyramids", required=True, help="comma-separated, 'none' allowed")
-    p.add_argument("--words", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--work-dir", required=True)
     p.add_argument("--out", required=True)
+    _add_config_flags(p, ("words", "seed"))
 
     p = sub.add_parser("pipeline", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
@@ -206,14 +204,8 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_codebook(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
-    descriptors = load_descriptor_stack(manifest, args.manifest)
-    if args.transform is not None:
-        descriptors = apply_whitening_batch(load_transform(args.transform), descriptors)
-    cap = args.subsample if args.subsample is not None else 256 * args.words
-    descriptors = subsample(descriptors, cap, args.seed)
-    dictionary, report = kmeans_train(
-        descriptors, args.words, args.max_iters, args.tol, args.seed
-    )
+    transform = load_transform(args.transform) if args.transform is not None else None
+    dictionary, report = train_dictionary(manifest, args.manifest, transform, _config(args))
     fileio.write_dictionary(dictionary.centers, args.out)
     print(
         f"trained {dictionary.num_words} words in {report.iterations} iterations"
@@ -226,32 +218,30 @@ def _cmd_encode(args) -> int:
     dictionary = load_dictionary(args.dictionary)
     transform = load_transform(args.transform) if args.transform else None
     fmap = read_feature_map(args.input)
-    values = encode_entry(fmap, dictionary, transform, _encoder_config(args))
+    values = encode_entry(fmap, dictionary, transform, _config(args))
     fileio.write_encoding(values, args.out)
     return 0
 
 
-def _encode_manifest(args, manifest):
+def _encode_manifest(args, config: PipelineConfig):
+    manifest = fileio.load_manifest(args.manifest)
     dictionary = load_dictionary(args.dictionary)
     transform = load_transform(args.transform) if args.transform else None
-    return encode_manifest(manifest, args.manifest, dictionary, transform, _encoder_config(args))
+    return encode_manifest(manifest, args.manifest, dictionary, transform, config)
 
 
 def _cmd_train(args) -> int:
-    x, y = _encode_manifest(args, fileio.load_manifest(args.manifest))
-    model = train_ovr(x, y, TrainHyper(reg=args.reg, epochs=args.epochs, seed=args.seed))
+    config = _config(args)
+    x, y = _encode_manifest(args, config)
+    model = train_ovr(x, y, config.train_hyper())
     fileio.write_model(model.weights, model.biases, args.out)
     print(f"trained model: {model.num_classes} classes, dim {model.dim}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    weights, biases = fileio.read_model(args.model)
-    model = LinearModel(weights.astype(np.float64), biases.astype(np.float64))
-    manifest = fileio.load_manifest(args.manifest)
-    x, y = _encode_manifest(args, manifest)
-    predicted = np.array([predict(model, row)[0] for row in x])
-    report = tabulate(y, predicted, max(manifest.num_classes, model.num_classes))
+    model = load_model(args.model)
+    report = evaluate(model, *_encode_manifest(args, _config(args)))
     print(f"accuracy={report.accuracy}")
     lines = "\n".join(",".join(str(v) for v in row) for row in report.confusion)
     if args.confusion_out:
@@ -262,11 +252,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = PipelineConfig(words=args.words, seed=args.seed)
     rows = run_bench(
         args.modes.split(","),
         args.pyramids.split(","),
-        config,
+        _config(args),
         args.train_manifest,
         args.test_manifest,
         args.work_dir,

@@ -50,6 +50,10 @@ class NonPositiveBeta(VladkitError):
     pass
 
 
+class NonPositiveSigma(VladkitError):
+    pass
+
+
 class BadK(VladkitError):
     pass
 

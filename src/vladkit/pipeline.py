@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio
+from . import fileio, whitening
 from .assignment import MODES, AssignConfig
 from .classifier import EvalReport, LinearModel, TrainHyper, predict, tabulate, train_ovr
-from .codebook import Dictionary, kmeans_train, subsample
+from .codebook import Dictionary, KmeansReport, kmeans_train, subsample
 from .errors import CacheMismatch, ParseError
 from .fileio import DatasetManifest, read_feature_map, resolve_entry
 from .spm import PyramidSpec, encode_spm, parse_pyramid
@@ -61,6 +61,9 @@ class PipelineConfig:
         if self.pyramid is None:
             return None
         return parse_pyramid(self.pyramid)
+
+    def train_hyper(self) -> TrainHyper:
+        return TrainHyper(reg=self.reg, epochs=self.epochs, seed=self.seed)
 
 
 # Config-text spelling of a field name, and of None, where they differ from
@@ -137,7 +140,7 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-# -- loading and encoding helpers -------------------------------------------
+# -- loaders and stages, shared by run_pipeline and the cli ------------------
 
 def load_transform(path) -> WhiteningTransform:
     """A stored whitening transform, widened to float64."""
@@ -150,6 +153,12 @@ def load_transform(path) -> WhiteningTransform:
 def load_dictionary(path) -> Dictionary:
     """A stored dictionary, widened to float64."""
     return Dictionary(centers=fileio.read_dictionary(path).astype(np.float64))
+
+
+def load_model(path) -> LinearModel:
+    """A stored linear model, widened to float64."""
+    weights, biases = fileio.read_model(path)
+    return LinearModel(weights.astype(np.float64), biases.astype(np.float64))
 
 
 def load_descriptor_stack(manifest: DatasetManifest, manifest_path) -> np.ndarray:
@@ -189,15 +198,38 @@ def encode_manifest(
     return np.stack(encodings), np.array(labels, dtype=int)
 
 
+def train_dictionary(
+    manifest: DatasetManifest,
+    manifest_path,
+    transform: WhiteningTransform | None,
+    config: PipelineConfig,
+) -> tuple[Dictionary, KmeansReport]:
+    """k-means over the manifest's descriptors, whitened by transform when
+    given and subsampled to config.subsample (None = 256 * words)."""
+    descriptors = load_descriptor_stack(manifest, manifest_path)
+    if transform is not None:
+        descriptors = whitening.apply_whitening_batch(transform, descriptors)
+    cap = config.subsample if config.subsample is not None else 256 * config.words
+    descriptors = subsample(descriptors, cap, config.seed)
+    return kmeans_train(descriptors, config.words, config.max_iters, config.tol, config.seed)
+
+
+def evaluate(model: LinearModel, encodings: np.ndarray, labels: np.ndarray) -> EvalReport:
+    """Predictions tabulated over the model's classes and any label it never saw."""
+    predicted = np.array([predict(model, row)[0] for row in encodings])
+    return tabulate(labels, predicted, max(model.num_classes, int(labels.max()) + 1))
+
+
 # -- the pipeline ------------------------------------------------------------
 
-def _cache_key(config: PipelineConfig, train_manifest_path, test_manifest_path) -> str:
+def cache_dir(config: PipelineConfig, train_manifest_path, test_manifest_path, work_dir) -> Path:
+    """The cache directory under work_dir for one config and manifest pair."""
     payload = (
         config_to_text(config).encode()
         + Path(train_manifest_path).read_bytes()
         + Path(test_manifest_path).read_bytes()
     )
-    return f"{fnv1a64(payload):016x}"
+    return Path(work_dir) / f"cache_{fnv1a64(payload):016x}"
 
 
 def run_pipeline(
@@ -207,9 +239,9 @@ def run_pipeline(
     work_dir,
 ) -> EvalReport:
     """fit whitening -> train codebook -> encode -> train -> evaluate,
-    reusing any cached artifacts under work_dir whose headers match."""
-    work_dir = Path(work_dir)
-    cache = work_dir / f"cache_{_cache_key(config, train_manifest_path, test_manifest_path)}"
+    reusing any cached artifacts under work_dir whose headers match. Each
+    stage writes its artifact if absent, then loads the stored float32 copy."""
+    cache = cache_dir(config, train_manifest_path, test_manifest_path, work_dir)
     cache.mkdir(parents=True, exist_ok=True)
 
     train_manifest = fileio.load_manifest(train_manifest_path)
@@ -220,23 +252,14 @@ def run_pipeline(
     if config.whiten:
         if not transform_path.exists():
             descriptors = load_descriptor_stack(train_manifest, train_manifest_path)
-            transform = fit_whitening(descriptors, config.pca_dim, config.epsilon)
-            fileio.write_whitening(transform.mean, transform.projection, transform_path)
-        # Reload so cached and fresh runs use identical float32 parameters.
+            fitted = fit_whitening(descriptors, config.pca_dim, config.epsilon)
+            del descriptors  # freed before train_dictionary loads its own copy
+            fileio.write_whitening(fitted.mean, fitted.projection, transform_path)
         transform = load_transform(transform_path)
 
     dict_path = cache / "dictionary.vld"
     if not dict_path.exists():
-        descriptors = load_descriptor_stack(train_manifest, train_manifest_path)
-        if transform is not None:
-            from .whitening import apply_whitening_batch
-
-            descriptors = apply_whitening_batch(transform, descriptors)
-        cap = config.subsample if config.subsample is not None else 256 * config.words
-        descriptors = subsample(descriptors, cap, config.seed)
-        trained, _ = kmeans_train(
-            descriptors, config.words, config.max_iters, config.tol, config.seed
-        )
+        trained, _ = train_dictionary(train_manifest, train_manifest_path, transform, config)
         fileio.write_dictionary(trained.centers, dict_path)
     dictionary = load_dictionary(dict_path)
     if dictionary.num_words != config.words:
@@ -254,14 +277,10 @@ def run_pipeline(
         rows, labels = [], []
         for idx, (rel, label) in enumerate(manifest.entries):
             enc_path = enc_dir / f"{idx:06d}.vle"
-            if enc_path.exists():
-                values = fileio.read_encoding(enc_path).astype(np.float64)
-            else:
+            if not enc_path.exists():
                 fmap = read_feature_map(resolve_entry(manifest_path, rel))
-                values = encode_entry(fmap, dictionary, transform, config)
-                fileio.write_encoding(values, enc_path)
-                values = fileio.read_encoding(enc_path).astype(np.float64)
-            rows.append(values)
+                fileio.write_encoding(encode_entry(fmap, dictionary, transform, config), enc_path)
+            rows.append(fileio.read_encoding(enc_path).astype(np.float64))
             labels.append(label)
         return np.stack(rows), np.array(labels, dtype=int)
 
@@ -269,23 +288,13 @@ def run_pipeline(
     test_x, test_y = encoded_split(test_manifest, test_manifest_path, "test")
 
     model_path = cache / "model.vlm"
-    if model_path.exists():
-        weights, biases = fileio.read_model(model_path)
-        if weights.shape[1] != train_x.shape[1]:
-            raise CacheMismatch(
-                f"cached model dim {weights.shape[1]} != encoding dim {train_x.shape[1]}"
-            )
-        model = LinearModel(weights.astype(np.float64), biases.astype(np.float64))
-    else:
-        model = train_ovr(
-            train_x, train_y, TrainHyper(reg=config.reg, epochs=config.epochs, seed=config.seed)
-        )
-        fileio.write_model(model.weights, model.biases, model_path)
-        weights, biases = fileio.read_model(model_path)
-        model = LinearModel(weights.astype(np.float64), biases.astype(np.float64))
-
-    predicted = np.array([predict(model, row)[0] for row in test_x])
-    return tabulate(test_y, predicted, train_manifest.num_classes)
+    if not model_path.exists():
+        trained = train_ovr(train_x, train_y, config.train_hyper())
+        fileio.write_model(trained.weights, trained.biases, model_path)
+    model = load_model(model_path)
+    if model.dim != train_x.shape[1]:
+        raise CacheMismatch(f"cached model dim {model.dim} != encoding dim {train_x.shape[1]}")
+    return evaluate(model, test_x, test_y)
 
 
 # -- benchmark harness -------------------------------------------------------
@@ -312,13 +321,9 @@ def run_bench(
     test_manifest = fileio.load_manifest(test_manifest_path)
     for mode in modes:
         for pyramid in pyramids:
-            combo = replace(
-                config, mode=mode, pyramid=None if pyramid == "none" else pyramid
-            )
+            combo = replace(config, mode=mode, pyramid=_parse_value(_FIELDS["pyramid"], pyramid))
             report = run_pipeline(combo, train_manifest_path, test_manifest_path, work_dir)
-            cache = Path(work_dir) / (
-                f"cache_{_cache_key(combo, train_manifest_path, test_manifest_path)}"
-            )
+            cache = cache_dir(combo, train_manifest_path, test_manifest_path, work_dir)
             dictionary = load_dictionary(cache / "dictionary.vld")
             transform = load_transform(cache / "transform.vlw") if combo.whiten else None
             sample = read_feature_map(

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from vladkit import fileio
-from vladkit.cli import main
+from vladkit.cli import build_parser, main
+from vladkit.pipeline import PipelineConfig
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +184,7 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
 
 def test_pipeline_bad_config_exits(tmp_path, workspace, capsys):
     config = tmp_path / "config"
-    for text in ("unknown_key = 1\n", "whiten = maybe\n"):
+    for text in ("unknown_key = 1\n", "whiten = maybe\n", "mode = llc\nsigma = 0\nwords = 4\n"):
         config.write_text(text)
         assert main([
             "pipeline", "--config", str(config),
@@ -190,3 +193,85 @@ def test_pipeline_bad_config_exits(tmp_path, workspace, capsys):
             "--work-dir", str(tmp_path / "work"),
         ]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def stage_files(workspace):
+    """A transform, dictionary and model of this test's own, for the
+    subcommands that read them."""
+    root = workspace / "stages"
+    root.mkdir()
+    train = str(workspace / "data" / "train.tsv")
+    assert main(["preprocess", "fit", "--manifest", train, "--out", str(root / "t.vlw")]) == 0
+    assert main([
+        "codebook", "train", "--manifest", train, "--transform", str(root / "t.vlw"),
+        "--words", "4", "--out", str(root / "d.vld"),
+    ]) == 0
+    assert main([
+        "train", "--manifest", train, "--dict", str(root / "d.vld"),
+        "--transform", str(root / "t.vlw"), "--out", str(root / "m.vlm"),
+    ]) == 0
+    return root
+
+
+ENCODER_FIELDS = {"mode", "beta", "knn", "lam", "sigma", "norm_scheme", "pyramid"}
+CONFIG_FIELDS = {
+    "encode": ENCODER_FIELDS,
+    "train": ENCODER_FIELDS | {"reg", "epochs", "seed"},
+    "evaluate": ENCODER_FIELDS,
+    "codebook_train": {"words", "seed", "max_iters", "tol", "subsample"},
+    "bench": {"words", "seed"},
+}
+
+
+def _required_args(command, workspace, stages, out):
+    """The required arguments of a subcommand, writing its output to out."""
+    data = workspace / "data"
+    encoder = ["--dict", str(stages / "d.vld"), "--transform", str(stages / "t.vlw")]
+    image = fileio.resolve_entry(
+        data / "test.tsv", fileio.load_manifest(data / "test.tsv").entries[0][0]
+    )
+    return {
+        "encode": ["encode", *encoder, "--in", str(image), "--out", str(out)],
+        "train": ["train", "--manifest", str(data / "train.tsv"), *encoder, "--out", str(out)],
+        "evaluate": [
+            "evaluate", "--manifest", str(data / "test.tsv"), "--model", str(stages / "m.vlm"),
+            *encoder, "--confusion-out", str(out),
+        ],
+        "codebook_train": [
+            "codebook", "train", "--manifest", str(data / "train.tsv"),
+            "--transform", str(stages / "t.vlw"), "--out", str(out),
+        ],
+        "bench": [
+            "bench", "--train-manifest", str(data / "train.tsv"),
+            "--test-manifest", str(data / "test.tsv"), "--modes", "hard", "--pyramids", "none",
+            "--work-dir", str(out.parent / "work"), "--out", str(out),
+        ],
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(CONFIG_FIELDS))
+def test_config_flags_follow_the_config_schema(command, workspace, stage_files, tmp_path, capsys):
+    config_fields = CONFIG_FIELDS[command]
+    required = _required_args(command, workspace, stage_files, tmp_path / "out")
+    args = vars(build_parser().parse_args(required))
+    taken = {f.name for f in fields(PipelineConfig)} & set(args)
+    assert taken == config_fields
+    for name in taken:
+        assert args[name] == getattr(PipelineConfig(), name)
+
+    # The config file's spelling of None is accepted and means the default.
+    for key, none_text in (("pyramid", "none"), ("subsample", "auto")):
+        if key in config_fields:
+            assert main(required) == 0
+            spelled = _required_args(command, workspace, stage_files, tmp_path / "spelled")
+            assert main(spelled + [f"--{key}", none_text]) == 0
+            assert (tmp_path / "spelled").read_bytes() == (tmp_path / "out").read_bytes()
+
+    bad = [("knn", "abc", "invalid int value: 'abc'"), ("words", "abc", "invalid int value: 'abc'"),
+           ("mode", "foo", "invalid choice: 'foo'")]
+    for key, value, message in bad:
+        if key in config_fields:
+            capsys.readouterr()
+            assert main(required + [f"--{key}", value]) == 1
+            assert message in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from vladkit import fileio
 from vladkit.errors import CacheMismatch, ParseError
+from vladkit.fileio import DatasetManifest
 from vladkit.pipeline import (
     PipelineConfig,
     config_to_text,
@@ -132,6 +133,21 @@ def test_pipeline_runs_and_is_accurate(dataset, tmp_path):
     report = run_pipeline(small_config(mode="sa"), train_path, test_path, tmp_path)
     assert report.accuracy >= 0.9
     assert report.confusion.sum() == 30
+
+
+def test_pipeline_test_label_unseen_in_training(dataset, tmp_path):
+    train_path, test_path = dataset
+    train = fileio.load_manifest(train_path)
+    without_2 = train_path.parent / "train_without_class_2.tsv"
+    fileio.save_manifest(
+        DatasetManifest(tuple(e for e in train.entries if e[1] != 2), 2), without_2
+    )
+    report = run_pipeline(small_config(mode="sa"), without_2, test_path, tmp_path)
+    test_labels = [label for _, label in fileio.load_manifest(test_path).entries]
+    assert report.confusion.shape == (3, 3)
+    assert report.confusion[2].sum() == test_labels.count(2) > 0
+    assert report.confusion[2, 2] == 0
+    assert report.confusion.sum() == len(test_labels)
 
 
 def test_pipeline_cache_reuse_byte_identical(dataset, tmp_path):
