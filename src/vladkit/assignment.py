@@ -47,6 +47,16 @@ class AssignConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown assignment mode {self.mode!r}")
 
+    def validate(self, num_words: int) -> None:
+        """Range checks of the parameters this mode uses, for a dictionary of
+        num_words words. Written as `not x > 0` so that NaN fails them."""
+        if self.mode in ("sa", "lsa") and not self.beta > 0:
+            raise NonPositiveBeta(f"beta must be positive, got {self.beta}")
+        if self.mode in ("lsa", "llc-approx") and not 1 <= self.k_nn <= num_words:
+            raise BadK(f"k_nn {self.k_nn} outside [1, {num_words}]")
+        if self.mode == "llc" and not self.sigma > 0:
+            raise NonPositiveSigma(f"sigma must be positive, got {self.sigma}")
+
 
 def _softmax_rows(neg_scaled: np.ndarray) -> np.ndarray:
     w = np.exp(neg_scaled - neg_scaled.max(axis=1, keepdims=True))
@@ -84,12 +94,7 @@ def weight_matrix(
     m = dictionary.num_words
     if x.ndim != 2 or x.shape[1] != dictionary.dim:
         raise DimMismatch(f"descriptors shape {x.shape} != (N, {dictionary.dim})")
-    if config.mode in ("sa", "lsa") and config.beta <= 0:
-        raise NonPositiveBeta(f"beta must be positive, got {config.beta}")
-    if config.mode in ("lsa", "llc-approx") and not 1 <= config.k_nn <= m:
-        raise BadK(f"k_nn {config.k_nn} outside [1, {m}]")
-    if config.mode == "llc" and config.sigma <= 0:
-        raise NonPositiveSigma(f"sigma must be positive, got {config.sigma}")
+    config.validate(m)
     centers = np.asarray(dictionary.centers, dtype=np.float64)
     d2 = squared_distances(x, centers)
     if config.mode == "sa":

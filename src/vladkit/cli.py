@@ -7,6 +7,7 @@ mismatches, and everything else raised as a VladkitError).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -74,7 +75,10 @@ def _config(args) -> PipelineConfig:
     return PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between
+    calls, and building all the subcommands costs far more than a parse."""
     parser = _Parser(prog="vladkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -48,6 +48,9 @@ class PipelineConfig:
             raise ParseError(f"unknown mode {self.mode!r}")
         if self.norm_scheme not in NORM_SCHEMES:
             raise ParseError(f"unknown norm_scheme {self.norm_scheme!r}")
+        for name in ("words", "epochs", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ParseError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def assign_config(self) -> AssignConfig:
         return AssignConfig(
@@ -241,6 +244,8 @@ def run_pipeline(
     """fit whitening -> train codebook -> encode -> train -> evaluate,
     reusing any cached artifacts under work_dir whose headers match. Each
     stage writes its artifact if absent, then loads the stored float32 copy."""
+    # Checked before any stage runs, so a bad config leaves no artifact behind.
+    config.assign_config().validate(config.words)
     cache = cache_dir(config, train_manifest_path, test_manifest_path, work_dir)
     cache.mkdir(parents=True, exist_ok=True)
 

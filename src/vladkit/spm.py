@@ -1,9 +1,12 @@
 """Spatial pyramid pooling over the descriptor grid.
 
 Each pyramid level (r, c) cuts the H x W grid into r*c regions with
-floor-proportional boundaries; every region is encoded independently and the
-segments are concatenated level by level (row-major within a level), then
-globally L2-normalized. Empty regions contribute an all-zero segment.
+floor-proportional boundaries; every region gets its own VLAD encoding and
+the segments are concatenated level by level (row-major within a level),
+then globally L2-normalized. Empty regions contribute an all-zero segment.
+A descriptor's whitened form and assignment weights do not depend on the
+region it falls in, so the image is whitened and assigned once and each
+region aggregates its slice of the two grids.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import vlad
 from .codebook import Dictionary
 from .errors import ParseError
 from .fileio import FeatureMap
@@ -72,18 +76,24 @@ def region_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
+def region_slices(height: int, width: int, spec: PyramidSpec) -> list[tuple[slice, slice]]:
+    """(rows, cols) slices of every region of a height x width grid, level
+    by level, then row-major within a level: the order of the segments."""
+    return [
+        (slice(r0, r1), slice(c0, c1))
+        for r, c in spec.levels
+        for r0, r1 in region_bounds(height, r)
+        for c0, c1 in region_bounds(width, c)
+    ]
+
+
 def partition(fmap: FeatureMap, spec: PyramidSpec) -> list[np.ndarray]:
-    """Descriptor subsets per region, ordered level by level then row-major.
+    """Descriptor subsets per region, in segment order.
     Regions can be empty when a level is finer than the grid."""
-    regions = []
-    for r, c in spec.levels:
-        rows = region_bounds(fmap.height, r)
-        cols = region_bounds(fmap.width, c)
-        for r0, r1 in rows:
-            for c0, c1 in cols:
-                cells = fmap.data[r0:r1, c0:c1]
-                regions.append(cells.reshape(-1, fmap.dim))
-    return regions
+    return [
+        fmap.data[rows, cols].reshape(-1, fmap.dim)
+        for rows, cols in region_slices(fmap.height, fmap.width, spec)
+    ]
 
 
 def encode_spm(
@@ -94,14 +104,19 @@ def encode_spm(
     spec: PyramidSpec,
 ) -> SpmEncoding:
     segment_len = dictionary.num_words * dictionary.dim
+    descriptors = fmap.descriptors().astype(np.float64)
+    if transform is not None:
+        descriptors = apply_whitening_batch(transform, descriptors)
+    weights = vlad.weight_matrix(dictionary, descriptors, config.assign)
+    x_grid = descriptors.reshape(fmap.height, fmap.width, dictionary.dim)
+    w_grid = weights.reshape(fmap.height, fmap.width, dictionary.num_words)
     segments = []
-    for region in partition(fmap, spec):
+    for rows, cols in region_slices(fmap.height, fmap.width, spec):
+        region = x_grid[rows, cols].reshape(-1, dictionary.dim)
         if region.shape[0] == 0:
             segments.append(np.zeros(segment_len))
             continue
-        descriptors = region.astype(np.float64)
-        if transform is not None:
-            descriptors = apply_whitening_batch(transform, descriptors)
-        segments.append(encode_descriptors(dictionary, descriptors, config))
+        region_weights = w_grid[rows, cols].reshape(-1, dictionary.num_words)
+        segments.append(encode_descriptors(dictionary, region, config, region_weights))
     values = l2_normalize(np.concatenate(segments))
     return SpmEncoding(pyramid=spec, segment_len=segment_len, values=values)

@@ -32,14 +32,19 @@ class EncoderConfig:
 
 
 def vlad_aggregate(
-    dictionary: Dictionary, descriptors: np.ndarray, config: AssignConfig
+    dictionary: Dictionary,
+    descriptors: np.ndarray,
+    config: AssignConfig,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Raw (unnormalized) M*D residual vector."""
+    """Raw (unnormalized) M*D residual vector. `weights` are the descriptors'
+    (N, M) assignment rows when the caller already has them; None computes
+    them from config."""
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.ndim != 2 or descriptors.shape[0] == 0:
         raise EmptyInput("need at least one descriptor")
     centers = np.asarray(dictionary.centers, dtype=np.float64)
-    w = weight_matrix(dictionary, descriptors, config)
+    w = weight_matrix(dictionary, descriptors, config) if weights is None else weights
     # block m = sum_i w_im x_i - (sum_i w_im) d_m
     blocks = w.T @ descriptors - w.sum(axis=0)[:, None] * centers
     return blocks.reshape(-1)
@@ -64,11 +69,15 @@ def vlad_normalize(
 
 
 def encode_descriptors(
-    dictionary: Dictionary, descriptors: np.ndarray, config: EncoderConfig
+    dictionary: Dictionary,
+    descriptors: np.ndarray,
+    config: EncoderConfig,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Aggregate + normalize one descriptor set. The all-zero raw vector maps
+    """Aggregate + normalize one descriptor set, with the assignment rows in
+    `weights` when given (see vlad_aggregate). The all-zero raw vector maps
     to the all-zero encoding."""
-    raw = vlad_aggregate(dictionary, descriptors, config.assign)
+    raw = vlad_aggregate(dictionary, descriptors, config.assign, weights)
     return vlad_normalize(raw, dictionary.num_words, dictionary.dim, config.norm_scheme)
 
 

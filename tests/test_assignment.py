@@ -103,6 +103,25 @@ def test_soft_rejects_bad_beta():
         assign_soft(d, np.zeros(1), beta=0.0)
 
 
+def test_validate_rejects_nan_and_out_of_range_parameters():
+    d = Dictionary(centers=np.zeros((2, 1)))
+    nan = float("nan")
+    cases = [
+        (AssignConfig(mode="sa", beta=nan), errors.NonPositiveBeta),
+        (AssignConfig(mode="lsa", beta=nan), errors.NonPositiveBeta),
+        (AssignConfig(mode="lsa", k_nn=0), errors.BadK),
+        (AssignConfig(mode="llc-approx", k_nn=3), errors.BadK),
+        (AssignConfig(mode="llc", sigma=nan), errors.NonPositiveSigma),
+    ]
+    for config, error in cases:
+        with pytest.raises(error):
+            config.validate(2)
+        with pytest.raises(error):
+            weight_matrix(d, np.zeros((1, 1)), config)
+    # Parameters a mode does not use are not checked.
+    AssignConfig(mode="hard", beta=nan, k_nn=0, sigma=nan).validate(2)
+
+
 def test_soft_shift_invariance():
     # Adding a constant to every squared distance leaves softmax unchanged;
     # realized geometrically by appending an orthogonal coordinate.

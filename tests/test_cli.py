@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +199,28 @@ def test_pipeline_bad_config_exits(tmp_path, workspace, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    "mode = lsa\nknn = 50\nwords = 4\n",
+    "mode = sa\nbeta = nan\nwords = 4\n",
+    "mode = llc\nsigma = nan\nwords = 4\n",
+    "words = 0\n",
+    "epochs = -3\n",
+    "max_iters = 0\n",
+], ids=["knn_over_words", "beta_nan", "sigma_nan", "words_0", "epochs_negative", "max_iters_0"])
+def test_pipeline_bad_config_exits_before_any_stage(text, tmp_path, workspace, capsys):
+    config = tmp_path / "config"
+    config.write_text(text)
+    work = tmp_path / "work"
+    assert main([
+        "pipeline", "--config", str(config),
+        "--train-manifest", str(workspace / "data" / "train.tsv"),
+        "--test-manifest", str(workspace / "data" / "test.tsv"),
+        "--work-dir", str(work),
+    ]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not [path for path in work.rglob("*") if path.is_file()]
+
+
 @pytest.fixture(scope="module")
 def stage_files(workspace):
     """A transform, dictionary and model of this test's own, for the
@@ -275,3 +301,25 @@ def test_config_flags_follow_the_config_schema(command, workspace, stage_files, 
             capsys.readouterr()
             assert main(required + [f"--{key}", value]) == 1
             assert message in capsys.readouterr().err
+
+
+def test_main_calls_in_one_process_share_no_state(workspace, stage_files, tmp_path, capsys):
+    """A flag given to one main() call does not carry over to the next."""
+    def encode(out):
+        return _required_args("encode", workspace, stage_files, tmp_path / out)
+
+    assert main(encode("pyramid.vle") + ["--pyramid", "a"]) == 0
+    assert main(encode("flat.vle")) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "vladkit.cli", *encode("fresh.vle")],
+        env=dict(os.environ, PYTHONPATH=pythonpath), check=True, timeout=120,
+    )
+    flat = (tmp_path / "flat.vle").read_bytes()
+    assert flat == (tmp_path / "fresh.vle").read_bytes()
+    assert len(flat) < len((tmp_path / "pyramid.vle").read_bytes())
+    assert main(encode("bad.vle") + ["--no-such-flag"]) == 1
+    assert main(encode("again.vle")) == 0
+    assert (tmp_path / "again.vle").read_bytes() == flat
+    capsys.readouterr()

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import vladkit.spm
+import vladkit.vlad
 from vladkit import errors, fileio
+from vladkit.assignment import AssignConfig
 from vladkit.codebook import Dictionary, kmeans_train
 from vladkit.fileio import FeatureMap
 from vladkit.spm import PyramidSpec, encode_spm, parse_pyramid, partition, region_bounds
 from vladkit.synth import SynthSpec, synth_dataset
-from vladkit.vlad import EncoderConfig, encode
+from vladkit.vlad import EncoderConfig, encode, encode_descriptors
+from vladkit.whitening import apply_whitening_batch, fit_whitening, l2_normalize
 
 
 def grid_map(rng, h, w, d):
@@ -128,3 +132,87 @@ def test_spatial_signal_pair_distinguished_only_by_fine_levels(tmp_path):
     ]
     assert np.abs(coarse[0] - coarse[1]).max() < 1e-9
     assert np.linalg.norm(fine[0] - fine[1]) > 1e-3
+
+
+# -- one whitening and one assignment per image ------------------------------
+
+MODE_CONFIGS = {
+    "hard": AssignConfig(mode="hard"),
+    "sa": AssignConfig(mode="sa", beta=0.7),
+    "lsa": AssignConfig(mode="lsa", beta=0.7, k_nn=2),
+    "llc": AssignConfig(mode="llc", lam=1e-3, sigma=2.0),
+    "llc-approx": AssignConfig(mode="llc-approx", k_nn=3),
+}
+
+
+def encode_spm_by_region(fmap, dictionary, transform, config, spec):
+    """The pyramid encoding by its definition: each region whitened and
+    encoded on its own, zeros for an empty region, concatenated, then L2."""
+    segments = []
+    for region in partition(fmap, spec):
+        if region.shape[0] == 0:
+            segments.append(np.zeros(dictionary.num_words * dictionary.dim))
+            continue
+        descriptors = region.astype(np.float64)
+        if transform is not None:
+            descriptors = apply_whitening_batch(transform, descriptors)
+        segments.append(encode_descriptors(dictionary, descriptors, config))
+    return l2_normalize(np.concatenate(segments))
+
+
+@pytest.mark.parametrize("whiten", [False, True], ids=["raw", "whitened"])
+@pytest.mark.parametrize("mode", list(MODE_CONFIGS))
+def test_encode_spm_matches_region_by_region_encoding(mode, whiten):
+    rng = np.random.default_rng(8)
+    transform = fit_whitening(rng.standard_normal((50, 3))) if whiten else None
+    d = Dictionary(centers=rng.standard_normal((4, 3)) * (0.5 if whiten else 1.0))
+    config = EncoderConfig(assign=MODE_CONFIGS[mode])
+    for h, w in ((2, 3), (5, 7), (0, 4)):
+        fmap = grid_map(rng, h, w, 3)
+        for name in ("a", "b", "c", "4x4"):
+            spec = parse_pyramid(name)
+            got = encode_spm(fmap, d, transform, config, spec).values
+            expected = encode_spm_by_region(fmap, d, transform, config, spec)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=f"{h}x{w} {name}")
+
+
+def test_encode_spm_whitens_and_assigns_once_per_image(monkeypatch):
+    """The per-image work runs through the module attributes a caller can
+    wrap: one whitening and one weight matrix over all H*W descriptors, and
+    one encode_descriptors per non-empty region."""
+    rows = {"weight_matrix": [], "apply_whitening_batch": []}
+    regions = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            rows[name].append(result.shape[0])
+            return result
+        return wrapper
+
+    def encode_region(*args, **kwargs):
+        regions.append(args[1].shape[0])
+        return encode_descriptors(*args, **kwargs)
+
+    monkeypatch.setattr(
+        "vladkit.vlad.weight_matrix", counted("weight_matrix", vladkit.vlad.weight_matrix)
+    )
+    monkeypatch.setattr(
+        "vladkit.spm.apply_whitening_batch",
+        counted("apply_whitening_batch", vladkit.spm.apply_whitening_batch),
+    )
+    monkeypatch.setattr("vladkit.spm.encode_descriptors", encode_region)
+
+    rng = np.random.default_rng(10)
+    transform = fit_whitening(rng.standard_normal((50, 3)))
+    d = Dictionary(centers=rng.standard_normal((4, 3)))
+    config = EncoderConfig(assign=AssignConfig(mode="sa"))
+    spec = parse_pyramid("c")
+    for h, w in ((8, 8), (2, 3)):
+        for counts in (*rows.values(), regions):
+            counts.clear()
+        fmap = grid_map(rng, h, w, 3)
+        encode_spm(fmap, d, transform, config, spec)
+        assert rows == {"weight_matrix": [h * w], "apply_whitening_batch": [h * w]}
+        assert regions == [r.shape[0] for r in partition(fmap, spec) if r.shape[0]]
+    assert len(regions) == 11  # 2x3 grid: 1 + 4 + the 6 non-empty cells of the 4x4 level
