@@ -8,31 +8,25 @@ restricts that softmax to the K nearest words; locality-constrained linear
 coding (LLC) solves an affine-constrained least squares with a per-word
 locality penalty, and its approximated form solves the unpenalized system
 over the K nearest words only. Distance ties resolve to the lowest word index.
-The single-descriptor functions return one row of that matrix.
+A single descriptor is a one-row call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .codebook import Dictionary, squared_distances
-from .errors import BadK, DimMismatch, NonPositiveBeta, NonPositiveSigma, SingularSystem
+from .errors import (
+    BadK, BadLambda, DimMismatch, NonPositiveBeta, NonPositiveSigma, SingularSystem,
+)
 
 MODES = ("hard", "sa", "lsa", "llc", "llc-approx")
 
 # Soft weights below this are flushed to exact zero and dropped from support.
 _FLUSH = 1e-30
-
-
-@dataclass(frozen=True)
-class AssignmentWeights:
-    weights: np.ndarray  # (M,)
-    support: np.ndarray = field(init=False)  # sorted indices of nonzeros
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", np.flatnonzero(self.weights))
 
 
 @dataclass(frozen=True)
@@ -49,13 +43,15 @@ class AssignConfig:
 
     def validate(self, num_words: int) -> None:
         """Range checks of the parameters this mode uses, for a dictionary of
-        num_words words. Written as `not x > 0` so that NaN fails them."""
-        if self.mode in ("sa", "lsa") and not self.beta > 0:
-            raise NonPositiveBeta(f"beta must be positive, got {self.beta}")
+        num_words words. Written as `not lo < x < inf` so that NaN fails them."""
+        if self.mode in ("sa", "lsa") and not 0 < self.beta < math.inf:
+            raise NonPositiveBeta(f"beta must be finite and positive, got {self.beta}")
         if self.mode in ("lsa", "llc-approx") and not 1 <= self.k_nn <= num_words:
             raise BadK(f"k_nn {self.k_nn} outside [1, {num_words}]")
-        if self.mode == "llc" and not self.sigma > 0:
-            raise NonPositiveSigma(f"sigma must be positive, got {self.sigma}")
+        if self.mode == "llc" and not 0 < self.sigma < math.inf:
+            raise NonPositiveSigma(f"sigma must be finite and positive, got {self.sigma}")
+        if self.mode == "llc" and not 0 <= self.lam < math.inf:
+            raise BadLambda(f"lambda must be finite and non-negative, got {self.lam}")
 
 
 def _softmax_rows(neg_scaled: np.ndarray) -> np.ndarray:
@@ -119,33 +115,3 @@ def weight_matrix(
         np.put_along_axis(w, near, near_w, axis=1)
     return w
 
-
-def assign(dictionary: Dictionary, x: np.ndarray, config: AssignConfig) -> AssignmentWeights:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dictionary.dim,):
-        raise DimMismatch(f"descriptor shape {x.shape} != ({dictionary.dim},)")
-    return AssignmentWeights(weight_matrix(dictionary, x[None, :], config)[0])
-
-
-def assign_hard(dictionary: Dictionary, x: np.ndarray) -> AssignmentWeights:
-    return assign(dictionary, x, AssignConfig(mode="hard"))
-
-
-def assign_soft(dictionary: Dictionary, x: np.ndarray, beta: float) -> AssignmentWeights:
-    return assign(dictionary, x, AssignConfig(mode="sa", beta=beta))
-
-
-def assign_localized_soft(
-    dictionary: Dictionary, x: np.ndarray, beta: float, k_nn: int
-) -> AssignmentWeights:
-    return assign(dictionary, x, AssignConfig(mode="lsa", beta=beta, k_nn=k_nn))
-
-
-def assign_llc(
-    dictionary: Dictionary, x: np.ndarray, lam: float = 1e-4, sigma: float = 1.0
-) -> AssignmentWeights:
-    return assign(dictionary, x, AssignConfig(mode="llc", lam=lam, sigma=sigma))
-
-
-def assign_llc_approx(dictionary: Dictionary, x: np.ndarray, k_nn: int) -> AssignmentWeights:
-    return assign(dictionary, x, AssignConfig(mode="llc-approx", k_nn=k_nn))

@@ -75,12 +75,14 @@ def train_ovr(
     return LinearModel(weights=weights, biases=biases)
 
 
-def predict(model: LinearModel, encoding: np.ndarray) -> tuple[int, np.ndarray]:
-    encoding = np.asarray(encoding, dtype=np.float64)
-    if encoding.shape != (model.dim,):
-        raise DimMismatch(f"encoding shape {encoding.shape} != ({model.dim},)")
-    scores = model.weights @ encoding + model.biases
-    return int(np.argmax(scores)), scores
+def predict(model: LinearModel, encodings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (N,) and class scores (N, C) of N encodings, (N, dim). Score
+    ties go to the lowest class index."""
+    x = np.asarray(encodings, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.dim:
+        raise DimMismatch(f"encodings shape {x.shape} != (N, {model.dim})")
+    scores = x @ model.weights.T + model.biases
+    return np.argmax(scores, axis=1), scores
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ class EvalReport:
 
 def tabulate(true_labels: np.ndarray, predicted: np.ndarray, num_classes: int) -> EvalReport:
     confusion = np.zeros((num_classes, num_classes), dtype=int)
-    for t, p in zip(true_labels, predicted):
-        confusion[t, p] += 1
+    np.add.at(confusion, (true_labels, predicted), 1)
     row_totals = confusion.sum(axis=1)
     safe = np.where(row_totals == 0, 1, row_totals)
     per_class = np.diag(confusion) / safe

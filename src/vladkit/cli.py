@@ -75,6 +75,17 @@ def _config(args) -> PipelineConfig:
     return PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
+def _seed(text):
+    """A seed flag's value: NumPy's generators take only seeds >= 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_seed.__name__ = "seed"  # argparse's message: "invalid seed value: '-1'"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args keeps no state between
@@ -91,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-mode", default="descriptor-signal",
                    choices=["descriptor-signal", "spatial-signal"])
     p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("split", help="seeded n-per-class train/test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
 
@@ -109,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--dim", type=int, default=None)
     fit.add_argument("--epsilon", type=float, default=None)
     fit.add_argument("--subsample", type=int, default=None)
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=_seed, default=0)
     apply_p = pp.add_parser("apply")
     apply_p.add_argument("--transform", required=True)
     apply_p.add_argument("--in", dest="input", required=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, TooFewPoints
+from .errors import EmptyInput, TooFewPoints
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,10 @@ def kmeans_train(
     )
 
 
-def nearest_center(dictionary: Dictionary, x: np.ndarray) -> int:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dictionary.dim,):
-        raise DimMismatch(f"descriptor dim {x.shape} != ({dictionary.dim},)")
-    d2 = squared_distances(x[None, :], np.asarray(dictionary.centers, dtype=np.float64))
-    return int(np.argmin(d2[0]))
-
-
 def subsample(data: np.ndarray, cap: int, seed: int) -> np.ndarray:
     """Uniform seeded subsample used to bound dictionary training cost."""
+    if cap < 1:
+        raise EmptyInput(f"subsample cap must be at least 1, got {cap}")
     if len(data) <= cap:
         return data
     rng = np.random.default_rng(seed)

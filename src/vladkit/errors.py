@@ -58,6 +58,10 @@ class BadK(VladkitError):
     pass
 
 
+class BadLambda(VladkitError):
+    pass
+
+
 class SingularSystem(VladkitError):
     pass
 

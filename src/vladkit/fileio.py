@@ -88,10 +88,9 @@ def _read_container(path, magic: bytes, n_header: int):
             _U32.unpack(_read_exact(f, 4, path))[0] for _ in range(n_header)
         ]
         payload = f.read()
-    floats = np.frombuffer(payload, dtype="<f4")
     if len(payload) % 4 != 0:
         raise TruncatedFile(f"{path}: payload not a whole number of floats")
-    return header, floats
+    return header, np.frombuffer(payload, dtype="<f4")
 
 
 def _check_payload(path, floats: np.ndarray, expected: int) -> np.ndarray:

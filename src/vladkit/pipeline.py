@@ -6,6 +6,7 @@ the input manifests."""
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import Field, dataclass, fields, replace
 from pathlib import Path
@@ -21,6 +22,14 @@ from .fileio import DatasetManifest, read_feature_map, resolve_entry
 from .spm import PyramidSpec, encode_spm, parse_pyramid
 from .vlad import NORM_SCHEMES, EncoderConfig, encode
 from .whitening import WhiteningTransform, fit_whitening
+
+
+# Lowest valid value of each numeric field that has one; None (auto) passes.
+# Written as `not low <= x < inf` so that NaN and inf fail.
+_MINIMUM = {
+    "words": 1, "epochs": 1, "max_iters": 1, "subsample": 1, "pca_dim": 1,
+    "seed": 0, "tol": 0, "epsilon": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,13 @@ class PipelineConfig:
             raise ParseError(f"unknown mode {self.mode!r}")
         if self.norm_scheme not in NORM_SCHEMES:
             raise ParseError(f"unknown norm_scheme {self.norm_scheme!r}")
-        for name in ("words", "epochs", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ParseError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, low in _MINIMUM.items():
+            value = getattr(self, name)
+            if value is not None and not low <= value < math.inf:
+                raise ParseError(f"{name} must be finite and at least {low}, got {value}")
+        if not 0 < self.reg < math.inf:
+            raise ParseError(f"reg must be finite and positive, got {self.reg}")
+        self.pyramid_spec()  # a bad pyramid text fails here, before any stage runs
 
     def assign_config(self) -> AssignConfig:
         return AssignConfig(
@@ -182,7 +195,7 @@ def encode_entry(
     spec = config.pyramid_spec()
     if spec is None:
         return encode(dictionary, fmap, transform, config.encoder_config())
-    return encode_spm(fmap, dictionary, transform, config.encoder_config(), spec).values
+    return encode_spm(fmap, dictionary, transform, config.encoder_config(), spec)
 
 
 def encode_manifest(
@@ -219,7 +232,7 @@ def train_dictionary(
 
 def evaluate(model: LinearModel, encodings: np.ndarray, labels: np.ndarray) -> EvalReport:
     """Predictions tabulated over the model's classes and any label it never saw."""
-    predicted = np.array([predict(model, row)[0] for row in encodings])
+    predicted, _ = predict(model, encodings)
     return tabulate(labels, predicted, max(model.num_classes, int(labels.max()) + 1))
 
 

@@ -45,13 +45,6 @@ class PyramidSpec:
         return sum(r * c for r, c in self.levels)
 
 
-@dataclass(frozen=True)
-class SpmEncoding:
-    pyramid: PyramidSpec
-    segment_len: int
-    values: np.ndarray  # (total_regions * segment_len,)
-
-
 def parse_pyramid(text: str) -> PyramidSpec:
     """Accepts a preset name (a, b, c) or a custom "RxC,RxC,..." string."""
     if text in PRESETS:
@@ -102,7 +95,9 @@ def encode_spm(
     transform: WhiteningTransform | None,
     config: EncoderConfig,
     spec: PyramidSpec,
-) -> SpmEncoding:
+) -> np.ndarray:
+    """The pyramid encoding of one image: every region's segment, in
+    region_slices order, then one global L2."""
     segment_len = dictionary.num_words * dictionary.dim
     descriptors = fmap.descriptors().astype(np.float64)
     if transform is not None:
@@ -118,5 +113,4 @@ def encode_spm(
             continue
         region_weights = w_grid[rows, cols].reshape(-1, dictionary.num_words)
         segments.append(encode_descriptors(dictionary, region, config, region_weights))
-    values = l2_normalize(np.concatenate(segments))
-    return SpmEncoding(pyramid=spec, segment_len=segment_len, values=values)
+    return l2_normalize(np.concatenate(segments))

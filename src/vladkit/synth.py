@@ -16,11 +16,13 @@ Two constructions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ParseError
 from .fileio import DatasetManifest, FeatureMap, save_manifest, write_feature_map
 
 _NUM_COMPONENT_GROUPS = 4  # spatial-signal bag groups; matches 2x2 quadrant count
@@ -39,12 +41,12 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.mode not in ("descriptor-signal", "spatial-signal"):
-            raise ValueError(f"unknown synth mode {self.mode!r}")
+            raise ParseError(f"unknown synth mode {self.mode!r}")
         for name in ("num_classes", "images_per_class", "grid_h", "grid_w", "dim"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+                raise ParseError(f"{name} must be positive")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ParseError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
 
 
 def _largest_remainder_counts(total: int, proportions: np.ndarray) -> np.ndarray:
@@ -168,6 +170,8 @@ def split_manifest(
     manifest: DatasetManifest, per_class: int, seed: int
 ) -> tuple[DatasetManifest, DatasetManifest]:
     """Seeded n-per-class train/test split. Entries keep manifest order."""
+    if per_class < 0:
+        raise ParseError(f"per_class must be at least 0, got {per_class}")
     rng = np.random.default_rng(seed)
     train_idx: set[int] = set()
     for c in range(manifest.num_classes):

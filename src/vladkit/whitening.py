@@ -85,13 +85,9 @@ def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / safe
 
 
-def apply_whitening(t: WhiteningTransform, x: np.ndarray) -> np.ndarray:
-    """Project one descriptor and L2-normalize the result."""
+def apply_whitening_batch(t: WhiteningTransform, x: np.ndarray) -> np.ndarray:
+    """Project N descriptors, (N, D_in), and L2-normalize each result row."""
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NonFinite("descriptor contains NaN/Inf")
-    return l2_normalize(t.project(x))
-
-
-def apply_whitening_batch(t: WhiteningTransform, x: np.ndarray) -> np.ndarray:
     return l2_normalize_rows(t.project(x))

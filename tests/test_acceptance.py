@@ -21,7 +21,7 @@ from oracles import (
     random_feasible,
 )
 from vladkit import fileio
-from vladkit.assignment import AssignConfig, assign
+from vladkit.assignment import AssignConfig, weight_matrix
 from vladkit.codebook import Dictionary, kmeans_train, squared_distances
 from vladkit.fileio import FeatureMap
 from vladkit.pipeline import PipelineConfig, run_pipeline
@@ -65,7 +65,7 @@ def test_a1_oracle_equivalence():
             fast = vlad_aggregate(dictionary, descriptors, cfg)
             slow = naive_vlad(
                 dictionary.centers, descriptors,
-                lambda x: assign(dictionary, x, cfg).weights,
+                lambda x: weight_matrix(dictionary, x[None, :], cfg)[0],
             )
             worst = max(worst, float(np.abs(fast - slow).max()))
     ok = worst <= 1e-9
@@ -83,29 +83,26 @@ def test_a2_assignment_laws():
         d = int(rng.integers(2, 9))
         dictionary = Dictionary(centers=rng.standard_normal((m, d)))
         x = rng.standard_normal(d)
+        row = x[None, :]
         # (i) weights sum to one in every mode
         for config in _MODE_CONFIGS:
             cfg = AssignConfig(
                 mode=config.mode, beta=config.beta,
                 k_nn=min(config.k_nn, m), lam=config.lam, sigma=config.sigma,
             )
-            w = assign(dictionary, x, cfg).weights
+            w = weight_matrix(dictionary, row, cfg)[0]
             sum_err = max(sum_err, abs(float(w.sum()) - 1.0))
         # (ii) localized softmax over all M words equals plain softmax
-        sa = assign(dictionary, x, AssignConfig(mode="sa", beta=0.9)).weights
-        lsa = assign(
-            dictionary, x, AssignConfig(mode="lsa", beta=0.9, k_nn=m)
-        ).weights
+        sa = weight_matrix(dictionary, row, AssignConfig(mode="sa", beta=0.9))[0]
+        lsa = weight_matrix(dictionary, row, AssignConfig(mode="lsa", beta=0.9, k_nn=m))[0]
         lsa_sa_err = max(lsa_sa_err, float(np.abs(sa - lsa).max()))
         # (iii) huge beta concentrates the softmax at the hard argmin
-        hot = assign(dictionary, x, AssignConfig(mode="sa", beta=1e6)).weights
-        hard = assign(dictionary, x, AssignConfig(mode="hard")).weights
+        hot = weight_matrix(dictionary, row, AssignConfig(mode="sa", beta=1e6))[0]
+        hard = weight_matrix(dictionary, row, AssignConfig(mode="hard"))[0]
         onehot_err = max(onehot_err, float(np.abs(hot - hard).max()))
         # (iv) solver's constrained objective beats random feasible points
         lam, sigma = 1e-3, 1.5
-        a = assign(
-            dictionary, x, AssignConfig(mode="llc", lam=lam, sigma=sigma)
-        ).weights
+        a = weight_matrix(dictionary, row, AssignConfig(mode="llc", lam=lam, sigma=sigma))[0]
         solver_obj = llc_objective(dictionary.centers, x, a, lam, sigma)
         candidates = random_feasible(rng, m, 100_000)
         residual = candidates @ dictionary.centers - x
@@ -198,7 +195,7 @@ def test_a5_descriptor_signal_all_modes(tmp_path):
     train_x, train_y = mean_features(train)
     test_x, test_y = mean_features(test)
     model = train_ovr(train_x, train_y, TrainHyper())
-    predictions = np.array([predict(model, row)[0] for row in test_x])
+    predictions, _ = predict(model, test_x)
     baseline = float((predictions == test_y).mean())
 
     accuracies = {}
@@ -314,14 +311,14 @@ def test_a8_shape_and_degeneracy():
     # Single-region pyramid is bitwise identical to the plain encoder.
     plain = encode(dictionary, fmap, None, config)
     spm = encode_spm(fmap, dictionary, None, config, PyramidSpec(((1, 1),)))
-    bitwise = np.array_equal(plain, spm.values)
+    bitwise = np.array_equal(plain, spm)
     # Output length is words * dim * regions for every preset.
     lengths_ok = True
     for preset, regions in (("a", 8), ("b", 8), ("c", 21), ("3x2,1x1", 7)):
         spec = parse_pyramid(preset)
         out = encode_spm(fmap, dictionary, None, config, spec)
         lengths_ok &= spec.total_regions == regions
-        lengths_ok &= out.values.size == 4 * 3 * regions
+        lengths_ok &= out.size == 4 * 3 * regions
     # Degenerate inputs stay finite and NaN-free in every mode and scheme.
     finite_ok = True
     zero_map = FeatureMap(np.zeros((2, 2, 3), dtype=np.float32))

@@ -11,17 +11,10 @@ from oracles import (
     random_feasible,
 )
 from vladkit import errors
-from vladkit.assignment import (
-    AssignConfig,
-    assign,
-    assign_hard,
-    assign_llc,
-    assign_llc_approx,
-    assign_localized_soft,
-    assign_soft,
-    weight_matrix,
-)
+from vladkit.assignment import AssignConfig, weight_matrix
 from vladkit.codebook import Dictionary
+
+HARD = AssignConfig(mode="hard")
 
 
 def rand_dict(rng, m=None, d=None):
@@ -30,18 +23,23 @@ def rand_dict(rng, m=None, d=None):
     return Dictionary(centers=rng.standard_normal((m, d)))
 
 
+def assign(d, x, config):
+    """Weights of one descriptor: the one-row weight_matrix call."""
+    return weight_matrix(d, np.asarray(x)[None, :], config)[0]
+
+
 # -- hard --------------------------------------------------------------------
 
 def test_hard_hand():
     d = Dictionary(centers=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    w = assign_hard(d, np.array([0.9, 0.9]))
-    assert w.weights.tolist() == [0.0, 1.0]
-    assert w.support.tolist() == [1]
+    w = assign(d, np.array([0.9, 0.9]), HARD)
+    assert w.tolist() == [0.0, 1.0]
+    assert np.flatnonzero(w).tolist() == [1]
 
 
 def test_hard_tie_lowest_index():
     d = Dictionary(centers=np.array([[0.0], [1.0]]))
-    assert assign_hard(d, np.array([0.5])).weights.tolist() == [1.0, 0.0]
+    assert assign(d, np.array([0.5]), HARD).tolist() == [1.0, 0.0]
 
 
 def test_hard_matches_oracle():
@@ -49,20 +47,20 @@ def test_hard_matches_oracle():
     for _ in range(50):
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
-        assert assign_hard(d, x).weights.tolist() == naive_hard_weights(d.centers, x)
+        assert assign(d, x, HARD).tolist() == naive_hard_weights(d.centers, x)
 
 
 # -- soft --------------------------------------------------------------------
 
 def test_soft_equal_distances_symmetric():
     d = Dictionary(centers=np.array([[-1.0], [1.0]]))
-    w = assign_soft(d, np.array([0.0]), beta=2.0).weights
+    w = assign(d, np.array([0.0]), AssignConfig(mode="sa", beta=2.0))
     assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
 
 def test_soft_hand_values():
     d = Dictionary(centers=np.array([[0.0], [1.0]]))
-    w = assign_soft(d, np.array([0.0]), beta=1.0).weights
+    w = assign(d, np.array([0.0]), AssignConfig(mode="sa", beta=1.0))
     e = [math.exp(0.0), math.exp(-1.0)]
     assert np.allclose(w, np.array(e) / sum(e), atol=1e-12)
     assert abs(w[0] - 0.7310585786300049) < 1e-12
@@ -74,9 +72,8 @@ def test_soft_matches_oracle():
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
         beta = float(rng.uniform(0.1, 5.0))
-        assert np.allclose(
-            assign_soft(d, x, beta).weights, naive_soft_weights(d.centers, x, beta), atol=1e-12
-        )
+        got = assign(d, x, AssignConfig(mode="sa", beta=beta))
+        assert np.allclose(got, naive_soft_weights(d.centers, x, beta), atol=1e-12)
 
 
 def test_soft_large_beta_approaches_hard():
@@ -84,8 +81,8 @@ def test_soft_large_beta_approaches_hard():
     for _ in range(20):
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
-        hard = assign_hard(d, x).weights
-        soft = assign_soft(d, x, beta=1e6).weights
+        hard = assign(d, x, HARD)
+        soft = assign(d, x, AssignConfig(mode="sa", beta=1e6))
         assert soft[int(np.argmax(hard))] >= 1.0 - 1e-6
 
 
@@ -93,14 +90,16 @@ def test_soft_max_weight_monotone_in_beta():
     rng = np.random.default_rng(3)
     d = rand_dict(rng, m=4, d=3)
     x = rng.standard_normal(3)
-    maxima = [assign_soft(d, x, beta).weights.max() for beta in (0.1, 1.0, 10.0, 100.0)]
+    maxima = [
+        assign(d, x, AssignConfig(mode="sa", beta=beta)).max() for beta in (0.1, 1.0, 10.0, 100.0)
+    ]
     assert all(b >= a - 1e-12 for a, b in zip(maxima, maxima[1:]))
 
 
 def test_soft_rejects_bad_beta():
     d = Dictionary(centers=np.zeros((2, 1)))
     with pytest.raises(errors.NonPositiveBeta):
-        assign_soft(d, np.zeros(1), beta=0.0)
+        assign(d, np.zeros(1), AssignConfig(mode="sa", beta=0.0))
 
 
 def test_validate_rejects_nan_and_out_of_range_parameters():
@@ -112,6 +111,11 @@ def test_validate_rejects_nan_and_out_of_range_parameters():
         (AssignConfig(mode="lsa", k_nn=0), errors.BadK),
         (AssignConfig(mode="llc-approx", k_nn=3), errors.BadK),
         (AssignConfig(mode="llc", sigma=nan), errors.NonPositiveSigma),
+        (AssignConfig(mode="sa", beta=math.inf), errors.NonPositiveBeta),
+        (AssignConfig(mode="llc", sigma=math.inf), errors.NonPositiveSigma),
+        (AssignConfig(mode="llc", lam=-1.0), errors.BadLambda),
+        (AssignConfig(mode="llc", lam=nan), errors.BadLambda),
+        (AssignConfig(mode="llc", lam=math.inf), errors.BadLambda),
     ]
     for config, error in cases:
         with pytest.raises(error):
@@ -119,7 +123,7 @@ def test_validate_rejects_nan_and_out_of_range_parameters():
         with pytest.raises(error):
             weight_matrix(d, np.zeros((1, 1)), config)
     # Parameters a mode does not use are not checked.
-    AssignConfig(mode="hard", beta=nan, k_nn=0, sigma=nan).validate(2)
+    AssignConfig(mode="hard", beta=nan, k_nn=0, lam=nan, sigma=nan).validate(2)
 
 
 def test_soft_shift_invariance():
@@ -130,9 +134,8 @@ def test_soft_shift_invariance():
     x = rng.standard_normal(3)
     lifted = Dictionary(centers=np.hstack([d.centers, np.full((5, 1), 2.0)]))
     x_lift = np.append(x, 0.0)  # adds the same 4.0 to every squared distance
-    assert np.allclose(
-        assign_soft(d, x, 1.3).weights, assign_soft(lifted, x_lift, 1.3).weights, atol=1e-12
-    )
+    config = AssignConfig(mode="sa", beta=1.3)
+    assert np.allclose(assign(d, x, config), assign(lifted, x_lift, config), atol=1e-12)
 
 
 # -- localized soft ----------------------------------------------------------
@@ -142,8 +145,8 @@ def test_lsa_full_k_equals_soft():
     for _ in range(20):
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
-        sa = assign_soft(d, x, 1.7).weights
-        lsa = assign_localized_soft(d, x, 1.7, d.num_words).weights
+        sa = assign(d, x, AssignConfig(mode="sa", beta=1.7))
+        lsa = assign(d, x, AssignConfig(mode="lsa", beta=1.7, k_nn=d.num_words))
         assert np.allclose(sa, lsa, atol=1e-12)
 
 
@@ -153,7 +156,7 @@ def test_lsa_k1_equals_hard():
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
         assert np.array_equal(
-            assign_localized_soft(d, x, 2.0, 1).weights, assign_hard(d, x).weights
+            assign(d, x, AssignConfig(mode="lsa", beta=2.0, k_nn=1)), assign(d, x, HARD)
         )
 
 
@@ -162,21 +165,21 @@ def test_lsa_matches_oracle():
     for _ in range(50):
         d = rand_dict(rng, m=5)
         x = rng.standard_normal(d.dim)
-        got = assign_localized_soft(d, x, 0.8, 2).weights
+        got = assign(d, x, AssignConfig(mode="lsa", beta=0.8, k_nn=2))
         assert np.allclose(got, naive_lsa_weights(d.centers, x, 0.8, 2), atol=1e-12)
 
 
 def test_lsa_support_bounded():
     rng = np.random.default_rng(8)
     d = rand_dict(rng, m=6, d=3)
-    w = assign_localized_soft(d, rng.standard_normal(3), 1.0, 3)
-    assert len(w.support) <= 3
+    w = assign(d, rng.standard_normal(3), AssignConfig(mode="lsa", beta=1.0, k_nn=3))
+    assert np.count_nonzero(w) <= 3
 
 
 def test_lsa_bad_k():
     d = Dictionary(centers=np.zeros((2, 1)))
     with pytest.raises(errors.BadK):
-        assign_localized_soft(d, np.zeros(1), 1.0, 3)
+        assign(d, np.zeros(1), AssignConfig(mode="lsa", beta=1.0, k_nn=3))
 
 
 # -- LLC ---------------------------------------------------------------------
@@ -184,7 +187,7 @@ def test_lsa_bad_k():
 def test_llc_exact_representation_zero_residual():
     d = Dictionary(centers=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     x = np.array([1.0, 0.0])
-    a = assign_llc(d, x, lam=0.0, sigma=1.0).weights
+    a = assign(d, x, AssignConfig(mode="llc", lam=0.0, sigma=1.0))
     residual = x - d.centers.T @ a
     assert np.linalg.norm(residual) < 1e-6
     assert abs(a.sum() - 1.0) < 1e-8
@@ -192,7 +195,7 @@ def test_llc_exact_representation_zero_residual():
 
 def test_llc_1d_affine_hand():
     d = Dictionary(centers=np.array([[0.0], [1.0]]))
-    a = assign_llc(d, np.array([0.25]), lam=0.0, sigma=1.0).weights
+    a = assign(d, np.array([0.25]), AssignConfig(mode="llc", lam=0.0, sigma=1.0))
     assert np.allclose(a, [0.75, 0.25], atol=1e-6)
 
 
@@ -204,7 +207,7 @@ def test_llc_beats_random_feasible_points():
         d = Dictionary(centers=rng.standard_normal((m, dim)))
         x = rng.standard_normal(dim)
         lam, sigma = 1e-3, 1.0
-        a = assign_llc(d, x, lam=lam, sigma=sigma).weights
+        a = assign(d, x, AssignConfig(mode="llc", lam=lam, sigma=sigma))
         ours = llc_objective(d.centers, x, a, lam, sigma)
         candidates = random_feasible(rng, m, 10_000)
         best = min(llc_objective(d.centers, x, c, lam, sigma) for c in candidates)
@@ -216,7 +219,7 @@ def test_llc_constraint_satisfied():
     for _ in range(30):
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
-        a = assign_llc(d, x, lam=1e-4, sigma=0.7).weights
+        a = assign(d, x, AssignConfig(mode="llc", lam=1e-4, sigma=0.7))
         assert abs(a.sum() - 1.0) < 1e-8
 
 
@@ -224,8 +227,8 @@ def test_llc_approx_k1_one_hot():
     rng = np.random.default_rng(11)
     d = rand_dict(rng, m=4, d=3)
     x = rng.standard_normal(3)
-    w = assign_llc_approx(d, x, 1).weights
-    assert w.tolist() == assign_hard(d, x).weights.tolist()
+    w = assign(d, x, AssignConfig(mode="llc-approx", k_nn=1))
+    assert w.tolist() == assign(d, x, HARD).tolist()
 
 
 def test_llc_approx_full_k_equals_exact_lambda0():
@@ -235,16 +238,16 @@ def test_llc_approx_full_k_equals_exact_lambda0():
         dim = m + 1  # keep the atom set affinely independent
         d = Dictionary(centers=rng.standard_normal((m, dim)))
         x = rng.standard_normal(dim)
-        exact = assign_llc(d, x, lam=0.0, sigma=1.0).weights
-        approx = assign_llc_approx(d, x, m).weights
+        exact = assign(d, x, AssignConfig(mode="llc", lam=0.0, sigma=1.0))
+        approx = assign(d, x, AssignConfig(mode="llc-approx", k_nn=m))
         assert np.allclose(exact, approx, atol=1e-6)
 
 
 def test_llc_approx_two_atom_hand():
     d = Dictionary(centers=np.array([[0.0], [1.0], [5.0]]))
-    w = assign_llc_approx(d, np.array([0.25]), 2)
-    assert w.support.tolist() == [0, 1]
-    assert np.allclose(w.weights[:2], [0.75, 0.25], atol=1e-6)
+    w = assign(d, np.array([0.25]), AssignConfig(mode="llc-approx", k_nn=2))
+    assert np.flatnonzero(w).tolist() == [0, 1]
+    assert np.allclose(w[:2], [0.75, 0.25], atol=1e-6)
 
 
 # -- cross-mode laws ---------------------------------------------------------
@@ -264,7 +267,7 @@ def test_weights_sum_to_one_all_modes():
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
         for config in ALL_CONFIGS:
-            w = assign(d, x, config).weights
+            w = assign(d, x, config)
             assert abs(w.sum() - 1.0) < 1e-6
 
 
@@ -274,7 +277,7 @@ def test_nonnegativity_hard_soft_lsa():
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
         for config in ALL_CONFIGS[:3]:
-            assert (assign(d, x, config).weights >= 0.0).all()
+            assert (assign(d, x, config) >= 0.0).all()
 
 
 def test_translation_equivariance_all_modes():
@@ -285,18 +288,9 @@ def test_translation_equivariance_all_modes():
         t = rng.standard_normal(d.dim)
         shifted = Dictionary(centers=d.centers + t)
         for config in ALL_CONFIGS:
-            a = assign(d, x, config).weights
-            b = assign(shifted, x + t, config).weights
+            a = assign(d, x, config)
+            b = assign(shifted, x + t, config)
             assert np.allclose(a, b, atol=1e-9)
-
-
-def test_support_matches_nonzero_pattern():
-    rng = np.random.default_rng(16)
-    d = rand_dict(rng, m=6, d=3)
-    x = rng.standard_normal(3)
-    for config in ALL_CONFIGS:
-        w = assign(d, x, config)
-        assert np.array_equal(w.support, np.flatnonzero(w.weights))
 
 
 # -- batched kernel ----------------------------------------------------------
@@ -310,7 +304,7 @@ def test_weight_matrix_rows_match_single_descriptor_all_modes():
             w = weight_matrix(d, x, config)
             assert w.shape == (len(x), d.num_words)
             for row, xi in zip(w, x):
-                single = assign(d, xi, config).weights
+                single = assign(d, xi, config)
                 assert np.array_equal(np.flatnonzero(row), np.flatnonzero(single))
                 assert np.allclose(row, single, rtol=0.0, atol=1e-12)
 

@@ -17,7 +17,7 @@ def test_separable_training_accuracy():
     rng = np.random.default_rng(0)
     x, y = separable_clouds(rng)
     model = train_ovr(x, y)
-    predicted = np.array([predict(model, row)[0] for row in x])
+    predicted, _ = predict(model, x)
     assert (predicted == y).all()
 
 
@@ -37,40 +37,44 @@ def test_too_few_classes():
 
 def test_predict_hand_scores():
     model = LinearModel(weights=np.eye(2), biases=np.zeros(2))
-    label, scores = predict(model, np.array([2.0, 1.0]))
-    assert label == 0
-    assert scores.tolist() == [2.0, 1.0]
+    labels, scores = predict(model, np.array([[2.0, 1.0], [0.5, 3.0]]))
+    assert labels.tolist() == [0, 1]
+    assert scores.tolist() == [[2.0, 1.0], [0.5, 3.0]]
 
 
 def test_predict_tie_breaks_low_index():
     model = LinearModel(weights=np.zeros((3, 2)), biases=np.zeros(3))
-    label, _ = predict(model, np.array([1.0, 1.0]))
-    assert label == 0
+    labels, _ = predict(model, np.array([[1.0, 1.0], [-2.0, 0.0]]))
+    assert labels.tolist() == [0, 0]
 
 
 def test_predict_matches_linear_scan():
     rng = np.random.default_rng(2)
     for _ in range(50):
         model = LinearModel(weights=rng.standard_normal((4, 3)), biases=rng.standard_normal(4))
-        x = rng.standard_normal(3)
-        label, scores = predict(model, x)
-        best = max(range(4), key=lambda c: (scores[c], -c))
-        assert label == best
+        x = rng.standard_normal((5, 3))
+        labels, scores = predict(model, x)
+        for label, row, row_scores in zip(labels, x, scores):
+            # Each row scores as the one-encoding product would.
+            one = model.weights @ row + model.biases
+            assert np.allclose(row_scores, one, rtol=0.0, atol=1e-12)
+            assert label == max(range(4), key=lambda c: (row_scores[c], -c))
 
 
 def test_predict_dim_mismatch():
     model = LinearModel(weights=np.zeros((2, 3)), biases=np.zeros(2))
     with pytest.raises(errors.DimMismatch):
-        predict(model, np.zeros(4))
+        predict(model, np.zeros((1, 4)))
+    with pytest.raises(errors.DimMismatch):
+        predict(model, np.zeros(3))
 
 
 def test_argmax_invariant_to_positive_rescaling():
     rng = np.random.default_rng(3)
     model = LinearModel(weights=rng.standard_normal((3, 4)), biases=np.zeros(3))
     scaled = LinearModel(weights=model.weights / 7.5, biases=np.zeros(3))
-    for _ in range(20):
-        x = rng.standard_normal(4)
-        assert predict(model, x)[0] == predict(scaled, 7.5 * x)[0]
+    x = rng.standard_normal((20, 4))
+    assert np.array_equal(predict(model, x)[0], predict(scaled, 7.5 * x)[0])
 
 
 def test_tabulate_identities():

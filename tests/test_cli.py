@@ -199,14 +199,35 @@ def test_pipeline_bad_config_exits(tmp_path, workspace, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("text", [
-    "mode = lsa\nknn = 50\nwords = 4\n",
-    "mode = sa\nbeta = nan\nwords = 4\n",
-    "mode = llc\nsigma = nan\nwords = 4\n",
-    "words = 0\n",
-    "epochs = -3\n",
-    "max_iters = 0\n",
-], ids=["knn_over_words", "beta_nan", "sigma_nan", "words_0", "epochs_negative", "max_iters_0"])
+BAD_CONFIGS = {
+    "knn_over_words": "mode = lsa\nknn = 50\nwords = 4\n",
+    "beta_nan": "mode = sa\nbeta = nan\nwords = 4\n",
+    "sigma_nan": "mode = llc\nsigma = nan\nwords = 4\n",
+    "words_0": "words = 0\n",
+    "epochs_negative": "epochs = -3\n",
+    "max_iters_0": "max_iters = 0\n",
+    "reg_0": "reg = 0\nwords = 4\n",
+    "reg_negative": "reg = -1\nwords = 4\n",
+    "reg_nan": "reg = nan\nwords = 4\n",
+    "reg_inf": "reg = inf\nwords = 4\n",
+    "tol_negative": "tol = -1\nwords = 4\n",
+    "tol_nan": "tol = nan\nwords = 4\n",
+    "seed_negative": "seed = -1\nwords = 4\n",
+    "subsample_0": "subsample = 0\nwords = 4\n",
+    "subsample_negative": "subsample = -5\nwords = 4\n",
+    "pca_dim_0": "pca_dim = 0\nwords = 4\n",
+    "epsilon_negative": "epsilon = -1e-9\nwords = 4\n",
+    "epsilon_nan": "epsilon = nan\nwords = 4\n",
+    "beta_inf": "mode = sa\nbeta = inf\nwords = 4\n",
+    "sigma_inf": "mode = llc\nsigma = inf\nwords = 4\n",
+    "lambda_negative": "mode = llc\nlambda = -1\nwords = 4\n",
+    "lambda_nan": "mode = llc\nlambda = nan\nwords = 4\n",
+    "lambda_inf": "mode = llc\nlambda = inf\nwords = 4\n",
+    "pyramid_0x2": "pyramid = 0x2\nwords = 4\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
 def test_pipeline_bad_config_exits_before_any_stage(text, tmp_path, workspace, capsys):
     config = tmp_path / "config"
     config.write_text(text)
@@ -219,6 +240,34 @@ def test_pipeline_bad_config_exits_before_any_stage(text, tmp_path, workspace, c
     ]) == 2
     assert "error" in capsys.readouterr().err
     assert not [path for path in work.rglob("*") if path.is_file()]
+
+
+def test_out_of_range_flags_exit_before_writing(workspace, tmp_path, capsys):
+    data = workspace / "data"
+    out = tmp_path / "t.vlw"
+    fit = ["preprocess", "fit", "--manifest", str(data / "train.tsv"), "--out", str(out)]
+    assert main(fit + ["--subsample", "-5"]) == 2
+    assert main(fit + ["--subsample", "0"]) == 2
+    assert main(fit + ["--subsample", "10", "--seed", "-1"]) == 1
+    assert "invalid seed value: '-1'" in capsys.readouterr().err
+    assert not out.exists()
+    synth = ["synth", "--height", "2", "--width", "2", "--out-dir", str(tmp_path / "synth")]
+    assert main(synth + ["--classes", "2", "--per-class", "1", "--dim", "2", "--seed", "-1"]) == 1
+    for classes, per_class, dim in (("0", "1", "2"), ("2", "-1", "2"), ("2", "1", "0")):
+        assert main(synth + ["--classes", classes, "--per-class", per_class, "--dim", dim]) == 2
+    assert main(synth + ["--classes", "2", "--per-class", "1", "--dim", "2", "--noise", "nan"]) == 2
+    split = [
+        "split", "--manifest", str(data / "manifest.tsv"),
+        "--out-train", str(tmp_path / "a.tsv"), "--out-test", str(tmp_path / "b.tsv"),
+    ]
+    assert main(split + ["--per-class", "4", "--seed", "-1"]) == 1
+    assert main(split + ["--per-class", "-1"]) == 2
+    assert main([
+        "codebook", "train", "--manifest", str(data / "train.tsv"), "--words", "4",
+        "--seed", "-1", "--out", str(tmp_path / "d.vld"),
+    ]) == 2
+    capsys.readouterr()
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,147 @@
+"""Fuzz of the command line: out-of-range and junk config values, and
+corrupted or truncated containers. Whatever the input, `main` returns 0, 1
+or 2; an exception that escapes it fails the test."""
+
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vladkit.cli import main
+from vladkit.pipeline import PipelineConfig, config_to_text
+
+# Small enough that a whole pipeline run takes milliseconds.
+BASE_CONFIG = "words = 2\nepochs = 3\nmax_iters = 10\n"
+KEYS = [line.split(" = ")[0] for line in config_to_text(PipelineConfig()).splitlines()]
+HUGE = "99999999999999999999"
+VALUES = [
+    "0", "-1", "-7", "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320", HUGE,
+    "", "junk", "1.5.2", "0x10", "true", "none", "auto", "3x", "2x2,", "é",
+]
+FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "data"
+    assert main([
+        "synth", "--classes", "2", "--per-class", "6", "--height", "2", "--width", "2",
+        "--dim", "3", "--seed", "5", "--out-dir", str(data),
+    ]) == 0
+    assert main([
+        "split", "--manifest", str(data / "manifest.tsv"), "--per-class", "3", "--seed", "0",
+        "--out-train", str(data / "train.tsv"), "--out-test", str(data / "test.tsv"),
+    ]) == 0
+    return root
+
+
+def _pipeline(dataset, config_path, work_dir) -> int:
+    return main([
+        "pipeline", "--config", str(config_path),
+        "--train-manifest", str(dataset / "data" / "train.tsv"),
+        "--test-manifest", str(dataset / "data" / "test.tsv"),
+        "--work-dir", str(work_dir),
+    ])
+
+
+# One key per example, since some valid pairs run long (tol = 0 runs every
+# one of max_iters). Every value is tried on every key but one: a huge epoch
+# count is a valid request whose run time grows with it.
+key_values = st.sampled_from(KEYS).flatmap(
+    lambda key: st.tuples(
+        st.just(key),
+        st.one_of(
+            st.sampled_from([v for v in VALUES if not (key == "epochs" and v == HUGE)]),
+            st.integers(-10, 10).map(str),
+            st.floats().map(repr),
+        ),
+    )
+)
+
+
+@FUZZ
+@given(key_value=key_values)
+def test_pipeline_config_values_never_escape_main(key_value, dataset, capsys):
+    with tempfile.TemporaryDirectory(dir=dataset) as tmp:
+        config = Path(tmp) / "config"
+        config.write_text(BASE_CONFIG + "{} = {}\n".format(*key_value))
+        assert _pipeline(dataset, config, Path(tmp) / "work") in (0, 1, 2)
+    capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def artifacts(dataset):
+    """One container of each kind: a training feature map and the cache of
+    a finished pipeline run."""
+    root = dataset / "artifacts"
+    root.mkdir()
+    config = root / "config"
+    config.write_text(BASE_CONFIG + "mode = lsa\nknn = 2\npyramid = 1x2\n")
+    assert _pipeline(dataset, config, root / "work") == 0
+    (cache,) = (root / "work").iterdir()
+    data = dataset / "data"
+    first = (data / "train.tsv").read_text().split("\t")[0]
+    return {
+        "config": config,
+        "cache": cache,
+        "vlf": data / first,
+        "vlw": cache / "transform.vlw",
+        "vld": cache / "dictionary.vld",
+        "vlm": cache / "model.vlm",
+        "vle": cache / "enc_test" / "000002.vle",
+    }
+
+
+@st.composite
+def corruptions(draw, size):
+    """A truncation to a shorter length, or one byte changed."""
+    position = draw(st.integers(0, size - 1))
+    if draw(st.booleans()):
+        return position, None
+    return position, draw(st.integers(1, 255))
+
+
+def _corrupt(path: Path, corruption) -> None:
+    data = bytearray(path.read_bytes())
+    position, xor = corruption
+    if xor is None:
+        del data[position:]
+    else:
+        data[position] ^= xor
+    path.write_bytes(bytes(data))
+
+
+@FUZZ
+@given(kind=st.sampled_from(["vlf", "vld", "vlw", "vle", "vlm"]), data=st.data())
+def test_corrupted_containers_never_escape_main(kind, data, artifacts, dataset, capsys):
+    corruption = data.draw(corruptions(artifacts[kind].stat().st_size))
+    with tempfile.TemporaryDirectory(dir=dataset) as tmp:
+        tmp = Path(tmp)
+        cache = tmp / "work" / artifacts["cache"].name
+        shutil.copytree(artifacts["cache"], cache)
+        files = {k: cache / artifacts[k].relative_to(artifacts["cache"])
+                 for k in ("vlw", "vld", "vlm", "vle")}
+        files["vlf"] = tmp / "map.vlf"
+        shutil.copyfile(artifacts["vlf"], files["vlf"])
+        _corrupt(files[kind], corruption)
+        # The rerun reads every cached container, the .vle included.
+        codes = [_pipeline(dataset, artifacts["config"], tmp / "work")]
+        if kind != "vle":
+            flags = ["--dict", str(files["vld"]), "--transform", str(files["vlw"]),
+                     "--mode", "lsa", "--knn", "2", "--pyramid", "1x2"]
+            codes.append(main(
+                ["encode", "--in", str(files["vlf"]), "--out", str(tmp / "out.vle")] + flags
+            ))
+            manifest = tmp / "one.tsv"
+            manifest.write_text(f"{files['vlf']}\t0\n")
+            codes.append(main(
+                ["evaluate", "--manifest", str(manifest), "--model", str(files["vlm"])] + flags
+            ))
+        assert set(codes) <= {0, 1, 2}
+    capsys.readouterr()

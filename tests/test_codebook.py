@@ -3,13 +3,13 @@ import pytest
 
 from oracles import best_kmeans_objective, naive_nearest
 from vladkit import errors
-from vladkit.codebook import (
-    Dictionary,
-    kmeans_init_plusplus,
-    kmeans_train,
-    nearest_center,
-    subsample,
-)
+from vladkit.assignment import AssignConfig, weight_matrix
+from vladkit.codebook import Dictionary, kmeans_init_plusplus, kmeans_train, subsample
+
+
+def nearest_words(dictionary, x):
+    """Nearest word of each row of x: the argmax of its hard assignment row."""
+    return weight_matrix(dictionary, x, AssignConfig(mode="hard")).argmax(axis=1).tolist()
 
 
 def test_init_exhaustion_returns_all_points():
@@ -81,9 +81,8 @@ def test_converged_partition_is_nearest_center_consistent():
         dictionary, report = kmeans_train(data, 4, seed=seed, max_iters=200)
         assert report.converged
         # Brute-force: every point's cluster center is its nearest center.
-        for x in data:
-            idx = naive_nearest(dictionary.centers, x)
-            assert idx == nearest_center(dictionary, x)
+        naive = [naive_nearest(dictionary.centers, x) for x in data]
+        assert nearest_words(dictionary, data) == naive
 
 
 def test_train_deterministic():
@@ -105,22 +104,22 @@ def test_distinct_centers_after_training():
 
 def test_nearest_center_hand_and_ties():
     d = Dictionary(centers=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    assert nearest_center(d, np.array([0.1, 0.0])) == 0
-    assert nearest_center(d, np.array([0.5, 0.5])) == 0  # lowest-index tie-break
+    # The second row ties; the lowest index wins.
+    assert nearest_words(d, np.array([[0.1, 0.0], [0.5, 0.5]])) == [0, 0]
 
 
 def test_nearest_center_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(50):
         d = Dictionary(centers=rng.standard_normal((6, 3)))
-        x = rng.standard_normal(3)
-        assert nearest_center(d, x) == naive_nearest(d.centers, x)
+        x = rng.standard_normal((4, 3))
+        assert nearest_words(d, x) == [naive_nearest(d.centers, row) for row in x]
 
 
 def test_nearest_center_dim_mismatch():
     d = Dictionary(centers=np.zeros((2, 3)))
     with pytest.raises(errors.DimMismatch):
-        nearest_center(d, np.zeros(4))
+        nearest_words(d, np.zeros((1, 4)))
 
 
 def test_subsample_seeded_and_capped():
@@ -131,3 +130,10 @@ def test_subsample_seeded_and_capped():
     assert len(a) == 10
     assert np.array_equal(a, b)
     assert subsample(data, 200, seed=3) is data
+
+
+def test_subsample_rejects_cap_below_one():
+    data = np.zeros((10, 2))
+    for cap in (0, -5):
+        with pytest.raises(errors.EmptyInput):
+            subsample(data, cap, seed=0)

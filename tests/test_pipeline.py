@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,17 @@ def test_config_text_golden_default():
         "whiten = true\n"
         "words = 64\n"
     )
+
+
+def test_readme_config_listing_matches_the_schema():
+    # The README's listing is the one hand-kept copy of the keys and defaults.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (listing,) = re.findall(r"^```\n(mode = .*?)^```", readme, re.M | re.S)
+
+    def entries(text):
+        return dict(line.split("#")[0].strip().split(" = ") for line in text.splitlines())
+
+    assert entries(listing) == entries(config_to_text(PipelineConfig()))
 
 
 def test_config_text_golden_every_optional_set():

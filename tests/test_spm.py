@@ -80,7 +80,7 @@ def test_single_level_pyramid_equals_plain_encode_bitwise():
     config = EncoderConfig()
     plain = encode(d, fmap, None, config)
     spm = encode_spm(fmap, d, None, config, PyramidSpec(((1, 1),)))
-    assert np.array_equal(plain, spm.values)
+    assert np.array_equal(plain, spm)
 
 
 def test_output_length_contract():
@@ -90,8 +90,7 @@ def test_output_length_contract():
     spec = parse_pyramid("a")
     out = encode_spm(fmap, d, None, EncoderConfig(), spec)
     assert spec.total_regions == 8
-    assert out.values.size == 8 * 4 * 3
-    assert out.segment_len == 12
+    assert out.size == 8 * 4 * 3
 
 
 def test_empty_region_contributes_zero_segment():
@@ -99,11 +98,11 @@ def test_empty_region_contributes_zero_segment():
     d = Dictionary(centers=rng.standard_normal((2, 2)))
     fmap = grid_map(rng, 1, 1, 2)
     out = encode_spm(fmap, d, None, EncoderConfig(), PyramidSpec(((2, 2),)))
-    segments = out.values.reshape(4, 4)
+    segments = out.reshape(4, 4)
     # With a 1x1 grid only the last region (floor boundaries) holds the cell.
     occupied = [i for i in range(4) if np.any(segments[i])]
     assert len(occupied) <= 1
-    assert np.isfinite(out.values).all()
+    assert np.isfinite(out).all()
 
 
 def test_global_norm_is_one():
@@ -111,7 +110,7 @@ def test_global_norm_is_one():
     d = Dictionary(centers=rng.standard_normal((3, 2)))
     fmap = grid_map(rng, 4, 4, 2)
     out = encode_spm(fmap, d, None, EncoderConfig(), parse_pyramid("b"))
-    assert abs(np.linalg.norm(out.values) - 1.0) < 1e-6
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
 
 def test_spatial_signal_pair_distinguished_only_by_fine_levels(tmp_path):
@@ -125,10 +124,10 @@ def test_spatial_signal_pair_distinguished_only_by_fine_levels(tmp_path):
     dictionary, _ = kmeans_train(descriptors, 4, seed=0)
     config = EncoderConfig()
     coarse = [
-        encode_spm(m, dictionary, None, config, PyramidSpec(((1, 1),))).values for m in maps
+        encode_spm(m, dictionary, None, config, PyramidSpec(((1, 1),))) for m in maps
     ]
     fine = [
-        encode_spm(m, dictionary, None, config, PyramidSpec(((2, 2),))).values for m in maps
+        encode_spm(m, dictionary, None, config, PyramidSpec(((2, 2),))) for m in maps
     ]
     assert np.abs(coarse[0] - coarse[1]).max() < 1e-9
     assert np.linalg.norm(fine[0] - fine[1]) > 1e-3
@@ -171,7 +170,7 @@ def test_encode_spm_matches_region_by_region_encoding(mode, whiten):
         fmap = grid_map(rng, h, w, 3)
         for name in ("a", "b", "c", "4x4"):
             spec = parse_pyramid(name)
-            got = encode_spm(fmap, d, transform, config, spec).values
+            got = encode_spm(fmap, d, transform, config, spec)
             expected = encode_spm_by_region(fmap, d, transform, config, spec)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=f"{h}x{w} {name}")
 

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import naive_hard_weights, naive_soft_weights, naive_vlad
 from vladkit import errors
-from vladkit.assignment import AssignConfig, assign
+from vladkit.assignment import AssignConfig
 from vladkit.codebook import Dictionary
 from vladkit.fileio import FeatureMap
 from vladkit.vlad import EncoderConfig, encode, vlad_aggregate, vlad_normalize

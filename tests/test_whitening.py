@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vladkit import errors
-from vladkit.whitening import (
-    WhiteningTransform,
-    apply_whitening,
-    fit_whitening,
-    l2_normalize,
-)
+from vladkit.whitening import WhiteningTransform, apply_whitening_batch, fit_whitening, l2_normalize
 
 
 def test_l2_normalize_hand():
@@ -72,27 +67,35 @@ def test_apply_at_mean_is_zero():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((50, 3))
     t = fit_whitening(x)
-    assert np.allclose(apply_whitening(t, x.mean(axis=0)), np.zeros(3), atol=1e-9)
+    assert np.allclose(apply_whitening_batch(t, x.mean(axis=0)[None, :]), 0.0, atol=1e-9)
 
 
 def test_apply_identity_transform_hand():
     t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3), epsilon=0.0)
-    assert np.allclose(apply_whitening(t, np.array([3.0, 4.0, 0.0])), [0.6, 0.8, 0.0])
+    assert np.allclose(apply_whitening_batch(t, np.array([[3.0, 4.0, 0.0]])), [[0.6, 0.8, 0.0]])
 
 
 def test_apply_output_unit_norm():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((100, 4))
     t = fit_whitening(x)
-    for row in x[:10]:
-        out = apply_whitening(t, row)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-9
+    out = apply_whitening_batch(t, x[:10])
+    assert (np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-9).all()
 
 
 def test_apply_dim_mismatch():
     t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3), epsilon=0.0)
     with pytest.raises(errors.DimMismatch):
-        apply_whitening(t, np.zeros(4))
+        apply_whitening_batch(t, np.zeros((1, 4)))
+
+
+def test_apply_rejects_non_finite():
+    t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3), epsilon=0.0)
+    for bad in (np.nan, np.inf):
+        x = np.ones((4, 3))
+        x[2, 1] = bad
+        with pytest.raises(errors.NonFinite):
+            apply_whitening_batch(t, x)
 
 
 def test_fit_deterministic():
