@@ -7,8 +7,8 @@ pyramids (spm), a linear one-vs-rest classifier (classifier), and the
 orchestration layer (pipeline, cli).
 """
 
-from .assignment import AssignConfig, weight_matrix
-from .classifier import EvalReport, LinearModel, TrainHyper, predict, tabulate, train_ovr
+from .assignment import weight_matrix
+from .classifier import EvalReport, LinearModel, predict, tabulate, train_ovr
 from .codebook import Dictionary, KmeansReport, kmeans_init_plusplus, kmeans_train
 from .fileio import (
     DatasetManifest,
@@ -27,9 +27,9 @@ from .fileio import (
     write_whitening,
 )
 from .pipeline import BenchRow, PipelineConfig, run_bench, run_pipeline
-from .spm import PyramidSpec, encode_spm, parse_pyramid, partition
+from .spm import PyramidSpec, encode_spm, parse_pyramid
 from .synth import SynthSpec, split_manifest, synth_dataset
-from .vlad import EncoderConfig, encode, vlad_aggregate, vlad_normalize
+from .vlad import encode, vlad_aggregate, vlad_normalize
 from .whitening import WhiteningTransform, apply_whitening_batch, fit_whitening, l2_normalize
 
 __version__ = "0.1.0"

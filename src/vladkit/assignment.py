@@ -14,7 +14,7 @@ A single descriptor is a one-row call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,35 +23,26 @@ from .errors import (
     BadK, BadLambda, DimMismatch, NonPositiveBeta, NonPositiveSigma, SingularSystem,
 )
 
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
+
 MODES = ("hard", "sa", "lsa", "llc", "llc-approx")
 
 # Soft weights below this are flushed to exact zero and dropped from support.
 _FLUSH = 1e-30
 
 
-@dataclass(frozen=True)
-class AssignConfig:
-    mode: str = "hard"
-    beta: float = 1.0
-    k_nn: int = 5
-    lam: float = 1e-4
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown assignment mode {self.mode!r}")
-
-    def validate(self, num_words: int) -> None:
-        """Range checks of the parameters this mode uses, for a dictionary of
-        num_words words. Written as `not lo < x < inf` so that NaN fails them."""
-        if self.mode in ("sa", "lsa") and not 0 < self.beta < math.inf:
-            raise NonPositiveBeta(f"beta must be finite and positive, got {self.beta}")
-        if self.mode in ("lsa", "llc-approx") and not 1 <= self.k_nn <= num_words:
-            raise BadK(f"k_nn {self.k_nn} outside [1, {num_words}]")
-        if self.mode == "llc" and not 0 < self.sigma < math.inf:
-            raise NonPositiveSigma(f"sigma must be finite and positive, got {self.sigma}")
-        if self.mode == "llc" and not 0 <= self.lam < math.inf:
-            raise BadLambda(f"lambda must be finite and non-negative, got {self.lam}")
+def validate(config: PipelineConfig, num_words: int) -> None:
+    """Range checks of the parameters config.mode uses, for a dictionary of
+    num_words words. Written as `not lo < x < inf` so that NaN fails them."""
+    if config.mode in ("sa", "lsa") and not 0 < config.beta < math.inf:
+        raise NonPositiveBeta(f"beta must be finite and positive, got {config.beta}")
+    if config.mode in ("lsa", "llc-approx") and not 1 <= config.knn <= num_words:
+        raise BadK(f"knn {config.knn} outside [1, {num_words}]")
+    if config.mode == "llc" and not 0 < config.sigma < math.inf:
+        raise NonPositiveSigma(f"sigma must be finite and positive, got {config.sigma}")
+    if config.mode == "llc" and not 0 <= config.lam < math.inf:
+        raise BadLambda(f"lambda must be finite and non-negative, got {config.lam}")
 
 
 def _softmax_rows(neg_scaled: np.ndarray) -> np.ndarray:
@@ -82,7 +73,7 @@ def _solve_affine_ls(b: np.ndarray, penalty_diag: np.ndarray | None) -> np.ndarr
 
 
 def weight_matrix(
-    dictionary: Dictionary, descriptors: np.ndarray, config: AssignConfig
+    dictionary: Dictionary, descriptors: np.ndarray, config: PipelineConfig
 ) -> np.ndarray:
     """Assignment weights of N descriptors over M words, (N, M); each row
     sums to one."""
@@ -90,7 +81,7 @@ def weight_matrix(
     m = dictionary.num_words
     if x.ndim != 2 or x.shape[1] != dictionary.dim:
         raise DimMismatch(f"descriptors shape {x.shape} != (N, {dictionary.dim})")
-    config.validate(m)
+    validate(config, m)
     centers = np.asarray(dictionary.centers, dtype=np.float64)
     d2 = squared_distances(x, centers)
     if config.mode == "sa":
@@ -105,10 +96,10 @@ def weight_matrix(
         np.put_along_axis(w, np.argmin(d2, axis=1)[:, None], 1.0, axis=1)
     else:
         # Stable sort keeps the lowest index first on distance ties.
-        near = np.argsort(d2, axis=1, kind="stable")[:, : config.k_nn]
+        near = np.argsort(d2, axis=1, kind="stable")[:, : config.knn]
         if config.mode == "lsa":
             near_w = _softmax_rows(-config.beta * np.take_along_axis(d2, near, axis=1))
-        elif config.k_nn == 1:
+        elif config.knn == 1:
             near_w = np.ones((x.shape[0], 1))
         else:
             near_w = _solve_affine_ls(centers[near] - x[:, None, :], None)

@@ -9,17 +9,14 @@ trained model is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimMismatch, TooFewClasses
 
-
-@dataclass(frozen=True)
-class TrainHyper:
-    reg: float = 1e-4
-    epochs: int = 50
-    seed: int = 0
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -37,14 +34,15 @@ class LinearModel:
 
 
 def _train_binary(
-    x: np.ndarray, y: np.ndarray, reg: float, perms: list[np.ndarray]
+    x: np.ndarray, y: np.ndarray, reg: float, epochs: int, seed: int
 ) -> tuple[np.ndarray, float]:
     # The bias rides along as a constant input so it shares the weight
     # shrinkage; otherwise the early 1/(reg*t) steps let it run away.
+    rng = np.random.default_rng(seed)
     w = np.zeros(x.shape[1])
     t = 0
-    for perm in perms:
-        for i in perm:
+    for _ in range(epochs):
+        for i in rng.permutation(x.shape[0]):
             t += 1
             lr = 1.0 / (reg * t)
             margin = y[i] * (w @ x[i])
@@ -54,9 +52,8 @@ def _train_binary(
     return w[:-1], float(w[-1])
 
 
-def train_ovr(
-    encodings: np.ndarray, labels: np.ndarray, hyper: TrainHyper = TrainHyper()
-) -> LinearModel:
+def train_ovr(encodings: np.ndarray, labels: np.ndarray, config: PipelineConfig) -> LinearModel:
+    """One binary classifier per class, under config.reg, epochs and seed."""
     x = np.asarray(encodings, dtype=np.float64)
     labels = np.asarray(labels, dtype=int)
     if x.ndim != 2 or x.shape[0] != labels.shape[0]:
@@ -64,14 +61,12 @@ def train_ovr(
     num_classes = int(labels.max()) + 1 if labels.size else 0
     if num_classes < 2:
         raise TooFewClasses("need at least two classes to train")
-    rng = np.random.default_rng(hyper.seed)
-    perms = [rng.permutation(x.shape[0]) for _ in range(hyper.epochs)]
     augmented = np.hstack([x, np.ones((x.shape[0], 1))])
     weights = np.zeros((num_classes, x.shape[1]))
     biases = np.zeros(num_classes)
     for c in range(num_classes):
         y = np.where(labels == c, 1.0, -1.0)
-        weights[c], biases[c] = _train_binary(augmented, y, hyper.reg, perms)
+        weights[c], biases[c] = _train_binary(augmented, y, config.reg, config.epochs, config.seed)
     return LinearModel(weights=weights, biases=biases)
 
 

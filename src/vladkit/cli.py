@@ -248,7 +248,7 @@ def _encode_manifest(args, config: PipelineConfig):
 def _cmd_train(args) -> int:
     config = _config(args)
     x, y = _encode_manifest(args, config)
-    model = train_ovr(x, y, config.train_hyper())
+    model = train_ovr(x, y, config)
     fileio.write_model(model.weights, model.biases, args.out)
     print(f"trained model: {model.num_classes} classes, dim {model.dim}")
     return 0

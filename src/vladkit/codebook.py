@@ -89,7 +89,8 @@ def kmeans_train(
         point_d2 = d2[np.arange(len(data)), labels]
         obj = float(point_d2.sum())
         trace.append(obj)
-        if prev is not None and (prev == 0.0 or (prev - obj) / prev < tol):
+        # obj >= prev: no fall at all, which also stops tol = 0 and guards prev = 0.
+        if prev is not None and (obj >= prev or (prev - obj) / prev < tol):
             converged = True
             break
         prev = obj

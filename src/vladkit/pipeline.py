@@ -13,14 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, whitening
-from .assignment import MODES, AssignConfig
-from .classifier import EvalReport, LinearModel, TrainHyper, predict, tabulate, train_ovr
+from . import assignment, fileio, whitening
+from .classifier import EvalReport, LinearModel, predict, tabulate, train_ovr
 from .codebook import Dictionary, KmeansReport, kmeans_train, subsample
 from .errors import CacheMismatch, ParseError
 from .fileio import DatasetManifest, read_feature_map, resolve_entry
 from .spm import PyramidSpec, encode_spm, parse_pyramid
-from .vlad import NORM_SCHEMES, EncoderConfig, encode
+from .vlad import NORM_SCHEMES, encode
 from .whitening import WhiteningTransform, fit_whitening
 
 
@@ -53,7 +52,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in assignment.MODES:
             raise ParseError(f"unknown mode {self.mode!r}")
         if self.norm_scheme not in NORM_SCHEMES:
             raise ParseError(f"unknown norm_scheme {self.norm_scheme!r}")
@@ -65,21 +64,10 @@ class PipelineConfig:
             raise ParseError(f"reg must be finite and positive, got {self.reg}")
         self.pyramid_spec()  # a bad pyramid text fails here, before any stage runs
 
-    def assign_config(self) -> AssignConfig:
-        return AssignConfig(
-            mode=self.mode, beta=self.beta, k_nn=self.knn, lam=self.lam, sigma=self.sigma
-        )
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(assign=self.assign_config(), norm_scheme=self.norm_scheme)
-
     def pyramid_spec(self) -> PyramidSpec | None:
         if self.pyramid is None:
             return None
         return parse_pyramid(self.pyramid)
-
-    def train_hyper(self) -> TrainHyper:
-        return TrainHyper(reg=self.reg, epochs=self.epochs, seed=self.seed)
 
 
 # Config-text spelling of a field name, and of None, where they differ from
@@ -161,9 +149,7 @@ def fnv1a64(data: bytes) -> int:
 def load_transform(path) -> WhiteningTransform:
     """A stored whitening transform, widened to float64."""
     mean, projection = fileio.read_whitening(path)
-    return WhiteningTransform(
-        mean=mean.astype(np.float64), projection=projection.astype(np.float64), epsilon=0.0
-    )
+    return WhiteningTransform(mean.astype(np.float64), projection.astype(np.float64))
 
 
 def load_dictionary(path) -> Dictionary:
@@ -194,8 +180,8 @@ def encode_entry(
 ) -> np.ndarray:
     spec = config.pyramid_spec()
     if spec is None:
-        return encode(dictionary, fmap, transform, config.encoder_config())
-    return encode_spm(fmap, dictionary, transform, config.encoder_config(), spec)
+        return encode(dictionary, fmap, transform, config)
+    return encode_spm(fmap, dictionary, transform, config, spec)
 
 
 def encode_manifest(
@@ -258,7 +244,7 @@ def run_pipeline(
     reusing any cached artifacts under work_dir whose headers match. Each
     stage writes its artifact if absent, then loads the stored float32 copy."""
     # Checked before any stage runs, so a bad config leaves no artifact behind.
-    config.assign_config().validate(config.words)
+    assignment.validate(config, config.words)
     cache = cache_dir(config, train_manifest_path, test_manifest_path, work_dir)
     cache.mkdir(parents=True, exist_ok=True)
 
@@ -307,7 +293,7 @@ def run_pipeline(
 
     model_path = cache / "model.vlm"
     if not model_path.exists():
-        trained = train_ovr(train_x, train_y, config.train_hyper())
+        trained = train_ovr(train_x, train_y, config)
         fileio.write_model(trained.weights, trained.biases, model_path)
     model = load_model(model_path)
     if model.dim != train_x.shape[1]:

@@ -12,6 +12,7 @@ region aggregates its slice of the two grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,8 +20,11 @@ from . import vlad
 from .codebook import Dictionary
 from .errors import ParseError
 from .fileio import FeatureMap
-from .vlad import EncoderConfig, encode_descriptors
+from .vlad import encode_descriptors
 from .whitening import WhiteningTransform, apply_whitening_batch, l2_normalize
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 PRESETS = {
     "a": ((1, 1), (2, 2), (3, 1)),
@@ -80,20 +84,11 @@ def region_slices(height: int, width: int, spec: PyramidSpec) -> list[tuple[slic
     ]
 
 
-def partition(fmap: FeatureMap, spec: PyramidSpec) -> list[np.ndarray]:
-    """Descriptor subsets per region, in segment order.
-    Regions can be empty when a level is finer than the grid."""
-    return [
-        fmap.data[rows, cols].reshape(-1, fmap.dim)
-        for rows, cols in region_slices(fmap.height, fmap.width, spec)
-    ]
-
-
 def encode_spm(
     fmap: FeatureMap,
     dictionary: Dictionary,
     transform: WhiteningTransform | None,
-    config: EncoderConfig,
+    config: PipelineConfig,
     spec: PyramidSpec,
 ) -> np.ndarray:
     """The pyramid encoding of one image: every region's segment, in
@@ -102,7 +97,7 @@ def encode_spm(
     descriptors = fmap.descriptors().astype(np.float64)
     if transform is not None:
         descriptors = apply_whitening_batch(transform, descriptors)
-    weights = vlad.weight_matrix(dictionary, descriptors, config.assign)
+    weights = vlad.weight_matrix(dictionary, descriptors, config)
     x_grid = descriptors.reshape(fmap.height, fmap.width, dictionary.dim)
     w_grid = weights.reshape(fmap.height, fmap.width, dictionary.num_words)
     segments = []
@@ -112,5 +107,5 @@ def encode_spm(
             segments.append(np.zeros(segment_len))
             continue
         region_weights = w_grid[rows, cols].reshape(-1, dictionary.num_words)
-        segments.append(encode_descriptors(dictionary, region, config, region_weights))
+        segments.append(encode_descriptors(dictionary, region, region_weights, config.norm_scheme))
     return l2_normalize(np.concatenate(segments))

@@ -180,6 +180,8 @@ def split_manifest(
         train_idx.update(idx[j] for j in chosen)
     train = [e for i, e in enumerate(manifest.entries) if i in train_idx]
     test = [e for i, e in enumerate(manifest.entries) if i not in train_idx]
+    if not train or not test:  # load_manifest rejects an empty manifest
+        raise ParseError(f"per_class {per_class} empties the {'test' if train else 'train'} split")
     return (
         DatasetManifest(tuple(train), manifest.num_classes),
         DatasetManifest(tuple(test), manifest.num_classes),

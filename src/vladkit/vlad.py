@@ -8,45 +8,36 @@ consecutively, word 0 first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assignment import AssignConfig, weight_matrix
+from .assignment import weight_matrix
 from .codebook import Dictionary
 from .errors import DimMismatch, EmptyInput
 from .fileio import FeatureMap
-from .whitening import WhiteningTransform, apply_whitening_batch, l2_normalize
+from .whitening import WhiteningTransform, apply_whitening_batch, l2_normalize, l2_normalize_rows
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 NORM_SCHEMES = ("intra-then-global", "global-only", "signed-sqrt-then-global")
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    assign: AssignConfig = field(default_factory=AssignConfig)
-    norm_scheme: str = "intra-then-global"
-
-    def __post_init__(self):
-        if self.norm_scheme not in NORM_SCHEMES:
-            raise ValueError(f"unknown normalization scheme {self.norm_scheme!r}")
-
-
 def vlad_aggregate(
-    dictionary: Dictionary,
-    descriptors: np.ndarray,
-    config: AssignConfig,
-    weights: np.ndarray | None = None,
+    dictionary: Dictionary, descriptors: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Raw (unnormalized) M*D residual vector. `weights` are the descriptors'
-    (N, M) assignment rows when the caller already has them; None computes
-    them from config."""
+    """Raw (unnormalized) M*D residual vector of N descriptors, (N, D), under
+    their (N, M) assignment weights."""
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.ndim != 2 or descriptors.shape[0] == 0:
         raise EmptyInput("need at least one descriptor")
+    n, d = descriptors.shape
+    if d != dictionary.dim or weights.shape != (n, dictionary.num_words):
+        raise DimMismatch(f"descriptors {(n, d)} or weights {weights.shape} do not fit the words")
     centers = np.asarray(dictionary.centers, dtype=np.float64)
-    w = weight_matrix(dictionary, descriptors, config) if weights is None else weights
     # block m = sum_i w_im x_i - (sum_i w_im) d_m
-    blocks = w.T @ descriptors - w.sum(axis=0)[:, None] * centers
+    blocks = weights.T @ descriptors - weights.sum(axis=0)[:, None] * centers
     return blocks.reshape(-1)
 
 
@@ -57,10 +48,7 @@ def vlad_normalize(
     if raw.size != num_words * dim:
         raise DimMismatch(f"raw length {raw.size} != {num_words}*{dim}")
     if scheme == "intra-then-global":
-        blocks = raw.reshape(num_words, dim)
-        norms = np.linalg.norm(blocks, axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        return l2_normalize((blocks / safe).reshape(-1))
+        return l2_normalize(l2_normalize_rows(raw.reshape(num_words, dim)).reshape(-1))
     if scheme == "global-only":
         return l2_normalize(raw)
     if scheme == "signed-sqrt-then-global":
@@ -69,28 +57,26 @@ def vlad_normalize(
 
 
 def encode_descriptors(
-    dictionary: Dictionary,
-    descriptors: np.ndarray,
-    config: EncoderConfig,
-    weights: np.ndarray | None = None,
+    dictionary: Dictionary, descriptors: np.ndarray, weights: np.ndarray, scheme: str
 ) -> np.ndarray:
-    """Aggregate + normalize one descriptor set, with the assignment rows in
-    `weights` when given (see vlad_aggregate). The all-zero raw vector maps
-    to the all-zero encoding."""
-    raw = vlad_aggregate(dictionary, descriptors, config.assign, weights)
-    return vlad_normalize(raw, dictionary.num_words, dictionary.dim, config.norm_scheme)
+    """Aggregate + normalize one descriptor set under its assignment weights
+    (see vlad_aggregate). The all-zero raw vector maps to the all-zero
+    encoding."""
+    raw = vlad_aggregate(dictionary, descriptors, weights)
+    return vlad_normalize(raw, dictionary.num_words, dictionary.dim, scheme)
 
 
 def encode(
     dictionary: Dictionary,
     feature_map: FeatureMap,
     transform: WhiteningTransform | None,
-    config: EncoderConfig,
+    config: PipelineConfig,
 ) -> np.ndarray:
-    """Full single-image path: flatten, optionally whiten, aggregate,
+    """Full single-image path: flatten, optionally whiten, assign, aggregate,
     normalize. Ends with a global L2 so that the result is bit-identical to a
     single-region spatial pyramid."""
     descriptors = feature_map.descriptors().astype(np.float64)
     if transform is not None:
         descriptors = apply_whitening_batch(transform, descriptors)
-    return l2_normalize(encode_descriptors(dictionary, descriptors, config))
+    weights = weight_matrix(dictionary, descriptors, config)
+    return l2_normalize(encode_descriptors(dictionary, descriptors, weights, config.norm_scheme))

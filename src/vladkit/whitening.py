@@ -15,7 +15,6 @@ from .errors import DegenerateInput, DimMismatch, DimTooLarge, NonFinite
 class WhiteningTransform:
     mean: np.ndarray        # (D_in,)
     projection: np.ndarray  # (D_out, D_in)
-    epsilon: float
 
     @property
     def input_dim(self) -> int:
@@ -66,7 +65,7 @@ def fit_whitening(
         if row[j] < 0:
             row *= -1.0
     projection = axes / np.sqrt(eigvals + epsilon)[:, None]
-    return WhiteningTransform(mean=mean, projection=projection, epsilon=float(epsilon))
+    return WhiteningTransform(mean=mean, projection=projection)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ output for failures and in the summary when using -rA.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,22 +22,22 @@ from oracles import (
     random_feasible,
 )
 from vladkit import fileio
-from vladkit.assignment import AssignConfig, weight_matrix
+from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary, kmeans_train, squared_distances
 from vladkit.fileio import FeatureMap
 from vladkit.pipeline import PipelineConfig, run_pipeline
 from vladkit.spm import PyramidSpec, encode_spm, parse_pyramid
 from vladkit.synth import SynthSpec, split_manifest, synth_dataset
-from vladkit.classifier import TrainHyper, predict, train_ovr
-from vladkit.vlad import EncoderConfig, encode, encode_descriptors, vlad_aggregate
+from vladkit.classifier import predict, train_ovr
+from vladkit.vlad import encode, encode_descriptors, vlad_aggregate
 from vladkit.whitening import apply_whitening_batch, fit_whitening
 
 _MODE_CONFIGS = [
-    AssignConfig(mode="hard"),
-    AssignConfig(mode="sa", beta=0.7),
-    AssignConfig(mode="lsa", beta=0.7, k_nn=2),
-    AssignConfig(mode="llc", lam=1e-3, sigma=1.5),
-    AssignConfig(mode="llc-approx", k_nn=2),
+    PipelineConfig(mode="hard"),
+    PipelineConfig(mode="sa", beta=0.7),
+    PipelineConfig(mode="lsa", beta=0.7, knn=2),
+    PipelineConfig(mode="llc", lam=1e-3, sigma=1.5),
+    PipelineConfig(mode="llc-approx", knn=2),
 ]
 
 
@@ -58,11 +59,9 @@ def test_a1_oracle_equivalence():
         dictionary = Dictionary(centers=rng.standard_normal((m, d)))
         descriptors = rng.standard_normal((n, d))
         for config in _MODE_CONFIGS:
-            cfg = AssignConfig(
-                mode=config.mode, beta=config.beta,
-                k_nn=min(config.k_nn, m), lam=config.lam, sigma=config.sigma,
-            )
-            fast = vlad_aggregate(dictionary, descriptors, cfg)
+            cfg = replace(config, knn=min(config.knn, m))
+            weights = weight_matrix(dictionary, descriptors, cfg)
+            fast = vlad_aggregate(dictionary, descriptors, weights)
             slow = naive_vlad(
                 dictionary.centers, descriptors,
                 lambda x: weight_matrix(dictionary, x[None, :], cfg)[0],
@@ -86,23 +85,20 @@ def test_a2_assignment_laws():
         row = x[None, :]
         # (i) weights sum to one in every mode
         for config in _MODE_CONFIGS:
-            cfg = AssignConfig(
-                mode=config.mode, beta=config.beta,
-                k_nn=min(config.k_nn, m), lam=config.lam, sigma=config.sigma,
-            )
+            cfg = replace(config, knn=min(config.knn, m))
             w = weight_matrix(dictionary, row, cfg)[0]
             sum_err = max(sum_err, abs(float(w.sum()) - 1.0))
         # (ii) localized softmax over all M words equals plain softmax
-        sa = weight_matrix(dictionary, row, AssignConfig(mode="sa", beta=0.9))[0]
-        lsa = weight_matrix(dictionary, row, AssignConfig(mode="lsa", beta=0.9, k_nn=m))[0]
+        sa = weight_matrix(dictionary, row, PipelineConfig(mode="sa", beta=0.9))[0]
+        lsa = weight_matrix(dictionary, row, PipelineConfig(mode="lsa", beta=0.9, knn=m))[0]
         lsa_sa_err = max(lsa_sa_err, float(np.abs(sa - lsa).max()))
         # (iii) huge beta concentrates the softmax at the hard argmin
-        hot = weight_matrix(dictionary, row, AssignConfig(mode="sa", beta=1e6))[0]
-        hard = weight_matrix(dictionary, row, AssignConfig(mode="hard"))[0]
+        hot = weight_matrix(dictionary, row, PipelineConfig(mode="sa", beta=1e6))[0]
+        hard = weight_matrix(dictionary, row, PipelineConfig(mode="hard"))[0]
         onehot_err = max(onehot_err, float(np.abs(hot - hard).max()))
         # (iv) solver's constrained objective beats random feasible points
         lam, sigma = 1e-3, 1.5
-        a = weight_matrix(dictionary, row, AssignConfig(mode="llc", lam=lam, sigma=sigma))[0]
+        a = weight_matrix(dictionary, row, PipelineConfig(mode="llc", lam=lam, sigma=sigma))[0]
         solver_obj = llc_objective(dictionary.centers, x, a, lam, sigma)
         candidates = random_feasible(rng, m, 100_000)
         residual = candidates @ dictionary.centers - x
@@ -194,7 +190,7 @@ def test_a5_descriptor_signal_all_modes(tmp_path):
 
     train_x, train_y = mean_features(train)
     test_x, test_y = mean_features(test)
-    model = train_ovr(train_x, train_y, TrainHyper())
+    model = train_ovr(train_x, train_y, PipelineConfig())
     predictions, _ = predict(model, test_x)
     baseline = float((predictions == test_y).mean())
 
@@ -307,7 +303,7 @@ def test_a8_shape_and_degeneracy():
     rng = np.random.default_rng(8)
     dictionary = Dictionary(centers=rng.standard_normal((4, 3)))
     fmap = FeatureMap(rng.standard_normal((5, 4, 3)).astype(np.float32))
-    config = EncoderConfig()
+    config = PipelineConfig()
     # Single-region pyramid is bitwise identical to the plain encoder.
     plain = encode(dictionary, fmap, None, config)
     spm = encode_spm(fmap, dictionary, None, config, PyramidSpec(((1, 1),)))
@@ -324,15 +320,15 @@ def test_a8_shape_and_degeneracy():
     zero_map = FeatureMap(np.zeros((2, 2, 3), dtype=np.float32))
     single = FeatureMap(rng.standard_normal((1, 1, 3)).astype(np.float32))
     for mode in ("hard", "sa", "lsa", "llc", "llc-approx"):
-        assign_cfg = AssignConfig(mode=mode, k_nn=2)
         for scheme in ("intra-then-global", "global-only", "signed-sqrt-then-global"):
-            enc_cfg = EncoderConfig(assign=assign_cfg, norm_scheme=scheme)
+            enc_cfg = PipelineConfig(mode=mode, knn=2, norm_scheme=scheme)
             for fm in (zero_map, single):
                 out = encode(dictionary, fm, None, enc_cfg)
                 finite_ok &= bool(np.isfinite(out).all())
     # Descriptors exactly on a center: residual block is zero, output finite.
+    on_center_x = np.repeat(dictionary.centers[:1], 3, axis=0)
     on_center = encode_descriptors(
-        dictionary, np.repeat(dictionary.centers[:1], 3, axis=0), config
+        dictionary, on_center_x, weight_matrix(dictionary, on_center_x, config), config.norm_scheme
     )
     finite_ok &= bool(np.isfinite(on_center).all())
     ok = bitwise and lengths_ok and finite_ok

@@ -11,10 +11,11 @@ from oracles import (
     random_feasible,
 )
 from vladkit import errors
-from vladkit.assignment import AssignConfig, weight_matrix
+from vladkit.assignment import validate, weight_matrix
 from vladkit.codebook import Dictionary
+from vladkit.pipeline import PipelineConfig
 
-HARD = AssignConfig(mode="hard")
+HARD = PipelineConfig(mode="hard")
 
 
 def rand_dict(rng, m=None, d=None):
@@ -54,13 +55,13 @@ def test_hard_matches_oracle():
 
 def test_soft_equal_distances_symmetric():
     d = Dictionary(centers=np.array([[-1.0], [1.0]]))
-    w = assign(d, np.array([0.0]), AssignConfig(mode="sa", beta=2.0))
+    w = assign(d, np.array([0.0]), PipelineConfig(mode="sa", beta=2.0))
     assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
 
 def test_soft_hand_values():
     d = Dictionary(centers=np.array([[0.0], [1.0]]))
-    w = assign(d, np.array([0.0]), AssignConfig(mode="sa", beta=1.0))
+    w = assign(d, np.array([0.0]), PipelineConfig(mode="sa", beta=1.0))
     e = [math.exp(0.0), math.exp(-1.0)]
     assert np.allclose(w, np.array(e) / sum(e), atol=1e-12)
     assert abs(w[0] - 0.7310585786300049) < 1e-12
@@ -72,7 +73,7 @@ def test_soft_matches_oracle():
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
         beta = float(rng.uniform(0.1, 5.0))
-        got = assign(d, x, AssignConfig(mode="sa", beta=beta))
+        got = assign(d, x, PipelineConfig(mode="sa", beta=beta))
         assert np.allclose(got, naive_soft_weights(d.centers, x, beta), atol=1e-12)
 
 
@@ -82,7 +83,7 @@ def test_soft_large_beta_approaches_hard():
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
         hard = assign(d, x, HARD)
-        soft = assign(d, x, AssignConfig(mode="sa", beta=1e6))
+        soft = assign(d, x, PipelineConfig(mode="sa", beta=1e6))
         assert soft[int(np.argmax(hard))] >= 1.0 - 1e-6
 
 
@@ -91,7 +92,7 @@ def test_soft_max_weight_monotone_in_beta():
     d = rand_dict(rng, m=4, d=3)
     x = rng.standard_normal(3)
     maxima = [
-        assign(d, x, AssignConfig(mode="sa", beta=beta)).max() for beta in (0.1, 1.0, 10.0, 100.0)
+        assign(d, x, PipelineConfig(mode="sa", beta=beta)).max() for beta in (0.1, 1.0, 10.0, 100.0)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(maxima, maxima[1:]))
 
@@ -99,31 +100,31 @@ def test_soft_max_weight_monotone_in_beta():
 def test_soft_rejects_bad_beta():
     d = Dictionary(centers=np.zeros((2, 1)))
     with pytest.raises(errors.NonPositiveBeta):
-        assign(d, np.zeros(1), AssignConfig(mode="sa", beta=0.0))
+        assign(d, np.zeros(1), PipelineConfig(mode="sa", beta=0.0))
 
 
 def test_validate_rejects_nan_and_out_of_range_parameters():
     d = Dictionary(centers=np.zeros((2, 1)))
     nan = float("nan")
     cases = [
-        (AssignConfig(mode="sa", beta=nan), errors.NonPositiveBeta),
-        (AssignConfig(mode="lsa", beta=nan), errors.NonPositiveBeta),
-        (AssignConfig(mode="lsa", k_nn=0), errors.BadK),
-        (AssignConfig(mode="llc-approx", k_nn=3), errors.BadK),
-        (AssignConfig(mode="llc", sigma=nan), errors.NonPositiveSigma),
-        (AssignConfig(mode="sa", beta=math.inf), errors.NonPositiveBeta),
-        (AssignConfig(mode="llc", sigma=math.inf), errors.NonPositiveSigma),
-        (AssignConfig(mode="llc", lam=-1.0), errors.BadLambda),
-        (AssignConfig(mode="llc", lam=nan), errors.BadLambda),
-        (AssignConfig(mode="llc", lam=math.inf), errors.BadLambda),
+        (PipelineConfig(mode="sa", beta=nan), errors.NonPositiveBeta),
+        (PipelineConfig(mode="lsa", beta=nan), errors.NonPositiveBeta),
+        (PipelineConfig(mode="lsa", knn=0), errors.BadK),
+        (PipelineConfig(mode="llc-approx", knn=3), errors.BadK),
+        (PipelineConfig(mode="llc", sigma=nan), errors.NonPositiveSigma),
+        (PipelineConfig(mode="sa", beta=math.inf), errors.NonPositiveBeta),
+        (PipelineConfig(mode="llc", sigma=math.inf), errors.NonPositiveSigma),
+        (PipelineConfig(mode="llc", lam=-1.0), errors.BadLambda),
+        (PipelineConfig(mode="llc", lam=nan), errors.BadLambda),
+        (PipelineConfig(mode="llc", lam=math.inf), errors.BadLambda),
     ]
     for config, error in cases:
         with pytest.raises(error):
-            config.validate(2)
+            validate(config, 2)
         with pytest.raises(error):
             weight_matrix(d, np.zeros((1, 1)), config)
     # Parameters a mode does not use are not checked.
-    AssignConfig(mode="hard", beta=nan, k_nn=0, lam=nan, sigma=nan).validate(2)
+    validate(PipelineConfig(mode="hard", beta=nan, knn=0, lam=nan, sigma=nan), 2)
 
 
 def test_soft_shift_invariance():
@@ -134,7 +135,7 @@ def test_soft_shift_invariance():
     x = rng.standard_normal(3)
     lifted = Dictionary(centers=np.hstack([d.centers, np.full((5, 1), 2.0)]))
     x_lift = np.append(x, 0.0)  # adds the same 4.0 to every squared distance
-    config = AssignConfig(mode="sa", beta=1.3)
+    config = PipelineConfig(mode="sa", beta=1.3)
     assert np.allclose(assign(d, x, config), assign(lifted, x_lift, config), atol=1e-12)
 
 
@@ -145,8 +146,8 @@ def test_lsa_full_k_equals_soft():
     for _ in range(20):
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
-        sa = assign(d, x, AssignConfig(mode="sa", beta=1.7))
-        lsa = assign(d, x, AssignConfig(mode="lsa", beta=1.7, k_nn=d.num_words))
+        sa = assign(d, x, PipelineConfig(mode="sa", beta=1.7))
+        lsa = assign(d, x, PipelineConfig(mode="lsa", beta=1.7, knn=d.num_words))
         assert np.allclose(sa, lsa, atol=1e-12)
 
 
@@ -156,7 +157,7 @@ def test_lsa_k1_equals_hard():
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
         assert np.array_equal(
-            assign(d, x, AssignConfig(mode="lsa", beta=2.0, k_nn=1)), assign(d, x, HARD)
+            assign(d, x, PipelineConfig(mode="lsa", beta=2.0, knn=1)), assign(d, x, HARD)
         )
 
 
@@ -165,21 +166,21 @@ def test_lsa_matches_oracle():
     for _ in range(50):
         d = rand_dict(rng, m=5)
         x = rng.standard_normal(d.dim)
-        got = assign(d, x, AssignConfig(mode="lsa", beta=0.8, k_nn=2))
+        got = assign(d, x, PipelineConfig(mode="lsa", beta=0.8, knn=2))
         assert np.allclose(got, naive_lsa_weights(d.centers, x, 0.8, 2), atol=1e-12)
 
 
 def test_lsa_support_bounded():
     rng = np.random.default_rng(8)
     d = rand_dict(rng, m=6, d=3)
-    w = assign(d, rng.standard_normal(3), AssignConfig(mode="lsa", beta=1.0, k_nn=3))
+    w = assign(d, rng.standard_normal(3), PipelineConfig(mode="lsa", beta=1.0, knn=3))
     assert np.count_nonzero(w) <= 3
 
 
 def test_lsa_bad_k():
     d = Dictionary(centers=np.zeros((2, 1)))
     with pytest.raises(errors.BadK):
-        assign(d, np.zeros(1), AssignConfig(mode="lsa", beta=1.0, k_nn=3))
+        assign(d, np.zeros(1), PipelineConfig(mode="lsa", beta=1.0, knn=3))
 
 
 # -- LLC ---------------------------------------------------------------------
@@ -187,7 +188,7 @@ def test_lsa_bad_k():
 def test_llc_exact_representation_zero_residual():
     d = Dictionary(centers=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     x = np.array([1.0, 0.0])
-    a = assign(d, x, AssignConfig(mode="llc", lam=0.0, sigma=1.0))
+    a = assign(d, x, PipelineConfig(mode="llc", lam=0.0, sigma=1.0))
     residual = x - d.centers.T @ a
     assert np.linalg.norm(residual) < 1e-6
     assert abs(a.sum() - 1.0) < 1e-8
@@ -195,7 +196,7 @@ def test_llc_exact_representation_zero_residual():
 
 def test_llc_1d_affine_hand():
     d = Dictionary(centers=np.array([[0.0], [1.0]]))
-    a = assign(d, np.array([0.25]), AssignConfig(mode="llc", lam=0.0, sigma=1.0))
+    a = assign(d, np.array([0.25]), PipelineConfig(mode="llc", lam=0.0, sigma=1.0))
     assert np.allclose(a, [0.75, 0.25], atol=1e-6)
 
 
@@ -207,7 +208,7 @@ def test_llc_beats_random_feasible_points():
         d = Dictionary(centers=rng.standard_normal((m, dim)))
         x = rng.standard_normal(dim)
         lam, sigma = 1e-3, 1.0
-        a = assign(d, x, AssignConfig(mode="llc", lam=lam, sigma=sigma))
+        a = assign(d, x, PipelineConfig(mode="llc", lam=lam, sigma=sigma))
         ours = llc_objective(d.centers, x, a, lam, sigma)
         candidates = random_feasible(rng, m, 10_000)
         best = min(llc_objective(d.centers, x, c, lam, sigma) for c in candidates)
@@ -219,7 +220,7 @@ def test_llc_constraint_satisfied():
     for _ in range(30):
         d = rand_dict(rng)
         x = rng.standard_normal(d.dim)
-        a = assign(d, x, AssignConfig(mode="llc", lam=1e-4, sigma=0.7))
+        a = assign(d, x, PipelineConfig(mode="llc", lam=1e-4, sigma=0.7))
         assert abs(a.sum() - 1.0) < 1e-8
 
 
@@ -227,7 +228,7 @@ def test_llc_approx_k1_one_hot():
     rng = np.random.default_rng(11)
     d = rand_dict(rng, m=4, d=3)
     x = rng.standard_normal(3)
-    w = assign(d, x, AssignConfig(mode="llc-approx", k_nn=1))
+    w = assign(d, x, PipelineConfig(mode="llc-approx", knn=1))
     assert w.tolist() == assign(d, x, HARD).tolist()
 
 
@@ -238,14 +239,14 @@ def test_llc_approx_full_k_equals_exact_lambda0():
         dim = m + 1  # keep the atom set affinely independent
         d = Dictionary(centers=rng.standard_normal((m, dim)))
         x = rng.standard_normal(dim)
-        exact = assign(d, x, AssignConfig(mode="llc", lam=0.0, sigma=1.0))
-        approx = assign(d, x, AssignConfig(mode="llc-approx", k_nn=m))
+        exact = assign(d, x, PipelineConfig(mode="llc", lam=0.0, sigma=1.0))
+        approx = assign(d, x, PipelineConfig(mode="llc-approx", knn=m))
         assert np.allclose(exact, approx, atol=1e-6)
 
 
 def test_llc_approx_two_atom_hand():
     d = Dictionary(centers=np.array([[0.0], [1.0], [5.0]]))
-    w = assign(d, np.array([0.25]), AssignConfig(mode="llc-approx", k_nn=2))
+    w = assign(d, np.array([0.25]), PipelineConfig(mode="llc-approx", knn=2))
     assert np.flatnonzero(w).tolist() == [0, 1]
     assert np.allclose(w[:2], [0.75, 0.25], atol=1e-6)
 
@@ -253,11 +254,11 @@ def test_llc_approx_two_atom_hand():
 # -- cross-mode laws ---------------------------------------------------------
 
 ALL_CONFIGS = [
-    AssignConfig(mode="hard"),
-    AssignConfig(mode="sa", beta=1.4),
-    AssignConfig(mode="lsa", beta=1.4, k_nn=2),
-    AssignConfig(mode="llc", lam=1e-4, sigma=1.0),
-    AssignConfig(mode="llc-approx", k_nn=2),
+    PipelineConfig(mode="hard"),
+    PipelineConfig(mode="sa", beta=1.4),
+    PipelineConfig(mode="lsa", beta=1.4, knn=2),
+    PipelineConfig(mode="llc", lam=1e-4, sigma=1.0),
+    PipelineConfig(mode="llc-approx", knn=2),
 ]
 
 
@@ -314,8 +315,8 @@ def test_lsa_and_llc_approx_ties_take_lowest_indices():
     # second. k = 2 must keep the lowest-indexed words in both.
     d = Dictionary(centers=np.array([[5.0], [0.5], [0.0], [0.5], [0.0]]))
     x = np.array([[0.25], [4.9]])
-    lsa = weight_matrix(d, x, AssignConfig(mode="lsa", beta=1.0, k_nn=2))
-    approx = weight_matrix(d, x, AssignConfig(mode="llc-approx", k_nn=2))
+    lsa = weight_matrix(d, x, PipelineConfig(mode="lsa", beta=1.0, knn=2))
+    approx = weight_matrix(d, x, PipelineConfig(mode="llc-approx", knn=2))
     for w in (lsa, approx):
         assert np.flatnonzero(w[0]).tolist() == [1, 2]
         assert np.allclose(w[0, 1:3], [0.5, 0.5], atol=1e-6)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vladkit import errors, fileio
-from vladkit.classifier import LinearModel, TrainHyper, predict, tabulate, train_ovr
+from vladkit.classifier import LinearModel, predict, tabulate, train_ovr
+from vladkit.pipeline import PipelineConfig
 
 
 def separable_clouds(rng, n_per=40):
@@ -16,7 +19,7 @@ def separable_clouds(rng, n_per=40):
 def test_separable_training_accuracy():
     rng = np.random.default_rng(0)
     x, y = separable_clouds(rng)
-    model = train_ovr(x, y)
+    model = train_ovr(x, y, PipelineConfig())
     predicted, _ = predict(model, x)
     assert (predicted == y).all()
 
@@ -25,14 +28,14 @@ def test_deterministic_model_bytes(tmp_path):
     rng = np.random.default_rng(1)
     x, y = separable_clouds(rng)
     for name in ("a.vlm", "b.vlm"):
-        model = train_ovr(x, y, TrainHyper(seed=5))
+        model = train_ovr(x, y, PipelineConfig(seed=5))
         fileio.write_model(model.weights, model.biases, tmp_path / name)
     assert (tmp_path / "a.vlm").read_bytes() == (tmp_path / "b.vlm").read_bytes()
 
 
 def test_too_few_classes():
     with pytest.raises(errors.TooFewClasses):
-        train_ovr(np.zeros((5, 2)), np.zeros(5, dtype=int))
+        train_ovr(np.zeros((5, 2)), np.zeros(5, dtype=int), PipelineConfig())
 
 
 def test_predict_hand_scores():
@@ -103,3 +106,20 @@ def test_random_predictor_near_chance():
         pred = rng.integers(0, c, size=n)
         acc = tabulate(true, pred, c).accuracy
         assert abs(acc - 0.25) < 5 * se
+
+
+def test_training_memory_does_not_grow_with_epochs():
+    # Each epoch's shuffle is drawn when the epoch starts; drawing them all
+    # up front held epochs * N indices at once.
+    x = np.random.default_rng(2).standard_normal((4, 2))
+    y = np.array([0, 1, 0, 1])
+
+    def peak_bytes(epochs):
+        tracemalloc.start()
+        try:
+            train_ovr(x, y, PipelineConfig(epochs=epochs))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(2000) < peak_bytes(20) + 16 * 1024

@@ -262,6 +262,11 @@ def test_out_of_range_flags_exit_before_writing(workspace, tmp_path, capsys):
     ]
     assert main(split + ["--per-class", "4", "--seed", "-1"]) == 1
     assert main(split + ["--per-class", "-1"]) == 2
+    # 0 leaves the training side empty, 8 (every image of a class) the test side.
+    for per_class, side in (("0", "train"), ("8", "test")):
+        capsys.readouterr()
+        assert main(split + ["--per-class", per_class]) == 2
+        assert f"empties the {side} split" in capsys.readouterr().err
     assert main([
         "codebook", "train", "--manifest", str(data / "train.tsv"), "--words", "4",
         "--seed", "-1", "--out", str(tmp_path / "d.vld"),

@@ -50,9 +50,9 @@ def _pipeline(dataset, config_path, work_dir) -> int:
     ])
 
 
-# One key per example, since some valid pairs run long (tol = 0 runs every
-# one of max_iters). Every value is tried on every key but one: a huge epoch
-# count is a valid request whose run time grows with it.
+# One key per example, so that a failing example names the one value at
+# fault. Every value is tried on every key but one: a huge epoch count is a
+# valid request whose run time grows with it.
 key_values = st.sampled_from(KEYS).flatmap(
     lambda key: st.tuples(
         st.just(key),

@@ -3,13 +3,14 @@ import pytest
 
 from oracles import best_kmeans_objective, naive_nearest
 from vladkit import errors
-from vladkit.assignment import AssignConfig, weight_matrix
+from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary, kmeans_init_plusplus, kmeans_train, subsample
+from vladkit.pipeline import PipelineConfig
 
 
 def nearest_words(dictionary, x):
     """Nearest word of each row of x: the argmax of its hard assignment row."""
-    return weight_matrix(dictionary, x, AssignConfig(mode="hard")).argmax(axis=1).tolist()
+    return weight_matrix(dictionary, x, PipelineConfig(mode="hard")).argmax(axis=1).tolist()
 
 
 def test_init_exhaustion_returns_all_points():
@@ -92,6 +93,16 @@ def test_train_deterministic():
     d2, r2 = kmeans_train(data, 5, seed=77)
     assert np.array_equal(d1.centers, d2.centers)
     assert r1 == r2
+
+
+def test_tol_zero_stops_once_the_objective_stops_falling():
+    data = np.random.default_rng(0).standard_normal((200, 3))
+    _, report = kmeans_train(data, 4, max_iters=100, tol=0.0, seed=0)
+    assert report.converged and report.iterations < 100
+    assert report.objective_trace[-1] == report.objective_trace[-2]
+    # With tol > 0 the same stop is already implied: the run is unchanged.
+    _, loose = kmeans_train(data, 4, max_iters=100, tol=1e-4, seed=0)
+    assert report.objective_trace[: loose.iterations] == loose.objective_trace
 
 
 def test_distinct_centers_after_training():

@@ -4,12 +4,13 @@ import pytest
 import vladkit.spm
 import vladkit.vlad
 from vladkit import errors, fileio
-from vladkit.assignment import AssignConfig
+from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary, kmeans_train
 from vladkit.fileio import FeatureMap
-from vladkit.spm import PyramidSpec, encode_spm, parse_pyramid, partition, region_bounds
+from vladkit.pipeline import PipelineConfig
+from vladkit.spm import PyramidSpec, encode_spm, parse_pyramid, region_bounds, region_slices
 from vladkit.synth import SynthSpec, synth_dataset
-from vladkit.vlad import EncoderConfig, encode, encode_descriptors
+from vladkit.vlad import encode, encode_descriptors
 from vladkit.whitening import apply_whitening_batch, fit_whitening, l2_normalize
 
 
@@ -36,48 +37,36 @@ def test_region_bounds_floor_formula():
 
 
 def test_partition_even_split():
-    rng = np.random.default_rng(0)
-    fmap = grid_map(rng, 4, 4, 2)
-    regions = partition(fmap, PyramidSpec(((2, 2),)))
-    assert len(regions) == 4
-    assert all(r.shape == (4, 2) for r in regions)
+    cells = np.arange(16).reshape(4, 4)
+    regions = [cells[s] for s in region_slices(4, 4, PyramidSpec(((2, 2),)))]
+    assert [r.shape for r in regions] == [(2, 2)] * 4
 
 
 def test_partition_single_region_has_all_cells():
-    rng = np.random.default_rng(1)
-    fmap = grid_map(rng, 3, 5, 2)
-    regions = partition(fmap, PyramidSpec(((1, 1),)))
-    assert len(regions) == 1
-    assert np.array_equal(regions[0], fmap.descriptors())
+    assert region_slices(3, 5, PyramidSpec(((1, 1),))) == [(slice(0, 3), slice(0, 5))]
 
 
 def test_partition_coverage_and_disjointness():
-    rng = np.random.default_rng(2)
-    fmap = grid_map(rng, 5, 7, 1)
+    cells = np.arange(35).reshape(5, 7)
     for level in ((2, 2), (3, 1), (4, 4), (1, 3)):
-        regions = partition(fmap, PyramidSpec((level,)))
-        total = sum(r.shape[0] for r in regions)
-        assert total == 35
-        stacked = np.vstack([r for r in regions if r.size])
-        order = np.lexsort(stacked.T)
-        expected = fmap.descriptors()
-        expected_order = np.lexsort(expected.T)
-        assert np.array_equal(stacked[order], expected[expected_order])
+        slices = region_slices(5, 7, PyramidSpec((level,)))
+        assert len(slices) == level[0] * level[1]
+        covered = np.concatenate([cells[s].ravel() for s in slices])
+        assert np.sort(covered).tolist() == list(range(35))  # every cell exactly once
 
 
 def test_partition_allows_empty_regions():
-    rng = np.random.default_rng(3)
-    fmap = grid_map(rng, 2, 2, 1)
-    regions = partition(fmap, PyramidSpec(((4, 4),)))
-    assert len(regions) == 16
-    assert sum(r.shape[0] for r in regions) == 4
+    cells = np.arange(4).reshape(2, 2)
+    sizes = [cells[s].size for s in region_slices(2, 2, PyramidSpec(((4, 4),)))]
+    assert len(sizes) == 16
+    assert sum(sizes) == 4
 
 
 def test_single_level_pyramid_equals_plain_encode_bitwise():
     rng = np.random.default_rng(4)
     d = Dictionary(centers=rng.standard_normal((4, 3)))
     fmap = grid_map(rng, 5, 4, 3)
-    config = EncoderConfig()
+    config = PipelineConfig()
     plain = encode(d, fmap, None, config)
     spm = encode_spm(fmap, d, None, config, PyramidSpec(((1, 1),)))
     assert np.array_equal(plain, spm)
@@ -88,7 +77,7 @@ def test_output_length_contract():
     d = Dictionary(centers=rng.standard_normal((4, 3)))
     fmap = grid_map(rng, 6, 6, 3)
     spec = parse_pyramid("a")
-    out = encode_spm(fmap, d, None, EncoderConfig(), spec)
+    out = encode_spm(fmap, d, None, PipelineConfig(), spec)
     assert spec.total_regions == 8
     assert out.size == 8 * 4 * 3
 
@@ -97,7 +86,7 @@ def test_empty_region_contributes_zero_segment():
     rng = np.random.default_rng(6)
     d = Dictionary(centers=rng.standard_normal((2, 2)))
     fmap = grid_map(rng, 1, 1, 2)
-    out = encode_spm(fmap, d, None, EncoderConfig(), PyramidSpec(((2, 2),)))
+    out = encode_spm(fmap, d, None, PipelineConfig(), PyramidSpec(((2, 2),)))
     segments = out.reshape(4, 4)
     # With a 1x1 grid only the last region (floor boundaries) holds the cell.
     occupied = [i for i in range(4) if np.any(segments[i])]
@@ -109,7 +98,7 @@ def test_global_norm_is_one():
     rng = np.random.default_rng(7)
     d = Dictionary(centers=rng.standard_normal((3, 2)))
     fmap = grid_map(rng, 4, 4, 2)
-    out = encode_spm(fmap, d, None, EncoderConfig(), parse_pyramid("b"))
+    out = encode_spm(fmap, d, None, PipelineConfig(), parse_pyramid("b"))
     assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
 
@@ -122,7 +111,7 @@ def test_spatial_signal_pair_distinguished_only_by_fine_levels(tmp_path):
     maps = [fileio.read_feature_map(tmp_path / rel) for rel, _ in manifest.entries]
     descriptors = np.vstack([m.descriptors() for m in maps])
     dictionary, _ = kmeans_train(descriptors, 4, seed=0)
-    config = EncoderConfig()
+    config = PipelineConfig()
     coarse = [
         encode_spm(m, dictionary, None, config, PyramidSpec(((1, 1),))) for m in maps
     ]
@@ -136,11 +125,11 @@ def test_spatial_signal_pair_distinguished_only_by_fine_levels(tmp_path):
 # -- one whitening and one assignment per image ------------------------------
 
 MODE_CONFIGS = {
-    "hard": AssignConfig(mode="hard"),
-    "sa": AssignConfig(mode="sa", beta=0.7),
-    "lsa": AssignConfig(mode="lsa", beta=0.7, k_nn=2),
-    "llc": AssignConfig(mode="llc", lam=1e-3, sigma=2.0),
-    "llc-approx": AssignConfig(mode="llc-approx", k_nn=3),
+    "hard": PipelineConfig(mode="hard"),
+    "sa": PipelineConfig(mode="sa", beta=0.7),
+    "lsa": PipelineConfig(mode="lsa", beta=0.7, knn=2),
+    "llc": PipelineConfig(mode="llc", lam=1e-3, sigma=2.0),
+    "llc-approx": PipelineConfig(mode="llc-approx", knn=3),
 }
 
 
@@ -148,14 +137,16 @@ def encode_spm_by_region(fmap, dictionary, transform, config, spec):
     """The pyramid encoding by its definition: each region whitened and
     encoded on its own, zeros for an empty region, concatenated, then L2."""
     segments = []
-    for region in partition(fmap, spec):
+    for rows, cols in region_slices(fmap.height, fmap.width, spec):
+        region = fmap.data[rows, cols].reshape(-1, fmap.dim)
         if region.shape[0] == 0:
             segments.append(np.zeros(dictionary.num_words * dictionary.dim))
             continue
         descriptors = region.astype(np.float64)
         if transform is not None:
             descriptors = apply_whitening_batch(transform, descriptors)
-        segments.append(encode_descriptors(dictionary, descriptors, config))
+        weights = weight_matrix(dictionary, descriptors, config)
+        segments.append(encode_descriptors(dictionary, descriptors, weights, config.norm_scheme))
     return l2_normalize(np.concatenate(segments))
 
 
@@ -165,7 +156,7 @@ def test_encode_spm_matches_region_by_region_encoding(mode, whiten):
     rng = np.random.default_rng(8)
     transform = fit_whitening(rng.standard_normal((50, 3))) if whiten else None
     d = Dictionary(centers=rng.standard_normal((4, 3)) * (0.5 if whiten else 1.0))
-    config = EncoderConfig(assign=MODE_CONFIGS[mode])
+    config = MODE_CONFIGS[mode]
     for h, w in ((2, 3), (5, 7), (0, 4)):
         fmap = grid_map(rng, h, w, 3)
         for name in ("a", "b", "c", "4x4"):
@@ -205,7 +196,7 @@ def test_encode_spm_whitens_and_assigns_once_per_image(monkeypatch):
     rng = np.random.default_rng(10)
     transform = fit_whitening(rng.standard_normal((50, 3)))
     d = Dictionary(centers=rng.standard_normal((4, 3)))
-    config = EncoderConfig(assign=AssignConfig(mode="sa"))
+    config = PipelineConfig(mode="sa")
     spec = parse_pyramid("c")
     for h, w in ((8, 8), (2, 3)):
         for counts in (*rows.values(), regions):
@@ -213,5 +204,6 @@ def test_encode_spm_whitens_and_assigns_once_per_image(monkeypatch):
         fmap = grid_map(rng, h, w, 3)
         encode_spm(fmap, d, transform, config, spec)
         assert rows == {"weight_matrix": [h * w], "apply_whitening_batch": [h * w]}
-        assert regions == [r.shape[0] for r in partition(fmap, spec) if r.shape[0]]
+        sizes = [fmap.data[s][..., 0].size for s in region_slices(h, w, spec)]
+        assert regions == [n for n in sizes if n]
     assert len(regions) == 11  # 2x3 grid: 1 + 4 + the 6 non-empty cells of the 4x4 level

@@ -3,24 +3,30 @@ import pytest
 
 from oracles import naive_hard_weights, naive_soft_weights, naive_vlad
 from vladkit import errors
-from vladkit.assignment import AssignConfig
+from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary
 from vladkit.fileio import FeatureMap
-from vladkit.vlad import EncoderConfig, encode, vlad_aggregate, vlad_normalize
+from vladkit.pipeline import PipelineConfig
+from vladkit.vlad import encode, vlad_aggregate, vlad_normalize
 from vladkit.whitening import WhiteningTransform
 
 MODES = [
-    AssignConfig(mode="hard"),
-    AssignConfig(mode="sa", beta=1.2),
-    AssignConfig(mode="lsa", beta=1.2, k_nn=2),
-    AssignConfig(mode="llc", lam=1e-4, sigma=1.0),
-    AssignConfig(mode="llc-approx", k_nn=2),
+    PipelineConfig(mode="hard"),
+    PipelineConfig(mode="sa", beta=1.2),
+    PipelineConfig(mode="lsa", beta=1.2, knn=2),
+    PipelineConfig(mode="llc", lam=1e-4, sigma=1.0),
+    PipelineConfig(mode="llc-approx", knn=2),
 ]
+
+
+def aggregate(d, x, config):
+    """The raw vector of x under its assignment weights for config."""
+    return vlad_aggregate(d, x, weight_matrix(d, x, config))
 
 
 def test_descriptor_at_centroid_gives_zero():
     d = Dictionary(centers=np.array([[1.0, 2.0], [5.0, 5.0]]))
-    raw = vlad_aggregate(d, np.array([[1.0, 2.0]]), AssignConfig(mode="hard"))
+    raw = aggregate(d, np.array([[1.0, 2.0]]), PipelineConfig(mode="hard"))
     assert np.allclose(raw, np.zeros(4))
 
 
@@ -30,7 +36,7 @@ def test_hard_matches_double_loop_oracle():
         m, dim, n = rng.integers(2, 5), rng.integers(1, 9), rng.integers(1, 51)
         d = Dictionary(centers=rng.standard_normal((int(m), int(dim))))
         x = rng.standard_normal((int(n), int(dim)))
-        got = vlad_aggregate(d, x, AssignConfig(mode="hard"))
+        got = aggregate(d, x, PipelineConfig(mode="hard"))
         want = naive_vlad(d.centers, x, lambda v: naive_hard_weights(d.centers, v))
         assert np.abs(got - want).max() < 1e-9
 
@@ -40,7 +46,7 @@ def test_soft_matches_double_loop_oracle():
     for _ in range(20):
         d = Dictionary(centers=rng.standard_normal((3, 4)))
         x = rng.standard_normal((20, 4))
-        got = vlad_aggregate(d, x, AssignConfig(mode="sa", beta=0.9))
+        got = aggregate(d, x, PipelineConfig(mode="sa", beta=0.9))
         want = naive_vlad(d.centers, x, lambda v: naive_soft_weights(d.centers, v, 0.9))
         assert np.abs(got - want).max() < 1e-9
 
@@ -48,7 +54,7 @@ def test_soft_matches_double_loop_oracle():
 def test_soft_equidistant_hand_case():
     d = Dictionary(centers=np.array([[-1.0], [1.0]]))
     x = np.array([[0.0]])
-    raw = vlad_aggregate(d, x, AssignConfig(mode="sa", beta=1.0))
+    raw = aggregate(d, x, PipelineConfig(mode="sa", beta=1.0))
     # Each block gets 0.5 * (x - d_m); their sum is 0.5 * (2x - d1 - d2).
     assert np.allclose(raw, [0.5, -0.5], atol=1e-12)
     assert np.allclose(raw[0] + raw[1], 0.5 * (2 * 0.0 - (-1.0) - 1.0), atol=1e-12)
@@ -60,8 +66,8 @@ def test_permutation_invariance_all_modes():
     x = rng.standard_normal((25, 3))
     perm = rng.permutation(25)
     for config in MODES:
-        a = vlad_aggregate(d, x, config)
-        b = vlad_aggregate(d, x[perm], config)
+        a = aggregate(d, x, config)
+        b = aggregate(d, x[perm], config)
         assert np.abs(a - b).max() < 1e-9
 
 
@@ -69,8 +75,8 @@ def test_duplication_doubles_raw_hard():
     rng = np.random.default_rng(3)
     d = Dictionary(centers=rng.standard_normal((3, 2)))
     x = rng.standard_normal((10, 2))
-    once = vlad_aggregate(d, x, AssignConfig(mode="hard"))
-    twice = vlad_aggregate(d, np.vstack([x, x]), AssignConfig(mode="hard"))
+    once = aggregate(d, x, PipelineConfig(mode="hard"))
+    twice = aggregate(d, np.vstack([x, x]), PipelineConfig(mode="hard"))
     assert np.allclose(twice, 2.0 * once)
 
 
@@ -82,8 +88,8 @@ def test_translation_covariance():
     shifted = Dictionary(centers=d.centers + t)
     for config in MODES:
         assert np.allclose(
-            vlad_aggregate(d, x, config),
-            vlad_aggregate(shifted, x + t, config),
+            aggregate(d, x, config),
+            aggregate(shifted, x + t, config),
             atol=1e-9,
         )
 
@@ -91,13 +97,19 @@ def test_translation_covariance():
 def test_empty_input_rejected():
     d = Dictionary(centers=np.zeros((2, 2)))
     with pytest.raises(errors.EmptyInput):
-        vlad_aggregate(d, np.zeros((0, 2)), AssignConfig(mode="hard"))
+        vlad_aggregate(d, np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_dim_mismatch_rejected():
     d = Dictionary(centers=np.zeros((2, 2)))
     with pytest.raises(errors.DimMismatch):
-        vlad_aggregate(d, np.zeros((3, 4)), AssignConfig(mode="hard"))
+        aggregate(d, np.zeros((3, 4)), PipelineConfig(mode="hard"))
+    # Weights that do not match the descriptors or the words; one column
+    # would otherwise broadcast over both words.
+    for x, w in ((np.zeros((3, 4)), np.full((3, 2), 0.5)), (np.zeros((3, 2)), np.ones((3, 1))),
+                 (np.zeros((3, 2)), np.full((2, 2), 0.5))):
+        with pytest.raises(errors.DimMismatch):
+            vlad_aggregate(d, x, w)
 
 
 # -- normalization -----------------------------------------------------------
@@ -135,7 +147,7 @@ def test_signed_sqrt_values():
 def test_encode_centroid_map_is_zero():
     d = Dictionary(centers=np.array([[1.0, 2.0], [5.0, 5.0]]))
     fmap = FeatureMap(np.array([[[1.0, 2.0]]], dtype=np.float32))
-    out = encode(d, fmap, None, EncoderConfig())
+    out = encode(d, fmap, None, PipelineConfig())
     assert np.allclose(out, np.zeros(4))
     assert np.isfinite(out).all()
 
@@ -144,7 +156,7 @@ def test_encode_length_contract():
     rng = np.random.default_rng(6)
     d = Dictionary(centers=rng.standard_normal((5, 3)))
     fmap = FeatureMap(rng.standard_normal((4, 6, 3)).astype(np.float32))
-    assert encode(d, fmap, None, EncoderConfig()).size == 15
+    assert encode(d, fmap, None, PipelineConfig()).size == 15
 
 
 def test_encode_permutation_of_cells():
@@ -154,18 +166,16 @@ def test_encode_permutation_of_cells():
     flat = data.reshape(-1, 2)
     perm = rng.permutation(len(flat))
     permuted = flat[perm].reshape(3, 4, 2)
-    a = encode(d, FeatureMap(data), None, EncoderConfig())
-    b = encode(d, FeatureMap(permuted), None, EncoderConfig())
+    a = encode(d, FeatureMap(data), None, PipelineConfig())
+    b = encode(d, FeatureMap(permuted), None, PipelineConfig())
     assert np.abs(a - b).max() < 1e-9
 
 
 def test_encode_with_whitening_transform():
     rng = np.random.default_rng(8)
-    transform = WhiteningTransform(
-        mean=np.zeros(4), projection=np.eye(3, 4), epsilon=0.0
-    )
+    transform = WhiteningTransform(mean=np.zeros(4), projection=np.eye(3, 4))
     d = Dictionary(centers=rng.standard_normal((4, 3)))
     fmap = FeatureMap(rng.standard_normal((2, 2, 4)).astype(np.float32))
-    out = encode(d, fmap, transform, EncoderConfig())
+    out = encode(d, fmap, transform, PipelineConfig())
     assert out.size == 12
     assert abs(np.linalg.norm(out) - 1.0) < 1e-6

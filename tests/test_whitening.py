@@ -71,7 +71,7 @@ def test_apply_at_mean_is_zero():
 
 
 def test_apply_identity_transform_hand():
-    t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3), epsilon=0.0)
+    t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3))
     assert np.allclose(apply_whitening_batch(t, np.array([[3.0, 4.0, 0.0]])), [[0.6, 0.8, 0.0]])
 
 
@@ -84,13 +84,13 @@ def test_apply_output_unit_norm():
 
 
 def test_apply_dim_mismatch():
-    t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3), epsilon=0.0)
+    t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3))
     with pytest.raises(errors.DimMismatch):
         apply_whitening_batch(t, np.zeros((1, 4)))
 
 
 def test_apply_rejects_non_finite():
-    t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3), epsilon=0.0)
+    t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3))
     for bad in (np.nan, np.inf):
         x = np.ones((4, 3))
         x[2, 1] = bad
