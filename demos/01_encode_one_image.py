@@ -28,7 +28,7 @@ manifest = synth_dataset(spec, root)
 print(f"dataset: {len(manifest.entries)} images of "
       f"{spec.grid_h}x{spec.grid_w}x{spec.dim} descriptors in {root}")
 
-descriptors = load_descriptor_stack(manifest, root / "manifest.tsv")
+descriptors = load_descriptor_stack(manifest)
 print(f"stacked descriptors: {descriptors.shape}")
 
 transform = fit_whitening(descriptors, None, None)
@@ -43,7 +43,7 @@ print(f"dictionary: {dictionary.num_words} words, k-means converged in "
       f"{report.iterations} iterations "
       f"(objective {report.objective_trace[0]:.2f} -> {report.objective_trace[-1]:.2f})")
 
-fmap = fileio.read_feature_map(root / manifest.entries[0][0])
+fmap = fileio.read_feature_map(manifest.paths()[0])
 for mode in ("hard", "sa", "lsa", "llc", "llc-approx"):
     vector = encode(dictionary, fmap, transform, PipelineConfig(mode=mode, words=8))
     print(f"  mode={mode:10s} encoding length={vector.size} "

@@ -45,8 +45,11 @@ def validate(config: PipelineConfig, num_words: int) -> None:
         raise BadLambda(f"lambda must be finite and non-negative, got {config.lam}")
 
 
-def _softmax_rows(neg_scaled: np.ndarray) -> np.ndarray:
-    w = np.exp(neg_scaled - neg_scaled.max(axis=1, keepdims=True))
+def _softmax_rows(d2: np.ndarray, beta: float) -> np.ndarray:
+    """Row softmax of -beta * d2. Each row is shifted by its minimum before
+    scaling, so no finite beta overflows to a NaN weight."""
+    with np.errstate(over="ignore"):  # -beta * shift may round to -inf: weight 0
+        w = np.exp(-beta * (d2 - d2.min(axis=1, keepdims=True)))
     w /= w.sum(axis=1, keepdims=True)
     w[w < _FLUSH] = 0.0
     return w / w.sum(axis=1, keepdims=True)
@@ -85,7 +88,7 @@ def weight_matrix(
     centers = np.asarray(dictionary.centers, dtype=np.float64)
     d2 = squared_distances(x, centers)
     if config.mode == "sa":
-        return _softmax_rows(-config.beta * d2)
+        return _softmax_rows(d2, config.beta)
     if config.mode == "llc":
         if m == 1:
             return np.ones_like(d2)
@@ -98,7 +101,7 @@ def weight_matrix(
         # Stable sort keeps the lowest index first on distance ties.
         near = np.argsort(d2, axis=1, kind="stable")[:, : config.knn]
         if config.mode == "lsa":
-            near_w = _softmax_rows(-config.beta * np.take_along_axis(d2, near, axis=1))
+            near_w = _softmax_rows(np.take_along_axis(d2, near, axis=1), config.beta)
         elif config.knn == 1:
             near_w = np.ones((x.shape[0], 1))
         else:

@@ -201,8 +201,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     if args.preprocess_command == "fit":
-        manifest = fileio.load_manifest(args.manifest)
-        descriptors = load_descriptor_stack(manifest, args.manifest)
+        descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
         if args.subsample is not None:
             descriptors = subsample(descriptors, args.subsample, args.seed)
         transform = fit_whitening(descriptors, args.dim, args.epsilon)
@@ -220,7 +219,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_codebook(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
     transform = load_transform(args.transform) if args.transform is not None else None
-    dictionary, report = train_dictionary(manifest, args.manifest, transform, _config(args))
+    dictionary, report = train_dictionary(manifest, transform, _config(args))
     fileio.write_dictionary(dictionary.centers, args.out)
     print(
         f"trained {dictionary.num_words} words in {report.iterations} iterations"
@@ -242,7 +241,7 @@ def _encode_manifest(args, config: PipelineConfig):
     manifest = fileio.load_manifest(args.manifest)
     dictionary = load_dictionary(args.dictionary)
     transform = load_transform(args.transform) if args.transform else None
-    return encode_manifest(manifest, args.manifest, dictionary, transform, config)
+    return encode_manifest(manifest, dictionary, transform, config)
 
 
 def _cmd_train(args) -> int:

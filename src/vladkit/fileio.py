@@ -10,13 +10,14 @@ file. The five magics are
     VLE1  encoding         (length, then floats)
     VLM1  linear model     (C, dim, then C*(dim+1) floats, weights then bias)
 
-Manifests are UTF-8 text, one "path<TAB>label" per line, LF endings.
+Manifests are UTF-8 text, one "path<TAB>label" per line, LF endings. A
+relative path is read from the directory of the manifest file.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from .errors import (
     TruncatedFile,
 )
 
-_HEADER = struct.Struct("<4s")
 _U32 = struct.Struct("<I")
 
 
@@ -67,6 +67,11 @@ class FeatureMap:
 class DatasetManifest:
     entries: tuple[tuple[str, int], ...]
     num_classes: int
+    root: Path = field(default=Path("."), compare=False)  # relative entries start here
+
+    def paths(self) -> list[Path]:
+        """Each entry's feature-map file; an absolute entry stays as it is."""
+        return [self.root / rel for rel, _ in self.entries]
 
 
 def _read_exact(f, n: int, path) -> bytes:
@@ -225,18 +230,10 @@ def load_manifest(path) -> DatasetManifest:
     if not entries:
         raise ParseError(f"{path}: empty manifest")
     num_classes = 1 + max(label for _, label in entries)
-    return DatasetManifest(tuple(entries), num_classes)
+    return DatasetManifest(tuple(entries), num_classes, path.parent)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for rel, label in manifest.entries:
             f.write(f"{rel}\t{label}\n")
-
-
-def resolve_entry(manifest_path, rel: str) -> Path:
-    """Manifest paths are relative to the manifest file's directory."""
-    rel_path = Path(rel)
-    if rel_path.is_absolute():
-        return rel_path
-    return Path(manifest_path).parent / rel_path

@@ -17,17 +17,19 @@ from . import assignment, fileio, whitening
 from .classifier import EvalReport, LinearModel, predict, tabulate, train_ovr
 from .codebook import Dictionary, KmeansReport, kmeans_train, subsample
 from .errors import CacheMismatch, ParseError
-from .fileio import DatasetManifest, read_feature_map, resolve_entry
+from .fileio import DatasetManifest, read_feature_map
 from .spm import PyramidSpec, encode_spm, parse_pyramid
 from .vlad import NORM_SCHEMES, encode
 from .whitening import WhiteningTransform, fit_whitening
 
 
 # Lowest valid value of each numeric field that has one; None (auto) passes.
-# Written as `not low <= x < inf` so that NaN and inf fail.
+# Written as `not low <= x < inf` so that NaN and inf fail. Pegasos keeps each
+# weight within 1/reg (unit-norm encodings, bias input 1), so reg's floor keeps
+# the model inside its float32 file.
 _MINIMUM = {
     "words": 1, "epochs": 1, "max_iters": 1, "subsample": 1, "pca_dim": 1,
-    "seed": 0, "tol": 0, "epsilon": 0,
+    "seed": 0, "tol": 0, "epsilon": 0, "reg": 1 / float(np.finfo(np.float32).max),
 }
 
 
@@ -60,8 +62,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not low <= value < math.inf:
                 raise ParseError(f"{name} must be finite and at least {low}, got {value}")
-        if not 0 < self.reg < math.inf:
-            raise ParseError(f"reg must be finite and positive, got {self.reg}")
+        if self.subsample is not None and self.subsample < self.words:
+            raise ParseError(f"subsample {self.subsample} is below words {self.words}")
         self.pyramid_spec()  # a bad pyramid text fails here, before any stage runs
 
     def pyramid_spec(self) -> PyramidSpec | None:
@@ -163,12 +165,9 @@ def load_model(path) -> LinearModel:
     return LinearModel(weights.astype(np.float64), biases.astype(np.float64))
 
 
-def load_descriptor_stack(manifest: DatasetManifest, manifest_path) -> np.ndarray:
+def load_descriptor_stack(manifest: DatasetManifest) -> np.ndarray:
     """All descriptors from every manifest entry, stacked row-wise."""
-    blocks = [
-        read_feature_map(resolve_entry(manifest_path, rel)).descriptors()
-        for rel, _ in manifest.entries
-    ]
+    blocks = [read_feature_map(path).descriptors() for path in manifest.paths()]
     return np.vstack(blocks).astype(np.float64)
 
 
@@ -186,29 +185,25 @@ def encode_entry(
 
 def encode_manifest(
     manifest: DatasetManifest,
-    manifest_path,
     dictionary: Dictionary,
     transform: WhiteningTransform | None,
     config: PipelineConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    encodings = []
-    labels = []
-    for rel, label in manifest.entries:
-        fmap = read_feature_map(resolve_entry(manifest_path, rel))
-        encodings.append(encode_entry(fmap, dictionary, transform, config))
-        labels.append(label)
-    return np.stack(encodings), np.array(labels, dtype=int)
+    encodings = [
+        encode_entry(read_feature_map(path), dictionary, transform, config)
+        for path in manifest.paths()
+    ]
+    return np.stack(encodings), np.array([label for _, label in manifest.entries], dtype=int)
 
 
 def train_dictionary(
     manifest: DatasetManifest,
-    manifest_path,
     transform: WhiteningTransform | None,
     config: PipelineConfig,
 ) -> tuple[Dictionary, KmeansReport]:
     """k-means over the manifest's descriptors, whitened by transform when
     given and subsampled to config.subsample (None = 256 * words)."""
-    descriptors = load_descriptor_stack(manifest, manifest_path)
+    descriptors = load_descriptor_stack(manifest)
     if transform is not None:
         descriptors = whitening.apply_whitening_batch(transform, descriptors)
     cap = config.subsample if config.subsample is not None else 256 * config.words
@@ -224,38 +219,33 @@ def evaluate(model: LinearModel, encodings: np.ndarray, labels: np.ndarray) -> E
 
 # -- the pipeline ------------------------------------------------------------
 
-def cache_dir(config: PipelineConfig, train_manifest_path, test_manifest_path, work_dir) -> Path:
+def cache_dir(config: PipelineConfig, train_path, test_path, work_dir) -> Path:
     """The cache directory under work_dir for one config and manifest pair."""
     payload = (
         config_to_text(config).encode()
-        + Path(train_manifest_path).read_bytes()
-        + Path(test_manifest_path).read_bytes()
+        + Path(train_path).read_bytes()
+        + Path(test_path).read_bytes()
     )
     return Path(work_dir) / f"cache_{fnv1a64(payload):016x}"
 
 
-def run_pipeline(
-    config: PipelineConfig,
-    train_manifest_path,
-    test_manifest_path,
-    work_dir,
-) -> EvalReport:
+def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> EvalReport:
     """fit whitening -> train codebook -> encode -> train -> evaluate,
     reusing any cached artifacts under work_dir whose headers match. Each
     stage writes its artifact if absent, then loads the stored float32 copy."""
     # Checked before any stage runs, so a bad config leaves no artifact behind.
     assignment.validate(config, config.words)
-    cache = cache_dir(config, train_manifest_path, test_manifest_path, work_dir)
+    cache = cache_dir(config, train_path, test_path, work_dir)
     cache.mkdir(parents=True, exist_ok=True)
 
-    train_manifest = fileio.load_manifest(train_manifest_path)
-    test_manifest = fileio.load_manifest(test_manifest_path)
+    train_manifest = fileio.load_manifest(train_path)
+    test_manifest = fileio.load_manifest(test_path)
 
     transform = None
     transform_path = cache / "transform.vlw"
     if config.whiten:
         if not transform_path.exists():
-            descriptors = load_descriptor_stack(train_manifest, train_manifest_path)
+            descriptors = load_descriptor_stack(train_manifest)
             fitted = fit_whitening(descriptors, config.pca_dim, config.epsilon)
             del descriptors  # freed before train_dictionary loads its own copy
             fileio.write_whitening(fitted.mean, fitted.projection, transform_path)
@@ -263,7 +253,7 @@ def run_pipeline(
 
     dict_path = cache / "dictionary.vld"
     if not dict_path.exists():
-        trained, _ = train_dictionary(train_manifest, train_manifest_path, transform, config)
+        trained, _ = train_dictionary(train_manifest, transform, config)
         fileio.write_dictionary(trained.centers, dict_path)
     dictionary = load_dictionary(dict_path)
     if dictionary.num_words != config.words:
@@ -275,21 +265,20 @@ def run_pipeline(
             f"dictionary dim {dictionary.dim} != whitening output {transform.output_dim}"
         )
 
-    def encoded_split(manifest, manifest_path, tag):
+    def encoded_split(manifest, tag):
         enc_dir = cache / f"enc_{tag}"
         enc_dir.mkdir(exist_ok=True)
-        rows, labels = [], []
-        for idx, (rel, label) in enumerate(manifest.entries):
+        rows = []
+        for idx, (rel, _) in enumerate(manifest.entries):
             enc_path = enc_dir / f"{idx:06d}.vle"
-            if not enc_path.exists():
-                fmap = read_feature_map(resolve_entry(manifest_path, rel))
+            if not enc_path.exists():  # the image path is built on a miss only: warm runs skip it
+                fmap = read_feature_map(manifest.root / rel)
                 fileio.write_encoding(encode_entry(fmap, dictionary, transform, config), enc_path)
             rows.append(fileio.read_encoding(enc_path).astype(np.float64))
-            labels.append(label)
-        return np.stack(rows), np.array(labels, dtype=int)
+        return np.stack(rows), np.array([label for _, label in manifest.entries], dtype=int)
 
-    train_x, train_y = encoded_split(train_manifest, train_manifest_path, "train")
-    test_x, test_y = encoded_split(test_manifest, test_manifest_path, "test")
+    train_x, train_y = encoded_split(train_manifest, "train")
+    test_x, test_y = encoded_split(test_manifest, "test")
 
     model_path = cache / "model.vlm"
     if not model_path.exists():
@@ -316,23 +305,20 @@ def run_bench(
     modes: list[str],
     pyramids: list[str],
     config: PipelineConfig,
-    train_manifest_path,
-    test_manifest_path,
+    train_path,
+    test_path,
     work_dir,
     timing_reps: int = 5,
 ) -> list[BenchRow]:
     rows = []
-    test_manifest = fileio.load_manifest(test_manifest_path)
+    sample = read_feature_map(fileio.load_manifest(test_path).paths()[0])
     for mode in modes:
         for pyramid in pyramids:
             combo = replace(config, mode=mode, pyramid=_parse_value(_FIELDS["pyramid"], pyramid))
-            report = run_pipeline(combo, train_manifest_path, test_manifest_path, work_dir)
-            cache = cache_dir(combo, train_manifest_path, test_manifest_path, work_dir)
+            report = run_pipeline(combo, train_path, test_path, work_dir)
+            cache = cache_dir(combo, train_path, test_path, work_dir)
             dictionary = load_dictionary(cache / "dictionary.vld")
             transform = load_transform(cache / "transform.vlw") if combo.whiten else None
-            sample = read_feature_map(
-                resolve_entry(test_manifest_path, test_manifest.entries[0][0])
-            )
             times = []
             for _ in range(timing_reps):
                 start = time.perf_counter()

@@ -99,13 +99,13 @@ def _descriptor_signal_images(spec: SynthSpec, rng: np.random.Generator):
     for c in range(spec.num_classes):
         counts = _largest_remainder_counts(n, proportions[c])
         base = np.repeat(np.arange(spec.num_classes), counts)
-        for _ in range(spec.images_per_class):
+        for i in range(spec.images_per_class):
             noise = rng.normal(size=(n, spec.dim)) * spec.noise_sigma
             desc = components[base] + offsets[c] + noise
             placement = rng.permutation(n)
             grid = np.empty((n, spec.dim))
             grid[placement] = desc
-            yield c, grid.reshape(spec.grid_h, spec.grid_w, spec.dim)
+            yield c, i, grid.reshape(spec.grid_h, spec.grid_w, spec.dim)
 
 
 def _spatial_signal_images(spec: SynthSpec, rng: np.random.Generator):
@@ -143,25 +143,15 @@ def synth_dataset(spec: SynthSpec, out_dir) -> DatasetManifest:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
+    spatial = spec.mode == "spatial-signal"
+    images = _spatial_signal_images if spatial else _descriptor_signal_images
     entries = []
-    if spec.mode == "descriptor-signal":
-        per_class_counter = [0] * spec.num_classes
-        for c, grid in _descriptor_signal_images(spec, rng):
-            i = per_class_counter[c]
-            per_class_counter[c] += 1
-            name = f"c{c:03d}_i{i:04d}.vlf"
-            write_feature_map(FeatureMap(grid.astype(np.float32)), out_dir / name)
-            entries.append((name, c))
-    else:
-        named = {}
-        for c, i, grid in _spatial_signal_images(spec, rng):
-            name = f"c{c:03d}_i{i:04d}.vlf"
-            write_feature_map(FeatureMap(grid.astype(np.float32)), out_dir / name)
-            named[(c, i)] = name
-        for c in range(spec.num_classes):
-            for i in range(spec.images_per_class):
-                entries.append((named[(c, i)], c))
-    manifest = DatasetManifest(tuple(entries), spec.num_classes)
+    for c, i, grid in images(spec, rng):
+        name = f"c{c:03d}_i{i:04d}.vlf"
+        write_feature_map(FeatureMap(grid.astype(np.float32)), out_dir / name)
+        entries.append((c, i, name))
+    entries = [(name, c) for c, _, name in sorted(entries)]  # by class, then image
+    manifest = DatasetManifest(tuple(entries), spec.num_classes, out_dir)
     save_manifest(manifest, out_dir / "manifest.tsv")
     return manifest
 
@@ -183,6 +173,6 @@ def split_manifest(
     if not train or not test:  # load_manifest rejects an empty manifest
         raise ParseError(f"per_class {per_class} empties the {'test' if train else 'train'} split")
     return (
-        DatasetManifest(tuple(train), manifest.num_classes),
-        DatasetManifest(tuple(test), manifest.num_classes),
+        DatasetManifest(tuple(train), manifest.num_classes, manifest.root),
+        DatasetManifest(tuple(test), manifest.num_classes, manifest.root),
     )

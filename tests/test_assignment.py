@@ -127,6 +127,14 @@ def test_validate_rejects_nan_and_out_of_range_parameters():
     validate(PipelineConfig(mode="hard", beta=nan, knn=0, lam=nan, sigma=nan), 2)
 
 
+def test_soft_huge_finite_beta_keeps_weights_finite():
+    # -beta * d2 alone overflows to -inf for every word, and -inf - -inf is NaN.
+    d = Dictionary(centers=np.array([[0.0], [3.0]]))
+    for mode in ("sa", "lsa"):
+        got = weight_matrix(d, np.array([[5.0]]), PipelineConfig(mode=mode, beta=1e308, knn=2))
+        assert np.array_equal(got, [[0.0, 1.0]])
+
+
 def test_soft_shift_invariance():
     # Adding a constant to every squared distance leaves softmax unchanged;
     # realized geometrically by appending an orthogonal coordinate.

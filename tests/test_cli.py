@@ -35,9 +35,7 @@ def workspace(tmp_path_factory):
 def test_synth_writes_manifest_and_maps(workspace):
     manifest = fileio.load_manifest(workspace / "data" / "manifest.tsv")
     assert len(manifest.entries) == 24
-    fmap = fileio.read_feature_map(
-        fileio.resolve_entry(workspace / "data" / "manifest.tsv", manifest.entries[0][0])
-    )
+    fmap = fileio.read_feature_map(manifest.paths()[0])
     assert fmap.descriptors().shape == (16, 6)
 
 
@@ -58,7 +56,7 @@ def test_preprocess_fit_and_apply(workspace):
     assert mean.shape == (6,)
     assert projection.shape == (6, 6)
     manifest = fileio.load_manifest(workspace / "data" / "train.tsv")
-    src = fileio.resolve_entry(workspace / "data" / "train.tsv", manifest.entries[0][0])
+    src = manifest.paths()[0]
     dst = workspace / "whitened.vlf"
     assert main([
         "preprocess", "apply", "--transform", str(out),
@@ -82,7 +80,7 @@ def test_codebook_train(workspace):
 
 def test_encode_single_map(workspace):
     manifest = fileio.load_manifest(workspace / "data" / "train.tsv")
-    src = fileio.resolve_entry(workspace / "data" / "train.tsv", manifest.entries[0][0])
+    src = manifest.paths()[0]
     out = workspace / "one.vle"
     assert main([
         "encode", "--dict", str(workspace / "dictionary.vld"),
@@ -96,7 +94,7 @@ def test_encode_single_map(workspace):
 
 def test_encode_with_pyramid_length(workspace):
     manifest = fileio.load_manifest(workspace / "data" / "train.tsv")
-    src = fileio.resolve_entry(workspace / "data" / "train.tsv", manifest.entries[0][0])
+    src = manifest.paths()[0]
     out = workspace / "pyr.vle"
     assert main([
         "encode", "--dict", str(workspace / "dictionary.vld"),
@@ -172,7 +170,7 @@ def test_usage_errors_exit_1(capsys):
 def test_data_errors_exit_2(workspace, tmp_path, capsys):
     missing = tmp_path / "missing.vld"
     manifest = fileio.load_manifest(workspace / "data" / "train.tsv")
-    src = fileio.resolve_entry(workspace / "data" / "train.tsv", manifest.entries[0][0])
+    src = manifest.paths()[0]
     assert main([
         "encode", "--dict", str(missing), "--in", str(src),
         "--out", str(tmp_path / "x.vle"),
@@ -210,11 +208,13 @@ BAD_CONFIGS = {
     "reg_negative": "reg = -1\nwords = 4\n",
     "reg_nan": "reg = nan\nwords = 4\n",
     "reg_inf": "reg = inf\nwords = 4\n",
+    "reg_tiny": "reg = 1e-320\nwords = 4\n",
     "tol_negative": "tol = -1\nwords = 4\n",
     "tol_nan": "tol = nan\nwords = 4\n",
     "seed_negative": "seed = -1\nwords = 4\n",
     "subsample_0": "subsample = 0\nwords = 4\n",
     "subsample_negative": "subsample = -5\nwords = 4\n",
+    "subsample_below_words": "subsample = 4\nwords = 8\n",
     "pca_dim_0": "pca_dim = 0\nwords = 4\n",
     "epsilon_negative": "epsilon = -1e-9\nwords = 4\n",
     "epsilon_nan": "epsilon = nan\nwords = 4\n",
@@ -308,9 +308,7 @@ def _required_args(command, workspace, stages, out):
     """The required arguments of a subcommand, writing its output to out."""
     data = workspace / "data"
     encoder = ["--dict", str(stages / "d.vld"), "--transform", str(stages / "t.vlw")]
-    image = fileio.resolve_entry(
-        data / "test.tsv", fileio.load_manifest(data / "test.tsv").entries[0][0]
-    )
+    image = fileio.load_manifest(data / "test.tsv").paths()[0]
     return {
         "encode": ["encode", *encoder, "--in", str(image), "--out", str(out)],
         "train": ["train", "--manifest", str(data / "train.tsv"), *encoder, "--out", str(out)],

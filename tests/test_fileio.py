@@ -137,3 +137,11 @@ def test_manifest_save_roundtrip(tmp_path):
     path = tmp_path / "m.tsv"
     fileio.save_manifest(manifest, path)
     assert fileio.load_manifest(path) == manifest
+
+
+def test_manifest_paths_start_at_its_directory(tmp_path):
+    elsewhere = tmp_path / "elsewhere" / "b.vlf"
+    path = tmp_path / "sub" / "m.tsv"
+    path.parent.mkdir()
+    path.write_text(f"a.vlf\t0\n{elsewhere}\t1\n")
+    assert fileio.load_manifest(path).paths() == [tmp_path / "sub" / "a.vlf", elsewhere]

@@ -73,3 +73,11 @@ def test_split_counts_and_disjoint(tmp_path):
     assert set(train.entries).isdisjoint(test.entries)
     for c in range(2):
         assert sum(1 for _, label in train.entries if label == c) == 4
+
+
+def test_synth_and_split_manifests_point_at_the_written_maps(tmp_path):
+    spec = SynthSpec(num_classes=2, images_per_class=3, grid_h=2, grid_w=2, dim=2)
+    manifest = synth_dataset(spec, tmp_path / "data")
+    assert manifest.paths() == fileio.load_manifest(tmp_path / "data" / "manifest.tsv").paths()
+    for part in (manifest, *split_manifest(manifest, per_class=1, seed=0)):
+        assert all(path.is_file() for path in part.paths())
