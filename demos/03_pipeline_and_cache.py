@@ -39,7 +39,7 @@ second = run_pipeline(config, root / "train.tsv", root / "test.tsv", work)
 t2 = time.perf_counter()
 
 cache = next(work.glob("cache_*"))
-artifacts = sorted(p.name for p in cache.iterdir())
+artifacts = sorted(p.name for p in cache.iterdir() if p.name != "complete")
 print(f"\ncache directory {cache.name} holds {len(artifacts)} artifacts, e.g. "
       f"{artifacts[:3]} ...")
 print(f"first run:  accuracy={first.accuracy:.3f}  ({t1 - t0:.2f}s, cold)")

@@ -217,9 +217,9 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    manifest = fileio.load_manifest(args.manifest)
+    descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
     transform = load_transform(args.transform) if args.transform is not None else None
-    dictionary, report = train_dictionary(manifest, transform, _config(args))
+    dictionary, report = train_dictionary(descriptors, transform, _config(args))
     fileio.write_dictionary(dictionary.centers, args.out)
     print(
         f"trained {dictionary.num_words} words in {report.iterations} iterations"

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import shutil
 import time
 from dataclasses import Field, dataclass, fields, replace
 from pathlib import Path
@@ -120,15 +121,9 @@ def parse_config_text(text: str) -> PipelineConfig:
         if key not in _FIELDS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         values[key] = value
-    return config_from_strings(values)
-
-
-def config_from_strings(values: dict[str, str]) -> PipelineConfig:
-    """A config from config-text keys and values; absent keys keep their
-    defaults."""
-    try:
+    try:  # absent keys keep their defaults
         return PipelineConfig(
-            **{_FIELDS[key].name: _parse_value(_FIELDS[key], text) for key, text in values.items()}
+            **{_FIELDS[k].name: _parse_value(_FIELDS[k], v) for k, v in values.items()}
         )
     except ValueError as exc:
         raise ParseError(f"bad config value: {exc}") from None
@@ -197,13 +192,12 @@ def encode_manifest(
 
 
 def train_dictionary(
-    manifest: DatasetManifest,
+    descriptors: np.ndarray,
     transform: WhiteningTransform | None,
     config: PipelineConfig,
 ) -> tuple[Dictionary, KmeansReport]:
-    """k-means over the manifest's descriptors, whitened by transform when
+    """k-means over the (N, D) descriptors, whitened by transform when
     given and subsampled to config.subsample (None = 256 * words)."""
-    descriptors = load_descriptor_stack(manifest)
     if transform is not None:
         descriptors = whitening.apply_whitening_batch(transform, descriptors)
     cap = config.subsample if config.subsample is not None else 256 * config.words
@@ -229,33 +223,58 @@ def cache_dir(config: PipelineConfig, train_path, test_path, work_dir) -> Path:
     return Path(work_dir) / f"cache_{fnv1a64(payload):016x}"
 
 
+def _read_split(cache: Path, manifest: DatasetManifest, tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """A split's cached encodings, widened to float64, and its labels."""
+    rows = [
+        fileio.read_encoding(cache / f"enc_{tag}" / f"{idx:06d}.vle").astype(np.float64)
+        for idx in range(len(manifest.entries))
+    ]
+    return np.stack(rows), np.array([label for _, label in manifest.entries], dtype=int)
+
+
+def _build_cache(cache: Path, config: PipelineConfig, train_manifest, test_manifest) -> None:
+    """Write every artifact into the empty cache directory, the `complete`
+    marker last. Each stage uses the stored float32 copy of the one before."""
+    descriptors = load_descriptor_stack(train_manifest)
+    transform = None
+    if config.whiten:
+        fitted = fit_whitening(descriptors, config.pca_dim, config.epsilon)
+        fileio.write_whitening(fitted.mean, fitted.projection, cache / "transform.vlw")
+        transform = load_transform(cache / "transform.vlw")
+    trained, _ = train_dictionary(descriptors, transform, config)
+    del descriptors  # freed before the encodings are built
+    fileio.write_dictionary(trained.centers, cache / "dictionary.vld")
+    dictionary = load_dictionary(cache / "dictionary.vld")
+    for manifest, tag in ((train_manifest, "train"), (test_manifest, "test")):
+        (cache / f"enc_{tag}").mkdir()
+        for idx, path in enumerate(manifest.paths()):
+            values = encode_entry(read_feature_map(path), dictionary, transform, config)
+            fileio.write_encoding(values, cache / f"enc_{tag}" / f"{idx:06d}.vle")
+    model = train_ovr(*_read_split(cache, train_manifest, "train"), config)
+    fileio.write_model(model.weights, model.biases, cache / "model.vlm")
+    (cache / "complete").touch()
+
+
 def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> EvalReport:
-    """fit whitening -> train codebook -> encode -> train -> evaluate,
-    reusing any cached artifacts under work_dir whose headers match. Each
-    stage writes its artifact if absent, then loads the stored float32 copy."""
+    """fit whitening -> train codebook -> encode -> train -> evaluate. A cache
+    directory without its `complete` marker is deleted and built afresh (or
+    not at all, if the build raises); then the stored artifacts are read."""
     # Checked before any stage runs, so a bad config leaves no artifact behind.
     assignment.validate(config, config.words)
     cache = cache_dir(config, train_path, test_path, work_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-
     train_manifest = fileio.load_manifest(train_path)
     test_manifest = fileio.load_manifest(test_path)
+    if not (cache / "complete").exists():
+        shutil.rmtree(cache, ignore_errors=True)
+        cache.mkdir(parents=True)
+        try:
+            _build_cache(cache, config, train_manifest, test_manifest)
+        except BaseException:
+            shutil.rmtree(cache, ignore_errors=True)
+            raise
 
-    transform = None
-    transform_path = cache / "transform.vlw"
-    if config.whiten:
-        if not transform_path.exists():
-            descriptors = load_descriptor_stack(train_manifest)
-            fitted = fit_whitening(descriptors, config.pca_dim, config.epsilon)
-            del descriptors  # freed before train_dictionary loads its own copy
-            fileio.write_whitening(fitted.mean, fitted.projection, transform_path)
-        transform = load_transform(transform_path)
-
-    dict_path = cache / "dictionary.vld"
-    if not dict_path.exists():
-        trained, _ = train_dictionary(train_manifest, transform, config)
-        fileio.write_dictionary(trained.centers, dict_path)
-    dictionary = load_dictionary(dict_path)
+    transform = load_transform(cache / "transform.vlw") if config.whiten else None
+    dictionary = load_dictionary(cache / "dictionary.vld")
     if dictionary.num_words != config.words:
         raise CacheMismatch(
             f"cached dictionary has {dictionary.num_words} words, config wants {config.words}"
@@ -264,29 +283,10 @@ def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> Eva
         raise CacheMismatch(
             f"dictionary dim {dictionary.dim} != whitening output {transform.output_dim}"
         )
-
-    def encoded_split(manifest, tag):
-        enc_dir = cache / f"enc_{tag}"
-        enc_dir.mkdir(exist_ok=True)
-        rows = []
-        for idx, (rel, _) in enumerate(manifest.entries):
-            enc_path = enc_dir / f"{idx:06d}.vle"
-            if not enc_path.exists():  # the image path is built on a miss only: warm runs skip it
-                fmap = read_feature_map(manifest.root / rel)
-                fileio.write_encoding(encode_entry(fmap, dictionary, transform, config), enc_path)
-            rows.append(fileio.read_encoding(enc_path).astype(np.float64))
-        return np.stack(rows), np.array([label for _, label in manifest.entries], dtype=int)
-
-    train_x, train_y = encoded_split(train_manifest, "train")
-    test_x, test_y = encoded_split(test_manifest, "test")
-
-    model_path = cache / "model.vlm"
-    if not model_path.exists():
-        trained = train_ovr(train_x, train_y, config)
-        fileio.write_model(trained.weights, trained.biases, model_path)
-    model = load_model(model_path)
-    if model.dim != train_x.shape[1]:
-        raise CacheMismatch(f"cached model dim {model.dim} != encoding dim {train_x.shape[1]}")
+    model = load_model(cache / "model.vlm")
+    test_x, test_y = _read_split(cache, test_manifest, "test")
+    if model.dim != test_x.shape[1]:
+        raise CacheMismatch(f"cached model dim {model.dim} != encoding dim {test_x.shape[1]}")
     return evaluate(model, test_x, test_y)
 
 

@@ -68,10 +68,17 @@ def fit_whitening(
     return WhiteningTransform(mean=mean, projection=projection)
 
 
+# Below this norm the squares may have underflowed ([1e-170] has norm 0).
+_TINY_NORM = 1e-150
+
+
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """v / ||v||_2, leaving the zero vector unchanged."""
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
+    if norm < _TINY_NORM and np.count_nonzero(v):
+        v = v * 2.0**600  # a power of two: exact, and every square is then in range
+        norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return v.copy()
     return v / norm
@@ -80,7 +87,12 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
+    zero = norms < _TINY_NORM  # all-zero rows, unless a tiny row is nonzero
+    if np.count_nonzero(zero) and np.count_nonzero(x[zero[..., 0]]):
+        x = np.where(zero, x * 2.0**600, x)
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
     return x / safe
 
 

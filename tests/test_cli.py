@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -240,6 +241,77 @@ def test_pipeline_bad_config_exits_before_any_stage(text, tmp_path, workspace, c
     ]) == 2
     assert "error" in capsys.readouterr().err
     assert not [path for path in work.rglob("*") if path.is_file()]
+
+
+def _pipeline(text, data, work, tmp_path):
+    config = tmp_path / "config"
+    config.write_text(text)
+    return main([
+        "pipeline", "--config", str(config),
+        "--train-manifest", str(data / "train.tsv"),
+        "--test-manifest", str(data / "test.tsv"),
+        "--work-dir", str(work),
+    ])
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+SMALL_RUN = "mode = sa\nwords = 4\nepochs = 5\n"
+
+
+def test_pipeline_failed_write_leaves_no_cache(workspace, tmp_path, monkeypatch, capsys):
+    data = workspace / "data"
+    assert _pipeline(SMALL_RUN, data, tmp_path / "clean", tmp_path) == 0
+    write_encoding = fileio.write_encoding
+    written = []
+
+    def write_half_then_fail(values, path):
+        """The 5th encoding is cut to half its length, then the write raises."""
+        write_encoding(values, path)
+        written.append(path)
+        if len(written) == 5:
+            os.truncate(path, os.path.getsize(path) // 2)
+            raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "write_encoding", write_half_then_fail)
+    assert _pipeline(SMALL_RUN, data, tmp_path / "work", tmp_path) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert not list((tmp_path / "work").iterdir())
+    monkeypatch.undo()
+    assert _pipeline(SMALL_RUN, data, tmp_path / "work", tmp_path) == 0
+    assert _files(tmp_path / "work") == _files(tmp_path / "clean")
+
+
+def test_pipeline_rebuilds_a_cache_without_its_marker(workspace, tmp_path, capsys):
+    """A killed run leaves no `complete` marker and maybe a truncated file."""
+    data = workspace / "data"
+    assert _pipeline(SMALL_RUN, data, tmp_path / "clean", tmp_path) == 0
+    shutil.copytree(tmp_path / "clean", tmp_path / "killed")
+    (cache,) = (tmp_path / "killed").glob("cache_*")
+    (cache / "complete").unlink()
+    encoding = cache / "enc_test" / "000001.vle"
+    os.truncate(encoding, os.path.getsize(encoding) // 2)
+    assert _pipeline(SMALL_RUN, data, tmp_path / "killed", tmp_path) == 0
+    assert _files(tmp_path / "killed") == _files(tmp_path / "clean")
+    capsys.readouterr()
+
+
+def test_pipeline_more_words_than_descriptors_leaves_no_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main([
+        "synth", "--classes", "3", "--per-class", "6", "--height", "3", "--width", "3",
+        "--dim", "4", "--out-dir", str(data),
+    ]) == 0
+    assert main([
+        "split", "--manifest", str(data / "manifest.tsv"), "--per-class", "3",
+        "--out-train", str(data / "train.tsv"), "--out-test", str(data / "test.tsv"),
+    ]) == 0
+    # 9 training images of 3x3 descriptors: k-means gets 81 points.
+    assert _pipeline("words = 200\n", data, tmp_path / "work", tmp_path) == 2
+    assert "81 points < 200" in capsys.readouterr().err
+    assert not [path for path in (tmp_path / "work").rglob("*") if path.is_file()]
 
 
 def test_out_of_range_flags_exit_before_writing(workspace, tmp_path, capsys):

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vladkit import errors
-from vladkit.whitening import WhiteningTransform, apply_whitening_batch, fit_whitening, l2_normalize
+from vladkit.whitening import (
+    WhiteningTransform,
+    apply_whitening_batch,
+    fit_whitening,
+    l2_normalize,
+    l2_normalize_rows,
+)
 
 
 def test_l2_normalize_hand():
@@ -15,7 +21,17 @@ def test_l2_normalize_zero_vector():
     assert l2_normalize(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
 
+def test_l2_normalize_tiny_nonzero_vector():
+    # The squares underflow: [1e-170] has np.linalg.norm 0.
+    expected = np.array([2.0, -1.0]) / np.sqrt(5.0)
+    tiny = np.array([1e-170, -5e-171])
+    assert np.allclose(l2_normalize(tiny), expected, rtol=1e-12, atol=0)
+    rows = l2_normalize_rows(np.stack([tiny, np.zeros(2), [3.0, 4.0]]))
+    assert np.allclose(rows, [expected, [0.0, 0.0], [0.6, 0.8]], rtol=1e-12, atol=0)
+
+
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=16))
+@example([2.526717253313682e-161])  # its square is subnormal: the norm came out 1.00085
 def test_l2_normalize_norm_and_idempotence(values):
     v = np.array(values)
     out = l2_normalize(v)
