@@ -1,8 +1,9 @@
 """Walkthrough: the end-to-end pipeline, its config file, and artifact caching.
 
 Runs the same pipeline twice against one work directory and shows that the
-second run reuses the cached whitening transform, dictionary, per-image
-encodings, and model, producing the identical result.
+second run reuses the cached whitening transform, dictionary, model, and
+per-image test encodings, producing the identical result. The training
+encodings are not cached: they are used once, to train the model.
 
 Run: python3 demos/03_pipeline_and_cache.py
 """

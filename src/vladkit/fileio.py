@@ -73,6 +73,10 @@ class DatasetManifest:
         """Each entry's feature-map file; an absolute entry stays as it is."""
         return [self.root / rel for rel, _ in self.entries]
 
+    def labels(self) -> np.ndarray:
+        """Each entry's label, in manifest order."""
+        return np.array([label for _, label in self.entries], dtype=int)
+
 
 def _read_exact(f, n: int, path) -> bytes:
     buf = f.read(n)
@@ -208,25 +212,33 @@ def write_model(weights: np.ndarray, biases: np.ndarray, path) -> None:
 
 # -- manifests ---------------------------------------------------------------
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents, with universal newlines."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     entries = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'path<TAB>label'")
-            rel, label_text = parts
-            try:
-                label = int(label_text)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad label {label_text!r}")
-            if label < 0:
-                raise NegativeLabel(f"{path}:{lineno}: label {label} < 0")
-            entries.append((rel, label))
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'path<TAB>label'")
+        rel, label_text = parts
+        if "\0" in rel:
+            raise ParseError(f"{path}:{lineno}: NUL byte in path {rel!r}")
+        try:
+            label = int(label_text)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad label {label_text!r}")
+        if label < 0:
+            raise NegativeLabel(f"{path}:{lineno}: label {label} < 0")
+        entries.append((rel, label))
     if not entries:
         raise ParseError(f"{path}: empty manifest")
     num_classes = 1 + max(label for _, label in entries)

@@ -130,7 +130,7 @@ def parse_config_text(text: str) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(fileio.read_text(path))
 
 
 def fnv1a64(data: bytes) -> int:
@@ -184,11 +184,13 @@ def encode_manifest(
     transform: WhiteningTransform | None,
     config: PipelineConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    encodings = [
-        encode_entry(read_feature_map(path), dictionary, transform, config)
+    """Each entry's encoding, rounded to the float32 that a `.vle` stores,
+    as an (N, dim) float64 array, and the entries' labels."""
+    rows = [
+        encode_entry(read_feature_map(path), dictionary, transform, config).astype(np.float32)
         for path in manifest.paths()
     ]
-    return np.stack(encodings), np.array([label for _, label in manifest.entries], dtype=int)
+    return np.array(rows, dtype=np.float64), manifest.labels()
 
 
 def train_dictionary(
@@ -214,27 +216,23 @@ def evaluate(model: LinearModel, encodings: np.ndarray, labels: np.ndarray) -> E
 # -- the pipeline ------------------------------------------------------------
 
 def cache_dir(config: PipelineConfig, train_path, test_path, work_dir) -> Path:
-    """The cache directory under work_dir for one config and manifest pair."""
-    payload = (
-        config_to_text(config).encode()
-        + Path(train_path).read_bytes()
-        + Path(test_path).read_bytes()
-    )
+    """The cache directory under work_dir for one config and manifest pair:
+    the key covers each manifest's bytes and the directory its relative
+    entries are read from."""
+    payload = config_to_text(config).encode()
+    for path in (train_path, test_path):
+        payload += Path(path).read_bytes() + b"\0" + bytes(Path(path).parent.resolve()) + b"\0"
     return Path(work_dir) / f"cache_{fnv1a64(payload):016x}"
 
 
-def _read_split(cache: Path, manifest: DatasetManifest, tag: str) -> tuple[np.ndarray, np.ndarray]:
-    """A split's cached encodings, widened to float64, and its labels."""
-    rows = [
-        fileio.read_encoding(cache / f"enc_{tag}" / f"{idx:06d}.vle").astype(np.float64)
-        for idx in range(len(manifest.entries))
-    ]
-    return np.stack(rows), np.array([label for _, label in manifest.entries], dtype=int)
+def _test_encoding_paths(cache: Path, manifest: DatasetManifest) -> list[Path]:
+    """One `.vle` per test image, in manifest order."""
+    return [cache / "enc_test" / f"{idx:06d}.vle" for idx in range(len(manifest.entries))]
 
 
 def _build_cache(cache: Path, config: PipelineConfig, train_manifest, test_manifest) -> None:
     """Write every artifact into the empty cache directory, the `complete`
-    marker last. Each stage uses the stored float32 copy of the one before."""
+    marker last. The training encodings, read by no later run, stay in memory."""
     descriptors = load_descriptor_stack(train_manifest)
     transform = None
     if config.whiten:
@@ -245,13 +243,12 @@ def _build_cache(cache: Path, config: PipelineConfig, train_manifest, test_manif
     del descriptors  # freed before the encodings are built
     fileio.write_dictionary(trained.centers, cache / "dictionary.vld")
     dictionary = load_dictionary(cache / "dictionary.vld")
-    for manifest, tag in ((train_manifest, "train"), (test_manifest, "test")):
-        (cache / f"enc_{tag}").mkdir()
-        for idx, path in enumerate(manifest.paths()):
-            values = encode_entry(read_feature_map(path), dictionary, transform, config)
-            fileio.write_encoding(values, cache / f"enc_{tag}" / f"{idx:06d}.vle")
-    model = train_ovr(*_read_split(cache, train_manifest, "train"), config)
+    model = train_ovr(*encode_manifest(train_manifest, dictionary, transform, config), config)
     fileio.write_model(model.weights, model.biases, cache / "model.vlm")
+    test_x, _ = encode_manifest(test_manifest, dictionary, transform, config)
+    (cache / "enc_test").mkdir()
+    for values, path in zip(test_x, _test_encoding_paths(cache, test_manifest)):
+        fileio.write_encoding(values, path)
     (cache / "complete").touch()
 
 
@@ -284,10 +281,11 @@ def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> Eva
             f"dictionary dim {dictionary.dim} != whitening output {transform.output_dim}"
         )
     model = load_model(cache / "model.vlm")
-    test_x, test_y = _read_split(cache, test_manifest, "test")
-    if model.dim != test_x.shape[1]:
-        raise CacheMismatch(f"cached model dim {model.dim} != encoding dim {test_x.shape[1]}")
-    return evaluate(model, test_x, test_y)
+    rows = [fileio.read_encoding(path) for path in _test_encoding_paths(cache, test_manifest)]
+    dims = {row.size for row in rows}
+    if dims != {model.dim}:
+        raise CacheMismatch(f"cached model dim {model.dim} != encoding dims {sorted(dims)}")
+    return evaluate(model, np.array(rows, dtype=np.float64), test_manifest.labels())
 
 
 # -- benchmark harness -------------------------------------------------------

@@ -298,6 +298,94 @@ def test_pipeline_rebuilds_a_cache_without_its_marker(workspace, tmp_path, capsy
     capsys.readouterr()
 
 
+def _accuracy(out: str) -> str:
+    return [line for line in out.splitlines() if line.startswith("accuracy=")][-1]
+
+
+# Encoder settings given both as config lines and as the flags of `vladkit
+# train` and `vladkit evaluate`: one flat config, one pyramid.
+REPRODUCED = {
+    "flat": {"mode": "sa"},
+    "pyramid": {"mode": "lsa", "knn": "2", "pyramid": "a"},
+}
+
+
+@pytest.mark.parametrize("settings", REPRODUCED.values(), ids=REPRODUCED.keys())
+def test_train_and_evaluate_reproduce_the_pipeline(settings, workspace, tmp_path, capsys):
+    data = workspace / "data"
+    text = "words = 4\nepochs = 5\n" + "".join(f"{k} = {v}\n" for k, v in settings.items())
+    assert _pipeline(text, data, tmp_path / "work", tmp_path) == 0
+    accuracy = _accuracy(capsys.readouterr().out)
+    (cache,) = (tmp_path / "work").iterdir()
+    tests = len(fileio.load_manifest(data / "test.tsv").entries)
+    assert sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*") if p.is_file()) == (
+        ["complete", "dictionary.vld"] + [f"enc_test/{i:06d}.vle" for i in range(tests)]
+        + ["model.vlm", "transform.vlw"]
+    )
+
+    encoder = ["--dict", str(cache / "dictionary.vld"), "--transform", str(cache / "transform.vlw")]
+    for key, value in settings.items():
+        encoder += [f"--{key}", value]
+    assert main(["train", "--manifest", str(data / "train.tsv"), "--epochs", "5",
+                 "--out", str(tmp_path / "model.vlm")] + encoder) == 0
+    assert (tmp_path / "model.vlm").read_bytes() == (cache / "model.vlm").read_bytes()
+    assert main(["evaluate", "--manifest", str(data / "test.tsv"),
+                 "--model", str(cache / "model.vlm")] + encoder) == 0
+    assert _accuracy(capsys.readouterr().out) == accuracy
+
+
+def test_pipeline_cache_key_covers_the_manifests_directory(tmp_path, capsys):
+    """Two datasets whose manifests are byte-identical, sharing a work dir.
+    The noise makes the two score differently, so a shared cache shows."""
+    accuracies = {}
+    for seed in ("1", "2"):
+        data = tmp_path / f"seed{seed}"
+        assert main([
+            "synth", "--classes", "3", "--per-class", "8", "--height", "4", "--width", "4",
+            "--dim", "6", "--noise", "2", "--seed", seed, "--out-dir", str(data),
+        ]) == 0
+        assert main([
+            "split", "--manifest", str(data / "manifest.tsv"), "--per-class", "4",
+            "--out-train", str(data / "train.tsv"), "--out-test", str(data / "test.tsv"),
+        ]) == 0
+        for work in ("shared", f"fresh{seed}"):
+            assert _pipeline("mode = sa\nwords = 4\n", data, tmp_path / work, tmp_path) == 0
+            accuracies[seed, work] = _accuracy(capsys.readouterr().out)
+    for name in ("train.tsv", "test.tsv"):
+        assert (tmp_path / "seed1" / name).read_bytes() == (tmp_path / "seed2" / name).read_bytes()
+    assert accuracies["1", "fresh1"] != accuracies["2", "fresh2"]
+    assert len(list((tmp_path / "shared").iterdir())) == 2
+    for seed in ("1", "2"):
+        assert accuracies[seed, "shared"] == accuracies[seed, f"fresh{seed}"]
+
+
+# (config text, line appended to the training manifest, error message)
+TEXT_ERRORS = {
+    "config_not_utf8": (b"words = 4\n\xff\xfe\n", b"", "not UTF-8 text"),
+    "manifest_not_utf8": (b"words = 4\n", b"\xff\xfe\t0\n", "not UTF-8 text"),
+    "manifest_nul_in_path": (b"words = 4\n", b"c\x00.vlf\t0\n", "NUL byte in path"),
+}
+
+
+@pytest.mark.parametrize("case", TEXT_ERRORS.values(), ids=TEXT_ERRORS.keys())
+def test_pipeline_config_or_manifest_text_errors_exit_2(case, workspace, tmp_path, capsys):
+    config_text, train_line, message = case
+    data = workspace / "data"
+    train = data / "text-error.tsv"  # next to the feature maps its entries name
+    train.write_bytes((data / "train.tsv").read_bytes() + train_line)
+    (tmp_path / "config").write_bytes(config_text)
+    try:
+        assert main([
+            "pipeline", "--config", str(tmp_path / "config"),
+            "--train-manifest", str(train), "--test-manifest", str(data / "test.tsv"),
+            "--work-dir", str(tmp_path / "work"),
+        ]) == 2
+    finally:
+        train.unlink()
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
 def test_pipeline_more_words_than_descriptors_leaves_no_file(tmp_path, capsys):
     data = tmp_path / "data"
     assert main([

@@ -1,6 +1,6 @@
 """Fuzz of the command line: out-of-range and junk config values, and
-corrupted or truncated containers. Whatever the input, `main` returns 0, 1
-or 2; an exception that escapes it fails the test."""
+corrupted or truncated containers, config files and manifests. Whatever the
+input, `main` returns 0, 1 or 2; an exception that escapes it fails the test."""
 
 import shutil
 import tempfile
@@ -143,5 +143,34 @@ def test_corrupted_containers_never_escape_main(kind, data, artifacts, dataset, 
             codes.append(main(
                 ["evaluate", "--manifest", str(manifest), "--model", str(files["vlm"])] + flags
             ))
+        assert set(codes) <= {0, 1, 2}
+    capsys.readouterr()
+
+
+@FUZZ
+@given(kind=st.sampled_from(["config", "train", "test"]), data=st.data())
+def test_corrupted_config_and_manifests_never_escape_main(kind, data, artifacts, dataset, capsys):
+    originals = {"config": artifacts["config"], "train": dataset / "data" / "train.tsv",
+                 "test": dataset / "data" / "test.tsv"}
+    corruption = data.draw(corruptions(originals[kind].stat().st_size))
+    with tempfile.TemporaryDirectory(dir=dataset) as tmp:
+        tmp = Path(tmp)
+        # The manifest copies sit next to the originals, so entries resolve alike.
+        files = {"config": tmp / "config", "train": dataset / "data" / "fuzzed-train.tsv",
+                 "test": dataset / "data" / "fuzzed-test.tsv"}
+        for name, path in files.items():
+            shutil.copyfile(originals[name], path)
+        _corrupt(files[kind], corruption)
+        codes = [main([
+            "pipeline", "--config", str(files["config"]),
+            "--train-manifest", str(files["train"]), "--test-manifest", str(files["test"]),
+            "--work-dir", str(tmp / "work"),
+        ])]
+        if kind != "config":
+            codes.append(main([
+                "evaluate", "--manifest", str(files[kind]), "--model", str(artifacts["vlm"]),
+                "--dict", str(artifacts["vld"]), "--transform", str(artifacts["vlw"]),
+                "--mode", "lsa", "--knn", "2", "--pyramid", "1x2",
+            ]))
         assert set(codes) <= {0, 1, 2}
     capsys.readouterr()

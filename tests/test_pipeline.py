@@ -207,6 +207,17 @@ def test_pipeline_cache_mismatch_detected(dataset, tmp_path):
         run_pipeline(config, train_path, test_path, tmp_path)
 
 
+def test_pipeline_cached_encoding_of_another_length_detected(dataset, tmp_path):
+    train_path, test_path = dataset
+    config = small_config(mode="hard")
+    run_pipeline(config, train_path, test_path, tmp_path)
+    cache = next(tmp_path.glob("cache_*"))
+    # A well-formed container, one float short of the model's dim.
+    fileio.write_encoding(np.ones(6 * 6 - 1), cache / "enc_test" / "000001.vle")
+    with pytest.raises(CacheMismatch):
+        run_pipeline(config, train_path, test_path, tmp_path)
+
+
 def test_bench_cross_product(dataset, tmp_path):
     train_path, test_path = dataset
     rows = run_bench(
