@@ -1,0 +1,73 @@
+"""Print the sha256 of every dataset and cache file that a cold pipeline pass
+writes, and every test accuracy, for each perfbench workload config at seeds
+0..N-1. Two checkouts whose outputs are equal write the same bytes, so diffing
+the output of a change and of its parent checks a change meant to keep every
+artifact byte-identical. Run from anywhere:
+
+    python3 scripts/artifact_digests.py --seeds 3 > digests.txt
+
+One line per file or accuracy:
+
+    <workload> <seed> data <file> <sha256>
+    <workload> <seed> <config #> <path inside the cache directory> <sha256>
+    <workload> <seed> <config #> accuracy <accuracy>
+
+Each pass runs in a fresh temporary directory. A cache directory's name hashes
+the absolute directory of the manifests, so it is left out; the config number
+names it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _files(root: Path) -> list[Path]:
+    return sorted(p for p in root.rglob("*") if p.is_file())
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(prog="scripts/artifact_digests.py")
+    parser.add_argument("--seeds", type=int, default=3, help="run seeds 0..N-1")
+    args = parser.parse_args(argv)
+
+    # k-means is bit-reproducible only with single-threaded BLAS, so cap the
+    # threads before NumPy loads, as the benchmark does.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from make_dataset import make_dataset
+    from workloads import WORKLOADS
+
+    from vladkit import PipelineConfig, run_pipeline
+    from vladkit.pipeline import cache_dir
+
+    for name, workload in WORKLOADS.items():
+        for seed in range(args.seeds):
+            with tempfile.TemporaryDirectory() as tmp:
+                data, work = Path(tmp) / "data", Path(tmp) / "work"
+                train, test = make_dataset(workload.synth, workload.train_per_class, seed, data)
+                for path in _files(data):
+                    print(name, seed, "data", path.relative_to(data).as_posix(), _sha256(path))
+                for i, fields in enumerate(workload.configs):
+                    config = PipelineConfig(seed=seed, **fields)
+                    report = run_pipeline(config, train, test, work)
+                    cache = cache_dir(config, train, test, work)
+                    for path in _files(cache):
+                        print(name, seed, i, path.relative_to(cache).as_posix(), _sha256(path))
+                    print(name, seed, i, "accuracy", repr(report.accuracy), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -230,7 +230,7 @@ def _cmd_codebook(args) -> int:
 
 def _cmd_encode(args) -> int:
     dictionary = load_dictionary(args.dictionary)
-    transform = load_transform(args.transform) if args.transform else None
+    transform = load_transform(args.transform) if args.transform is not None else None
     fmap = read_feature_map(args.input)
     values = encode_entry(fmap, dictionary, transform, _config(args))
     fileio.write_encoding(values, args.out)
@@ -240,7 +240,7 @@ def _cmd_encode(args) -> int:
 def _encode_manifest(args, config: PipelineConfig):
     manifest = fileio.load_manifest(args.manifest)
     dictionary = load_dictionary(args.dictionary)
-    transform = load_transform(args.transform) if args.transform else None
+    transform = load_transform(args.transform) if args.transform is not None else None
     return encode_manifest(manifest, dictionary, transform, config)
 
 

@@ -60,9 +60,7 @@ def kmeans_init_plusplus(data: np.ndarray, m: int, seed: int) -> np.ndarray:
         if total <= 0.0:
             # All remaining points coincide with a chosen center; pick the
             # lowest-index unchosen point.
-            mask = np.ones(n, dtype=bool)
-            mask[chosen[:j]] = False
-            chosen[j] = int(np.flatnonzero(mask)[0])
+            chosen[j] = int(np.setdiff1d(np.arange(n), chosen[:j])[0])
         else:
             r = rng.random() * total
             chosen[j] = int(np.searchsorted(np.cumsum(closest), r, side="right"))
@@ -94,20 +92,19 @@ def kmeans_train(
             converged = True
             break
         prev = obj
-        new_centers = centers.copy()
+        # A stable sort keeps each word's members in index order, so every
+        # mean sums the same rows in the same order as a boolean mask would.
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], np.arange(m + 1)).tolist()
         for k in range(m):
-            members = labels == k
-            if members.any():
-                new_centers[k] = data[members].mean(axis=0)
-        # Reseed empty clusters at the point farthest from its own center.
-        empties = [k for k in range(m) if not (labels == k).any()]
-        if empties:
-            remaining = point_d2.copy()
-            for k in empties:
-                far = int(np.argmax(remaining))
-                new_centers[k] = data[far]
-                remaining[far] = -np.inf
-        centers = new_centers
+            if bounds[k] < bounds[k + 1]:
+                centers[k] = data[order[bounds[k]:bounds[k + 1]]].mean(axis=0)
+            else:
+                # Reseed an empty word at the point farthest from its own
+                # center that no earlier empty word took.
+                far = int(np.argmax(point_d2))
+                centers[k] = data[far]
+                point_d2[far] = -np.inf
     return Dictionary(centers=centers), KmeansReport(
         iterations=len(trace), objective_trace=tuple(trace), converged=converged
     )

@@ -66,8 +66,12 @@ class FeatureMap:
 @dataclass(frozen=True)
 class DatasetManifest:
     entries: tuple[tuple[str, int], ...]
-    num_classes: int
     root: Path = field(default=Path("."), compare=False)  # relative entries start here
+
+    @property
+    def num_classes(self) -> int:
+        """One more than the largest label; 0 without entries."""
+        return 1 + max((label for _, label in self.entries), default=-1)
 
     def paths(self) -> list[Path]:
         """Each entry's feature-map file; an absolute entry stays as it is."""
@@ -78,28 +82,20 @@ class DatasetManifest:
         return np.array([label for _, label in self.entries], dtype=int)
 
 
-def _read_exact(f, n: int, path) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncatedFile(f"{path}: expected {n} more bytes, got {len(buf)}")
-    return buf
-
-
 def _read_container(path, magic: bytes, n_header: int):
     """Return (header ints, float32 payload). Payload length is validated by
     the caller, but trailing garbage is rejected here."""
-    path = Path(path)
-    with open(path, "rb") as f:
-        got = f.read(4)
-        if got != magic:
-            raise BadMagic(f"{path}: expected magic {magic!r}, got {got!r}")
-        header = [
-            _U32.unpack(_read_exact(f, 4, path))[0] for _ in range(n_header)
-        ]
-        payload = f.read()
-    if len(payload) % 4 != 0:
+    with open(path, "rb") as f:  # not Path(path): Path("") is "." and hides the name given
+        data = f.read()
+    if data[:4] != magic:
+        raise BadMagic(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+    start = 4 + 4 * n_header
+    if len(data) < start:
+        raise TruncatedFile(f"{path}: header needs {start} bytes, file has {len(data)}")
+    if (len(data) - start) % 4 != 0:
         raise TruncatedFile(f"{path}: payload not a whole number of floats")
-    return header, np.frombuffer(payload, dtype="<f4")
+    header = list(struct.unpack_from(f"<{n_header}I", data, 4))
+    return header, np.frombuffer(data, dtype="<f4", offset=start)
 
 
 def _check_payload(path, floats: np.ndarray, expected: int) -> np.ndarray:
@@ -241,8 +237,7 @@ def load_manifest(path) -> DatasetManifest:
         entries.append((rel, label))
     if not entries:
         raise ParseError(f"{path}: empty manifest")
-    num_classes = 1 + max(label for _, label in entries)
-    return DatasetManifest(tuple(entries), num_classes, path.parent)
+    return DatasetManifest(tuple(entries), path.parent)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

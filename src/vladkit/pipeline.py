@@ -17,7 +17,7 @@ import numpy as np
 from . import assignment, fileio, whitening
 from .classifier import EvalReport, LinearModel, predict, tabulate, train_ovr
 from .codebook import Dictionary, KmeansReport, kmeans_train, subsample
-from .errors import CacheMismatch, ParseError
+from .errors import CacheMismatch, DimMismatch, ParseError
 from .fileio import DatasetManifest, read_feature_map
 from .spm import PyramidSpec, encode_spm, parse_pyramid
 from .vlad import NORM_SCHEMES, encode
@@ -163,7 +163,10 @@ def load_model(path) -> LinearModel:
 def load_descriptor_stack(manifest: DatasetManifest) -> np.ndarray:
     """All descriptors from every manifest entry, stacked row-wise."""
     blocks = [read_feature_map(path).descriptors() for path in manifest.paths()]
-    return np.vstack(blocks).astype(np.float64)
+    dims = sorted({block.shape[1] for block in blocks})
+    if len(dims) > 1:
+        raise DimMismatch(f"feature maps of one manifest have descriptor dims {dims}")
+    return np.concatenate(blocks, dtype=np.float64)
 
 
 def encode_entry(
@@ -306,7 +309,6 @@ def run_bench(
     train_path,
     test_path,
     work_dir,
-    timing_reps: int = 5,
 ) -> list[BenchRow]:
     rows = []
     sample = read_feature_map(fileio.load_manifest(test_path).paths()[0])
@@ -318,7 +320,7 @@ def run_bench(
             dictionary = load_dictionary(cache / "dictionary.vld")
             transform = load_transform(cache / "transform.vlw") if combo.whiten else None
             times = []
-            for _ in range(timing_reps):
+            for _ in range(5):
                 start = time.perf_counter()
                 values = encode_entry(sample, dictionary, transform, combo)
                 times.append((time.perf_counter() - start) * 1e6)

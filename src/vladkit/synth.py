@@ -151,7 +151,7 @@ def synth_dataset(spec: SynthSpec, out_dir) -> DatasetManifest:
         write_feature_map(FeatureMap(grid.astype(np.float32)), out_dir / name)
         entries.append((c, i, name))
     entries = [(name, c) for c, _, name in sorted(entries)]  # by class, then image
-    manifest = DatasetManifest(tuple(entries), spec.num_classes, out_dir)
+    manifest = DatasetManifest(tuple(entries), out_dir)
     save_manifest(manifest, out_dir / "manifest.tsv")
     return manifest
 
@@ -173,6 +173,6 @@ def split_manifest(
     if not train or not test:  # load_manifest rejects an empty manifest
         raise ParseError(f"per_class {per_class} empties the {'test' if train else 'train'} split")
     return (
-        DatasetManifest(tuple(train), manifest.num_classes, manifest.root),
-        DatasetManifest(tuple(test), manifest.num_classes, manifest.root),
+        DatasetManifest(tuple(train), manifest.root),
+        DatasetManifest(tuple(test), manifest.root),
     )

@@ -60,10 +60,8 @@ def fit_whitening(
     eigvals = np.maximum(eigvals[order], 0.0)
     axes = eigvecs[:, order].T  # rows = principal axes, descending eigenvalue
     # Deterministic sign: largest-magnitude entry of each axis is positive.
-    for row in axes:
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            row *= -1.0
+    peaks = axes[np.arange(len(axes)), np.argmax(np.abs(axes), axis=1)]
+    axes[peaks < 0] *= -1.0
     projection = axes / np.sqrt(eigvals + epsilon)[:, None]
     return WhiteningTransform(mean=mean, projection=projection)
 

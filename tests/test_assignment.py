@@ -270,6 +270,12 @@ ALL_CONFIGS = [
 ]
 
 
+def test_llc_approx_duplicate_words_raise_singular_system():
+    # Two copies of the descriptor's own word make its 2-NN system all zero.
+    d = Dictionary(centers=np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]]))
+    with pytest.raises(errors.SingularSystem):
+        weight_matrix(d, np.array([[1.0, 2.0]]), PipelineConfig(mode="llc-approx", knn=2))
+
 def test_weights_sum_to_one_all_modes():
     rng = np.random.default_rng(13)
     for _ in range(30):

@@ -535,3 +535,41 @@ def test_main_calls_in_one_process_share_no_state(workspace, stage_files, tmp_pa
     assert main(encode("again.vle")) == 0
     assert (tmp_path / "again.vle").read_bytes() == flat
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["encode", "train", "evaluate", "codebook_train"])
+def test_empty_transform_path_exits_2(command, workspace, stage_files, tmp_path, capsys):
+    """An empty --transform names no file; it does not mean "no whitening"."""
+    args = _required_args(command, workspace, stage_files, tmp_path / "out")
+    args[args.index("--transform") + 1] = ""
+    assert main(args) == 2
+    assert "No such file or directory: ''" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_encode_singular_llc_approx_system_exits_2(tmp_path, capsys):
+    fileio.write_dictionary(np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]]), tmp_path / "d.vld")
+    fileio.write_feature_map(
+        fileio.FeatureMap(np.array([[[1.0, 2.0]]], dtype=np.float32)), tmp_path / "x.vlf"
+    )
+    assert main([
+        "encode", "--dict", str(tmp_path / "d.vld"), "--in", str(tmp_path / "x.vlf"),
+        "--out", str(tmp_path / "x.vle"), "--mode", "llc-approx", "--knn", "2",
+    ]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "x.vle").exists()
+
+
+def test_manifest_of_mixed_descriptor_dims_exits_2(tmp_path, capsys):
+    for name, dim in (("a.vlf", 2), ("b.vlf", 3)):
+        fmap = fileio.FeatureMap(np.ones((2, 2, dim), dtype=np.float32))
+        fileio.write_feature_map(fmap, tmp_path / name)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a.vlf\t0\nb.vlf\t1\n")
+    out = tmp_path / "out"
+    assert main(["preprocess", "fit", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert main([
+        "codebook", "train", "--manifest", str(manifest), "--words", "2", "--out", str(out),
+    ]) == 2
+    assert "descriptor dims [2, 3]" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import best_kmeans_objective, naive_nearest
-from vladkit import errors
+from vladkit import codebook, errors
 from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary, kmeans_init_plusplus, kmeans_train, subsample
 from vladkit.pipeline import PipelineConfig
@@ -104,6 +104,18 @@ def test_tol_zero_stops_once_the_objective_stops_falling():
     _, loose = kmeans_train(data, 4, max_iters=100, tol=1e-4, seed=0)
     assert report.objective_trace[: loose.iterations] == loose.objective_trace
 
+
+def test_empty_word_is_reseeded_at_the_farthest_point(monkeypatch):
+    data = np.array([[0.0], [1.0], [10.0], [11.0]])
+    # Word 2 starts out of reach and owns no point after the first assignment.
+    monkeypatch.setattr(
+        codebook, "kmeans_init_plusplus", lambda data, m, seed: np.array([[0.0], [10.0], [100.0]])
+    )
+    dictionary, report = kmeans_train(data, 3, seed=0)
+    # Points 1 and 3 tie as farthest from their centers; the lower index wins.
+    assert dictionary.centers.tolist() == [[0.0], [10.5], [1.0]]
+    assert report.objective_trace == (2.0, 0.75, 0.5, 0.5)
+    assert report.converged
 
 def test_distinct_centers_after_training():
     rng = np.random.default_rng(6)

@@ -43,6 +43,12 @@ def test_truncated(tmp_path):
         fileio.read_feature_map(path)
 
 
+def test_truncated_header(tmp_path):
+    path = tmp_path / "m.vlf"
+    path.write_bytes(b"VLF1" + struct.pack("<II", 2, 2))
+    with pytest.raises(errors.TruncatedFile):
+        fileio.read_feature_map(path)
+
 def test_nan_refused_on_write(tmp_path):
     with pytest.raises(errors.NonFinite):
         FeatureMap(np.array([[[np.nan]]], dtype=np.float32))
@@ -133,7 +139,7 @@ def test_manifest_malformed(tmp_path):
 
 
 def test_manifest_save_roundtrip(tmp_path):
-    manifest = DatasetManifest((("x.vlf", 0), ("y.vlf", 2)), 3)
+    manifest = DatasetManifest((("x.vlf", 0), ("y.vlf", 2)))
     path = tmp_path / "m.tsv"
     fileio.save_manifest(manifest, path)
     assert fileio.load_manifest(path) == manifest

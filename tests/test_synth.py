@@ -1,6 +1,7 @@
 import numpy as np
 
 from vladkit import fileio
+from vladkit.fileio import DatasetManifest
 from vladkit.synth import SynthSpec, split_manifest, synth_dataset
 
 
@@ -81,3 +82,16 @@ def test_synth_and_split_manifests_point_at_the_written_maps(tmp_path):
     assert manifest.paths() == fileio.load_manifest(tmp_path / "data" / "manifest.tsv").paths()
     for part in (manifest, *split_manifest(manifest, per_class=1, seed=0)):
         assert all(path.is_file() for path in part.paths())
+
+
+def test_split_sides_equal_their_saved_copies(tmp_path):
+    """Each side's class count comes from its own labels: a class that
+    falls wholly into training does not count on the test side."""
+    path = tmp_path / "manifest.tsv"
+    path.write_text("a\t0\nb\t0\nc\t1\nd\t1\ne\t2\n")
+    train, test = split_manifest(fileio.load_manifest(path), per_class=1, seed=0)
+    assert (train.num_classes, test.num_classes) == (3, 2)
+    for side, name in ((train, "train.tsv"), (test, "test.tsv")):
+        fileio.save_manifest(side, tmp_path / name)
+        assert fileio.load_manifest(tmp_path / name) == side
+    assert DatasetManifest(()).num_classes == 0
