@@ -1,9 +1,13 @@
 """One-vs-rest linear classification with hinge loss.
 
 Each class gets a binary classifier trained by epoch-wise stochastic
-subgradient descent (Pegasos-style 1/(reg*t) step size). The shuffle order is
-a pure function of (seed, epoch) and shared by all binary problems, so the
-trained model is reproducible bit for bit.
+subgradient descent (Pegasos-style 1/(reg*t) step size). All classes step
+together over one shuffle per epoch, drawn from one generator seeded with
+config.seed, so the trained model is reproducible bit for bit. Training runs
+in the dual: each class's weights stay a combination of the training rows X,
+so a step reads one row of the Gram matrix X Xᵀ + 1 instead of a dim-length
+row (the `+ 1` is the constant bias input), and no bias-augmented copy of X
+is made.
 """
 
 from __future__ import annotations
@@ -33,25 +37,6 @@ class LinearModel:
         return self.weights.shape[1]
 
 
-def _train_binary(
-    x: np.ndarray, y: np.ndarray, reg: float, epochs: int, seed: int
-) -> tuple[np.ndarray, float]:
-    # The bias rides along as a constant input so it shares the weight
-    # shrinkage; otherwise the early 1/(reg*t) steps let it run away.
-    rng = np.random.default_rng(seed)
-    w = np.zeros(x.shape[1])
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(x.shape[0]):
-            t += 1
-            lr = 1.0 / (reg * t)
-            margin = y[i] * (w @ x[i])
-            w *= 1.0 - lr * reg
-            if margin < 1.0:
-                w += lr * y[i] * x[i]
-    return w[:-1], float(w[-1])
-
-
 def train_ovr(encodings: np.ndarray, labels: np.ndarray, config: PipelineConfig) -> LinearModel:
     """One binary classifier per class, under config.reg, epochs and seed."""
     x = np.asarray(encodings, dtype=np.float64)
@@ -61,13 +46,23 @@ def train_ovr(encodings: np.ndarray, labels: np.ndarray, config: PipelineConfig)
     num_classes = int(labels.max()) + 1 if labels.size else 0
     if num_classes < 2:
         raise TooFewClasses("need at least two classes to train")
-    augmented = np.hstack([x, np.ones((x.shape[0], 1))])
-    weights = np.zeros((num_classes, x.shape[1]))
-    biases = np.zeros(num_classes)
-    for c in range(num_classes):
-        y = np.where(labels == c, 1.0, -1.0)
-        weights[c], biases[c] = _train_binary(augmented, y, config.reg, config.epochs, config.seed)
-    return LinearModel(weights=weights, biases=biases)
+    # The bias rides along as a constant input so it shares the weight
+    # shrinkage; otherwise the early 1/(reg*t) steps let it run away.
+    gram = x @ x.T + 1.0
+    # Row i of y and of coef holds training row i's target and coefficient
+    # in every class, so a step touches one contiguous row of each.
+    y = np.where(labels[:, None] == np.arange(num_classes), 1.0, -1.0)
+    coef = np.zeros_like(y)  # weights = coef.T @ x, biases = coef.sum(0)
+    rng = np.random.default_rng(config.seed)
+    t = 0
+    for _ in range(config.epochs):
+        for i in rng.permutation(x.shape[0]):
+            t += 1
+            lr = 1.0 / (config.reg * t)
+            violated = y[i] * (gram[i] @ coef) < 1.0
+            coef *= 1.0 - lr * config.reg
+            coef[i] += lr * y[i] * violated
+    return LinearModel(weights=coef.T @ x, biases=coef.sum(axis=0))
 
 
 def predict(model: LinearModel, encodings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

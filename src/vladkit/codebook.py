@@ -1,7 +1,8 @@
 """Visual-word dictionary learning: k-means++ seeding plus Lloyd iterations.
 
 Everything here is deterministic given (data, m, max_iters, tol, seed) when
-run single-threaded; ties break toward the lowest index throughout.
+run single-threaded; ties break toward the lowest index throughout. The data
+row norms are computed once per call and reused by every distance pass.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ class KmeansReport:
     converged: bool
 
 
-def squared_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def squared_distances(data: np.ndarray, centers: np.ndarray, data_norms=None) -> np.ndarray:
     """Pairwise squared Euclidean distances, (N, M). Clamped at zero to guard
-    against tiny negative values from the expansion formula."""
-    d2 = (
-        np.sum(data * data, axis=1)[:, None]
-        - 2.0 * data @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
+    against tiny negative values from the expansion formula. data_norms, the
+    rows' np.sum(data * data, axis=1), may be passed in to skip that pass."""
+    if data_norms is None:
+        data_norms = np.sum(data * data, axis=1)
+    d2 = data_norms[:, None] - 2.0 * data @ centers.T + np.sum(centers * centers, axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
@@ -52,9 +52,10 @@ def kmeans_init_plusplus(data: np.ndarray, m: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if n == m:
         return data.copy()
+    norms = np.sum(data * data, axis=1)
     chosen = np.empty(m, dtype=int)
     chosen[0] = rng.integers(n)
-    closest = squared_distances(data, data[chosen[0]][None, :])[:, 0]
+    closest = squared_distances(data, data[chosen[0]][None, :], norms)[:, 0]
     for j in range(1, m):
         total = closest.sum()
         if total <= 0.0:
@@ -64,7 +65,7 @@ def kmeans_init_plusplus(data: np.ndarray, m: int, seed: int) -> np.ndarray:
         else:
             r = rng.random() * total
             chosen[j] = int(np.searchsorted(np.cumsum(closest), r, side="right"))
-        d2 = squared_distances(data, data[chosen[j]][None, :])[:, 0]
+        d2 = squared_distances(data, data[chosen[j]][None, :], norms)[:, 0]
         closest = np.minimum(closest, d2)
     return data[chosen].copy()
 
@@ -78,11 +79,12 @@ def kmeans_train(
 ) -> tuple[Dictionary, KmeansReport]:
     data = np.asarray(data, dtype=np.float64)
     centers = kmeans_init_plusplus(data, m, seed)
+    norms = np.sum(data * data, axis=1)
     trace: list[float] = []
     converged = False
     prev = None
     for _ in range(max_iters):
-        d2 = squared_distances(data, centers)
+        d2 = squared_distances(data, centers, norms)
         labels = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(len(data)), labels]
         obj = float(point_d2.sum())

@@ -16,6 +16,7 @@ relative path is read from the directory of the manifest file.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -210,6 +211,8 @@ def write_model(weights: np.ndarray, biases: np.ndarray, path) -> None:
 
 def read_text(path) -> str:
     """A UTF-8 text file's contents, with universal newlines."""
+    if not str(path):  # Path("") is ".", a directory the user never named
+        raise ParseError("empty path '' names no file")
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -217,9 +220,10 @@ def read_text(path) -> str:
 
 
 def load_manifest(path) -> DatasetManifest:
+    text = read_text(path)
     path = Path(path)
     entries = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line:
             continue
         parts = line.split("\t")
@@ -241,6 +245,15 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
+    """Writes each relative entry relative to path's own directory, so the
+    saved manifest names the same files as manifest.paths()."""
+    root = manifest.root.resolve()
+    try:
+        prefix = os.path.relpath(root, Path(path).parent.resolve())
+    except ValueError:  # another drive: no relative path exists
+        prefix = str(root)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for rel, label in manifest.entries:
+            if prefix != ".":  # an absolute entry stays as it is
+                rel = os.path.join(prefix, rel)
             f.write(f"{rel}\t{label}\n")

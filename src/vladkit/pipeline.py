@@ -261,9 +261,9 @@ def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> Eva
     not at all, if the build raises); then the stored artifacts are read."""
     # Checked before any stage runs, so a bad config leaves no artifact behind.
     assignment.validate(config, config.words)
-    cache = cache_dir(config, train_path, test_path, work_dir)
     train_manifest = fileio.load_manifest(train_path)
     test_manifest = fileio.load_manifest(test_path)
+    cache = cache_dir(config, train_path, test_path, work_dir)
     if not (cache / "complete").exists():
         shutil.rmtree(cache, ignore_errors=True)
         cache.mkdir(parents=True)

@@ -93,3 +93,29 @@ def best_kmeans_objective(data, m):
                 obj += float(((members - center) ** 2).sum())
         best = min(best, obj)
     return best
+
+
+def naive_pegasos_ovr(x, labels, reg, epochs, seed):
+    """Primal Pegasos, one class at a time, with the bias as a constant last
+    input column. Returns (weights (C, dim), biases (C,))."""
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    augmented = np.hstack([x, np.ones((x.shape[0], 1))])
+    num_classes = int(labels.max()) + 1
+    weights = np.zeros((num_classes, x.shape[1]))
+    biases = np.zeros(num_classes)
+    for c in range(num_classes):
+        y = np.where(labels == c, 1.0, -1.0)
+        rng = np.random.default_rng(seed)
+        w = np.zeros(augmented.shape[1])
+        t = 0
+        for _ in range(epochs):
+            for i in rng.permutation(augmented.shape[0]):
+                t += 1
+                lr = 1.0 / (reg * t)
+                margin = y[i] * (w @ augmented[i])
+                w *= 1.0 - lr * reg
+                if margin < 1.0:
+                    w += lr * y[i] * augmented[i]
+        weights[c], biases[c] = w[:-1], w[-1]
+    return weights, biases

@@ -3,9 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import naive_pegasos_ovr
 from vladkit import errors, fileio
 from vladkit.classifier import LinearModel, predict, tabulate, train_ovr
-from vladkit.pipeline import PipelineConfig
+from vladkit.pipeline import _MINIMUM, PipelineConfig
+
+# The dual trainer's largest weight or bias difference from the primal
+# oracle, relative to the oracle's largest entry. Never loosened.
+ORACLE_ATOL = 1e-12
 
 
 def separable_clouds(rng, n_per=40):
@@ -123,3 +128,50 @@ def test_training_memory_does_not_grow_with_epochs():
             tracemalloc.stop()
 
     assert peak_bytes(2000) < peak_bytes(20) + 16 * 1024
+
+
+@pytest.mark.parametrize(
+    "n, dim, classes, epochs, reg, zero_row",
+    [
+        (12, 40, 3, 50, 1e-4, False),  # N < dim
+        (40, 5, 4, 50, 1e-4, False),  # N > dim
+        (15, 8, 2, 20, 1e-2, False),
+        (15, 8, 5, 20, 1e-2, False),
+        (18, 30, 6, 20, 1e-4, False),
+        (10, 20, 3, 1, 1e-4, False),  # one epoch
+        (20, 16, 4, 30, 1e-4, True),  # an all-zero row
+        (20, 16, 4, 30, _MINIMUM["reg"], False),  # the reg floor
+    ],
+)
+def test_train_ovr_matches_primal_oracle(n, dim, classes, epochs, reg, zero_row):
+    # Training rows are unit-norm, as encodings are. A zero row's margin is
+    # its bias alone, k / (reg * t) for an integer k. Where that is exactly 1,
+    # or exactly 0 at the reg floor, rounding decides the update in either
+    # form, so the zero row is tested at reg = 1e-4 and t < 10,000.
+    rng = np.random.default_rng(n * dim + classes)
+    x = rng.standard_normal((n, dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    if zero_row:
+        x[3] = 0.0
+    y = np.arange(n) % classes
+    rng.shuffle(y)
+    model = train_ovr(x, y, PipelineConfig(reg=reg, epochs=epochs, seed=7))
+    weights, biases = naive_pegasos_ovr(x, y, reg, epochs, 7)
+    scale = max(np.abs(weights).max(), np.abs(biases).max())
+    assert np.abs(model.weights - weights).max() <= ORACLE_ATOL * scale
+    assert np.abs(model.biases - biases).max() <= ORACLE_ATOL * scale
+    oracle_labels = np.argmax(x @ weights.T + biases, axis=1)
+    assert np.array_equal(predict(model, x)[0], oracle_labels)
+
+
+def test_training_makes_no_augmented_copy():
+    # An (N, dim + 1) copy with the bias column would alone exceed x.nbytes.
+    x = np.random.default_rng(4).standard_normal((20, 40_000))
+    y = np.arange(20) % 4
+    tracemalloc.start()
+    try:
+        train_ovr(x, y, PipelineConfig(epochs=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2

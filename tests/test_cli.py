@@ -23,8 +23,6 @@ def workspace(tmp_path_factory):
         "--width", "4", "--dim", "6", "--noise", "0.1", "--seed", "11",
         "--out-dir", str(data),
     ]) == 0
-    # Entry paths stay relative to the manifest's directory, so the split
-    # manifests must live next to the feature maps they reference.
     assert main([
         "split", "--manifest", str(data / "manifest.tsv"), "--per-class", "4",
         "--seed", "1", "--out-train", str(data / "train.tsv"),
@@ -573,3 +571,60 @@ def test_manifest_of_mixed_descriptor_dims_exits_2(tmp_path, capsys):
     ]) == 2
     assert "descriptor dims [2, 3]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_split_written_elsewhere_names_the_same_files(stage_files, tmp_path, monkeypatch, capsys):
+    """A split saved into a subdirectory or the parent directory of its
+    feature maps still names them: training from it gives the same model."""
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "synth", "--classes", "3", "--per-class", "4", "--height", "3", "--width", "3",
+        "--dim", "6", "--out-dir", "d",
+    ]) == 0
+    models = []
+    for out_dir in ("d", "d/sub", "."):
+        Path(out_dir).mkdir(exist_ok=True)
+        train, test = f"{out_dir}/tr.tsv", f"{out_dir}/te.tsv"
+        assert main([
+            "split", "--manifest", "d/manifest.tsv", "--per-class", "2",
+            "--out-train", train, "--out-test", test,
+        ]) == 0
+        for path in (train, test):
+            assert all(p.is_file() for p in fileio.load_manifest(path).paths())
+        model = f"{out_dir}/m.vlm"
+        assert main([
+            "train", "--manifest", train, "--dict", str(stage_files / "d.vld"),
+            "--transform", str(stage_files / "t.vlw"), "--out", model,
+        ]) == 0
+        models.append(Path(model).read_bytes())
+    assert models[1] == models[0] and models[2] == models[0]
+    capsys.readouterr()
+
+
+# Each command's arguments with one empty path, relative to the test's
+# directory; "config" holds a valid config file.
+EMPTY_PATHS = {
+    "split_manifest": [
+        "split", "--manifest", "", "--per-class", "2", "--out-train", "a.tsv",
+        "--out-test", "b.tsv",
+    ],
+    "pipeline_manifests": [
+        "pipeline", "--config", "config", "--train-manifest", "", "--test-manifest", "",
+        "--work-dir", "work",
+    ],
+    "pipeline_config": [
+        "pipeline", "--config", "", "--train-manifest", "{data}/train.tsv",
+        "--test-manifest", "{data}/test.tsv", "--work-dir", "work",
+    ],
+}
+
+
+@pytest.mark.parametrize("args", EMPTY_PATHS.values(), ids=EMPTY_PATHS.keys())
+def test_empty_manifest_or_config_path_exits_2(args, workspace, tmp_path, monkeypatch, capsys):
+    """An empty path names no file; it is not read as the directory "."."""
+    monkeypatch.chdir(tmp_path)
+    Path("config").write_text("words = 4\n")
+    assert main([arg.format(data=workspace / "data") for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert "empty path ''" in err and "Is a directory" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config"]

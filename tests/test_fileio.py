@@ -139,7 +139,7 @@ def test_manifest_malformed(tmp_path):
 
 
 def test_manifest_save_roundtrip(tmp_path):
-    manifest = DatasetManifest((("x.vlf", 0), ("y.vlf", 2)))
+    manifest = DatasetManifest((("x.vlf", 0), ("y.vlf", 2)), tmp_path)
     path = tmp_path / "m.tsv"
     fileio.save_manifest(manifest, path)
     assert fileio.load_manifest(path) == manifest
@@ -151,3 +151,15 @@ def test_manifest_paths_start_at_its_directory(tmp_path):
     path.parent.mkdir()
     path.write_text(f"a.vlf\t0\n{elsewhere}\t1\n")
     assert fileio.load_manifest(path).paths() == [tmp_path / "sub" / "a.vlf", elsewhere]
+
+
+def test_manifest_saved_elsewhere_names_the_same_files(tmp_path):
+    data = tmp_path / "data"
+    manifest = DatasetManifest((("a.vlf", 0), ("sub/b.vlf", 1), (str(tmp_path / "c.vlf"), 1)), data)
+    for path in (data / "m.tsv", data / "sub" / "m.tsv", tmp_path / "m.tsv"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fileio.save_manifest(manifest, path)
+        saved = fileio.load_manifest(path)
+        assert [p.resolve() for p in saved.paths()] == [p.resolve() for p in manifest.paths()]
+        assert saved.entries[2][0] == str(tmp_path / "c.vlf")  # an absolute entry stays
+    assert fileio.load_manifest(data / "m.tsv") == manifest  # next to its root: unchanged

@@ -154,7 +154,7 @@ def test_pipeline_test_label_unseen_in_training(dataset, tmp_path):
     train = fileio.load_manifest(train_path)
     without_2 = train_path.parent / "train_without_class_2.tsv"
     fileio.save_manifest(
-        DatasetManifest(tuple(e for e in train.entries if e[1] != 2)), without_2
+        DatasetManifest(tuple(e for e in train.entries if e[1] != 2), train.root), without_2
     )
     report = run_pipeline(small_config(mode="sa"), without_2, test_path, tmp_path)
     test_labels = [label for _, label in fileio.load_manifest(test_path).entries]
