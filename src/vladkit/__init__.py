@@ -26,7 +26,7 @@ from .fileio import (
     write_model,
     write_whitening,
 )
-from .pipeline import BenchRow, PipelineConfig, run_bench, run_pipeline
+from .pipeline import PipelineConfig, run_bench, run_pipeline
 from .spm import PyramidSpec, encode_spm, parse_pyramid
 from .synth import SynthSpec, split_manifest, synth_dataset
 from .vlad import encode, vlad_aggregate, vlad_normalize

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -32,18 +31,10 @@ from .pipeline import (
     run_bench,
     run_pipeline,
     train_dictionary,
-    write_bench_csv,
 )
 from .synth import SynthSpec, split_manifest, synth_dataset
 from .vlad import NORM_SCHEMES
 from .whitening import apply_whitening_batch, fit_whitening
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(1)
 
 
 _ENCODER_KEYS = ("mode", "beta", "knn", "lambda", "sigma", "norm_scheme", "pyramid")
@@ -90,10 +81,12 @@ _seed.__name__ = "seed"  # argparse's message: "invalid seed value: '-1'"
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args keeps no state between
     calls, and building all the subcommands costs far more than a parse."""
-    parser = _Parser(prog="vladkit")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="vladkit")
+    # Each subcommand's parser sets `run`; `dest` names a missing subcommand.
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic feature-map dataset")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
@@ -106,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("split", help="seeded n-per-class train/test split")
+    p.set_defaults(run=_cmd_split)
     p.add_argument("--manifest", required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
@@ -113,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-test", required=True)
 
     p = sub.add_parser("preprocess", help="fit or apply a whitening transform")
-    pp = p.add_subparsers(dest="preprocess_command", required=True, parser_class=_Parser)
+    pp = p.add_subparsers(dest="preprocess_command", required=True)
     fit = pp.add_parser("fit")
+    fit.set_defaults(run=_cmd_preprocess_fit)
     fit.add_argument("--manifest", required=True)
     fit.add_argument("--out", required=True)
     fit.add_argument("--dim", type=int, default=None)
@@ -122,19 +117,22 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--subsample", type=int, default=None)
     fit.add_argument("--seed", type=_seed, default=0)
     apply_p = pp.add_parser("apply")
+    apply_p.set_defaults(run=_cmd_preprocess_apply)
     apply_p.add_argument("--transform", required=True)
     apply_p.add_argument("--in", dest="input", required=True)
     apply_p.add_argument("--out", required=True)
 
     p = sub.add_parser("codebook", help="learn a visual-word dictionary")
-    cb = p.add_subparsers(dest="codebook_command", required=True, parser_class=_Parser)
+    cb = p.add_subparsers(dest="codebook_command", required=True)
     train_p = cb.add_parser("train")
+    train_p.set_defaults(run=_cmd_codebook)
     train_p.add_argument("--manifest", required=True)
     train_p.add_argument("--transform", default=None)
     train_p.add_argument("--out", required=True)
     _add_config_flags(train_p, ("words", "seed", "max_iters", "tol", "subsample"))
 
     p = sub.add_parser("encode", help="encode one feature map")
+    p.set_defaults(run=_cmd_encode)
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
     p.add_argument("--in", dest="input", required=True)
@@ -142,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, _ENCODER_KEYS)
 
     p = sub.add_parser("train", help="train a one-vs-rest linear model")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--manifest", required=True)
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
@@ -149,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, ("reg", "epochs", "seed") + _ENCODER_KEYS)
 
     p = sub.add_parser("evaluate", help="evaluate a model on a manifest")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--dict", dest="dictionary", required=True)
@@ -157,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, _ENCODER_KEYS)
 
     p = sub.add_parser("bench", help="cross-product benchmark of modes x pyramids")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--train-manifest", required=True)
     p.add_argument("--test-manifest", required=True)
     p.add_argument("--modes", required=True, help="comma-separated assignment modes")
@@ -166,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, ("words", "seed"))
 
     p = sub.add_parser("pipeline", help="run the full pipeline from a config file")
+    p.set_defaults(run=_cmd_pipeline)
     p.add_argument("--config", required=True)
     p.add_argument("--train-manifest", required=True)
     p.add_argument("--test-manifest", required=True)
@@ -199,15 +201,17 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _cmd_preprocess(args) -> int:
-    if args.preprocess_command == "fit":
-        descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
-        if args.subsample is not None:
-            descriptors = subsample(descriptors, args.subsample, args.seed)
-        transform = fit_whitening(descriptors, args.dim, args.epsilon)
-        fileio.write_whitening(transform.mean, transform.projection, args.out)
-        print(f"fit whitening {transform.input_dim}->{transform.output_dim}")
-        return 0
+def _cmd_preprocess_fit(args) -> int:
+    descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
+    if args.subsample is not None:
+        descriptors = subsample(descriptors, args.subsample, args.seed)
+    transform = fit_whitening(descriptors, args.dim, args.epsilon)
+    fileio.write_whitening(transform.mean, transform.projection, args.out)
+    print(f"fit whitening {transform.input_dim}->{transform.output_dim}")
+    return 0
+
+
+def _cmd_preprocess_apply(args) -> int:
     transform = load_transform(args.transform)
     fmap = read_feature_map(args.input)
     whitened = apply_whitening_batch(transform, fmap.descriptors().astype(np.float64))
@@ -254,28 +258,30 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    # Checked before any work: an empty path is not stdout.
+    out = None if args.confusion_out is None else fileio.nonempty_path(args.confusion_out)
     model = load_model(args.model)
     report = evaluate(model, *_encode_manifest(args, _config(args)))
     print(f"accuracy={report.accuracy}")
     lines = "\n".join(",".join(str(v) for v in row) for row in report.confusion)
-    if args.confusion_out:
-        Path(args.confusion_out).write_text(lines + "\n")
-    else:
+    if out is None:
         print(lines)
+    else:
+        out.write_text(lines + "\n")
     return 0
 
 
 def _cmd_bench(args) -> int:
-    rows = run_bench(
+    count = run_bench(
         args.modes.split(","),
         args.pyramids.split(","),
         _config(args),
         args.train_manifest,
         args.test_manifest,
         args.work_dir,
+        args.out,
     )
-    write_bench_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {count} rows to {args.out}")
     return 0
 
 
@@ -286,27 +292,13 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "split": _cmd_split,
-    "preprocess": _cmd_preprocess,
-    "codebook": _cmd_codebook,
-    "encode": _cmd_encode,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "bench": _cmd_bench,
-    "pipeline": _cmd_pipeline,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, documented here as 1
+        return exc.code if isinstance(exc.code, int) and exc.code != 2 else 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (VladkitError, OSError) as exc:
         print(f"vladkit: error: {exc}", file=sys.stderr)
         return 2

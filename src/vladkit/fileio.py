@@ -209,12 +209,17 @@ def write_model(weights: np.ndarray, biases: np.ndarray, path) -> None:
 
 # -- manifests ---------------------------------------------------------------
 
+def nonempty_path(path) -> Path:
+    """Path(path), refusing "": Path("") is ".", a directory the user never named."""
+    if not str(path):
+        raise ParseError("empty path '' names no file")
+    return Path(path)
+
+
 def read_text(path) -> str:
     """A UTF-8 text file's contents, with universal newlines."""
-    if not str(path):  # Path("") is ".", a directory the user never named
-        raise ParseError("empty path '' names no file")
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return nonempty_path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

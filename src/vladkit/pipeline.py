@@ -120,10 +120,12 @@ def parse_config_text(text: str) -> PipelineConfig:
         value = value.strip()
         if key not in _FIELDS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
-        values[key] = value
+        if key in values:
+            raise ParseError(f"line {lineno}: key {key!r} already set on line {values[key][0]}")
+        values[key] = lineno, value
     try:  # absent keys keep their defaults
         return PipelineConfig(
-            **{_FIELDS[k].name: _parse_value(_FIELDS[k], v) for k, v in values.items()}
+            **{_FIELDS[k].name: _parse_value(_FIELDS[k], v) for k, (_, v) in values.items()}
         )
     except ValueError as exc:
         raise ParseError(f"bad config value: {exc}") from None
@@ -225,7 +227,7 @@ def cache_dir(config: PipelineConfig, train_path, test_path, work_dir) -> Path:
     payload = config_to_text(config).encode()
     for path in (train_path, test_path):
         payload += Path(path).read_bytes() + b"\0" + bytes(Path(path).parent.resolve()) + b"\0"
-    return Path(work_dir) / f"cache_{fnv1a64(payload):016x}"
+    return fileio.nonempty_path(work_dir) / f"cache_{fnv1a64(payload):016x}"
 
 
 def _test_encoding_paths(cache: Path, manifest: DatasetManifest) -> list[Path]:
@@ -293,15 +295,6 @@ def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> Eva
 
 # -- benchmark harness -------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenchRow:
-    mode: str
-    pyramid: str
-    accuracy: float
-    encode_us: float  # median per-image encode time, microseconds
-    encoding_len: int
-
-
 def run_bench(
     modes: list[str],
     pyramids: list[str],
@@ -309,7 +302,13 @@ def run_bench(
     train_path,
     test_path,
     work_dir,
-) -> list[BenchRow]:
+    out_path,
+) -> int:
+    """One CSV row per mode x pyramid pair: accuracy, the median microseconds
+    of 5 encodes of the first test image, and the encoding length. Written
+    after every pair has run, so a failing pair leaves no file. Returns the
+    row count."""
+    out_path = fileio.nonempty_path(out_path)  # checked before the first pair runs
     rows = []
     sample = read_feature_map(fileio.load_manifest(test_path).paths()[0])
     for mode in modes:
@@ -325,22 +324,10 @@ def run_bench(
                 values = encode_entry(sample, dictionary, transform, combo)
                 times.append((time.perf_counter() - start) * 1e6)
             rows.append(
-                BenchRow(
-                    mode=mode,
-                    pyramid=pyramid,
-                    accuracy=report.accuracy,
-                    encode_us=float(np.median(times)),
-                    encoding_len=int(values.size),
-                )
+                [mode, pyramid, f"{report.accuracy:.6f}", f"{np.median(times):.1f}", values.size]
             )
-    return rows
-
-
-def write_bench_csv(rows: list[BenchRow], path) -> None:
-    with open(path, "w", newline="") as f:
+    with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["mode", "pyramid", "accuracy", "encode_us", "encoding_len"])
-        for row in rows:
-            writer.writerow(
-                [row.mode, row.pyramid, f"{row.accuracy:.6f}", f"{row.encode_us:.1f}", row.encoding_len]
-            )
+        writer.writerows(rows)
+    return len(rows)

@@ -39,10 +39,10 @@ class PyramidSpec:
 
     def __post_init__(self):
         if not self.levels:
-            raise ValueError("pyramid needs at least one level")
+            raise ParseError("pyramid needs at least one level")
         for r, c in self.levels:
             if r < 1 or c < 1:
-                raise ValueError(f"bad pyramid level ({r}, {c})")
+                raise ParseError(f"bad pyramid level ({r}, {c})")
 
     @property
     def total_regions(self) -> int:
@@ -55,17 +55,12 @@ def parse_pyramid(text: str) -> PyramidSpec:
         return PyramidSpec(PRESETS[text])
     levels = []
     for part in text.split(","):
-        pieces = part.lower().split("x")
-        if len(pieces) != 2:
-            raise ParseError(f"bad pyramid level {part!r}; expected RxC")
         try:
-            levels.append((int(pieces[0]), int(pieces[1])))
-        except ValueError:
-            raise ParseError(f"bad pyramid level {part!r}; expected RxC")
-    try:
-        return PyramidSpec(tuple(levels))
-    except ValueError as exc:
-        raise ParseError(str(exc))
+            r, c = (int(p) for p in part.lower().split("x"))
+        except ValueError:  # not a number, or not two parts
+            raise ParseError(f"bad pyramid level {part!r}; expected RxC") from None
+        levels.append((r, c))
+    return PyramidSpec(tuple(levels))
 
 
 def region_bounds(n: int, parts: int) -> list[tuple[int, int]]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimMismatch, DimTooLarge, NonFinite
+from .errors import DegenerateInput, DimMismatch, DimTooLarge, NonFinite, ParseError
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,18 @@ def fit_whitening(
     output_dim: int | None = None,
     epsilon: float | None = None,
 ) -> WhiteningTransform:
+    if epsilon is not None and not 0 <= epsilon < np.inf:  # NaN fails too
+        raise ParseError(f"epsilon must be finite and at least 0, got {epsilon}")
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DegenerateInput("need at least 2 descriptors to fit whitening")
     n, d_in = x.shape
+    top = min(n - 1, d_in)
     if output_dim is None:
-        output_dim = min(d_in, n - 1)
-    if output_dim < 1 or output_dim > min(n - 1, d_in):
+        output_dim = top
+    if not 1 <= output_dim <= top:
         raise DimTooLarge(
-            f"output_dim {output_dim} exceeds min(N-1, D_in) = {min(n - 1, d_in)}"
+            f"output_dim must be between 1 and min(N-1, D_in) = {top}, got {output_dim}"
         )
     mean = x.mean(axis=0)
     centered = x - mean

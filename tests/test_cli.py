@@ -146,6 +146,19 @@ def test_bench_writes_csv(workspace, tmp_path):
     assert lines[0].split(",")[0] == "mode"
 
 
+def test_bench_failing_pair_writes_no_csv(workspace, tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main([
+        "bench", "--train-manifest", str(workspace / "data" / "train.tsv"),
+        "--test-manifest", str(workspace / "data" / "test.tsv"),
+        "--modes", "hard,nosuch", "--pyramids", "none",
+        "--words", "4", "--work-dir", str(tmp_path / "work"),
+        "--out", str(out),
+    ]) == 2
+    assert "unknown mode 'nosuch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_from_config_file(workspace, tmp_path, capsys):
     config = tmp_path / "config"
     config.write_text("mode = sa\nwords = 5\nepochs = 20\n")
@@ -164,6 +177,40 @@ def test_usage_errors_exit_1(capsys):
     assert main(["synth", "--classes", "3"]) == 1  # missing required flags
     assert main([]) == 1
     capsys.readouterr()
+
+
+# Each argv with the parser whose usage line it prints.
+USAGE_ERRORS = {
+    "no_arguments": ([], "vladkit"),
+    "unknown_command": (["no-such-command"], "vladkit"),
+    "synth_missing_flags": (["synth", "--classes", "3"], "vladkit synth"),
+    "preprocess_alone": (["preprocess"], "vladkit preprocess"),
+    "preprocess_fit_missing_out": (
+        ["preprocess", "fit", "--manifest", "x"], "vladkit preprocess fit",
+    ),
+    "codebook_train_missing_flags": (["codebook", "train"], "vladkit codebook train"),
+    "encode_bad_int": (
+        ["encode", "--dict", "d", "--in", "i", "--out", "o", "--knn", "abc"], "vladkit encode",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, prog", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_print_the_usage_and_exit_1(argv, prog, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: {prog} ")
+    assert f"\n{prog}: error: " in err
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["-h"], "vladkit"), (["preprocess", "fit", "-h"], "vladkit preprocess fit"),
+])
+def test_help_prints_the_usage_and_exits_0(argv, prog, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: {prog} ") and err == ""
 
 
 def test_data_errors_exit_2(workspace, tmp_path, capsys):
@@ -223,6 +270,7 @@ BAD_CONFIGS = {
     "lambda_nan": "mode = llc\nlambda = nan\nwords = 4\n",
     "lambda_inf": "mode = llc\nlambda = inf\nwords = 4\n",
     "pyramid_0x2": "pyramid = 0x2\nwords = 4\n",
+    "duplicate_key": "mode = hard\nwords = 4\nmode = sa\n",
 }
 
 
@@ -433,6 +481,19 @@ def test_out_of_range_flags_exit_before_writing(workspace, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "inf"), ("--epsilon", "-1"), ("--epsilon", "nan"), ("--dim", "0"),
+])
+def test_preprocess_fit_out_of_range_values_exit_2(flag, value, workspace, tmp_path, capsys):
+    out = tmp_path / "t.vlw"
+    assert main([
+        "preprocess", "fit", "--manifest", str(workspace / "data" / "train.tsv"),
+        "--out", str(out), flag, value,
+    ]) == 2
+    assert f"got {value}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.fixture(scope="module")
 def stage_files(workspace):
     """A transform, dictionary and model of this test's own, for the
@@ -615,6 +676,28 @@ EMPTY_PATHS = {
     "pipeline_config": [
         "pipeline", "--config", "", "--train-manifest", "{data}/train.tsv",
         "--test-manifest", "{data}/test.tsv", "--work-dir", "work",
+    ],
+    "synth_out_dir": [
+        "synth", "--classes", "2", "--per-class", "1", "--height", "2", "--width", "2",
+        "--dim", "2", "--out-dir", "",
+    ],
+    "pipeline_work_dir": [
+        "pipeline", "--config", "config", "--train-manifest", "{data}/train.tsv",
+        "--test-manifest", "{data}/test.tsv", "--work-dir", "",
+    ],
+    "bench_work_dir": [
+        "bench", "--train-manifest", "{data}/train.tsv", "--test-manifest", "{data}/test.tsv",
+        "--modes", "hard", "--pyramids", "none", "--words", "4", "--work-dir", "",
+        "--out", "bench.csv",
+    ],
+    "bench_out": [
+        "bench", "--train-manifest", "{data}/train.tsv", "--test-manifest", "{data}/test.tsv",
+        "--modes", "hard", "--pyramids", "none", "--words", "4", "--work-dir", "work",
+        "--out", "",
+    ],
+    "evaluate_confusion_out": [
+        "evaluate", "--manifest", "{data}/test.tsv", "--model", "{data}/m.vlm",
+        "--dict", "{data}/d.vld", "--confusion-out", "",
     ],
 }
 

@@ -1,3 +1,4 @@
+import csv
 import re
 from pathlib import Path
 
@@ -121,6 +122,11 @@ def test_config_unknown_key_rejected():
         parse_config_text("bogus = 1\n")
 
 
+def test_config_key_given_twice_rejected():
+    with pytest.raises(ParseError, match=r"^line 3: key 'mode' already set on line 1$"):
+        parse_config_text("mode = hard\n# comment\nmode = sa\n")
+
+
 def test_config_comments_and_defaults():
     config = parse_config_text("# comment\nmode = sa\n")
     assert config.mode == "sa"
@@ -220,16 +226,24 @@ def test_pipeline_cached_encoding_of_another_length_detected(dataset, tmp_path):
 
 def test_bench_cross_product(dataset, tmp_path):
     train_path, test_path = dataset
-    rows = run_bench(
+    out = tmp_path / "bench.csv"
+    assert run_bench(
         ["hard", "sa"],
         ["none", "2x2"],
         small_config(),
         train_path,
         test_path,
         tmp_path,
-    )
+        out,
+    ) == 4
+    header, *rows = csv.reader(out.read_text().splitlines())
+    assert header == ["mode", "pyramid", "accuracy", "encode_us", "encoding_len"]
     assert len(rows) == 4
-    for row in rows:
-        regions = 1 if row.pyramid == "none" else 4
-        assert row.encoding_len == 6 * 6 * regions
-        assert row.encode_us > 0
+    assert [row[:2] for row in rows] == [
+        ["hard", "none"], ["hard", "2x2"], ["sa", "none"], ["sa", "2x2"],
+    ]
+    for mode, pyramid, accuracy, encode_us, encoding_len in rows:
+        regions = 1 if pyramid == "none" else 4
+        assert int(encoding_len) == 6 * 6 * regions
+        assert float(encode_us) > 0
+        assert re.fullmatch(r"[01]\.\d{6}", accuracy)

@@ -29,6 +29,17 @@ def test_parse_presets_and_custom():
         parse_pyramid("0x2")
 
 
+@pytest.mark.parametrize("text", ["2x2x2", "ax1", "", "1x-1", "3", "1x1,"])
+def test_parse_pyramid_rejects_bad_levels(text):
+    with pytest.raises(errors.ParseError, match="pyramid level"):
+        parse_pyramid(text)
+
+
+def test_pyramid_spec_needs_a_level():
+    with pytest.raises(errors.ParseError, match="at least one level"):
+        PyramidSpec(())
+
+
 def test_region_bounds_floor_formula():
     # floor(i * 4 / 3) boundaries: bands of 1, 1, 2 rows.
     assert region_bounds(4, 3) == [(0, 1), (1, 2), (2, 4)]
