@@ -5,15 +5,21 @@ second run reuses the cached whitening transform, dictionary, model, and
 per-image test encodings, producing the identical result. The training
 encodings are not cached: they are used once, to train the model.
 
+The transform and dictionary live in a dictionary stage (`dict_<key>/`) that
+every config with the same stage inputs shares; the model and test encodings
+live in a directory per config (`cache_<key>/`). A third run with another
+`mode` builds its own config directory over the first run's dictionary.
+
 Run: python3 demos/03_pipeline_and_cache.py
 """
 
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from vladkit import fileio
-from vladkit.pipeline import config_to_text, load_config, run_pipeline
+from vladkit.pipeline import STAGE_FIELDS, config_to_text, load_config, run_pipeline
 from vladkit.synth import SynthSpec, split_manifest, synth_dataset
 
 root = Path(tempfile.mkdtemp(prefix="vladkit_demo_"))
@@ -29,8 +35,9 @@ fileio.save_manifest(test, root / "test.tsv")
 config_path = root / "pipeline.cfg"
 config_path.write_text("mode = lsa\nwords = 8\nknn = 3\nepochs = 30\n")
 config = load_config(config_path)
-print("canonical config text (also the cache-key input):")
+print("canonical config text (with the manifests, the cache-key input):")
 print("  " + config_to_text(config).replace("\n", "\n  ").rstrip())
+print(f"fields that build the dictionary stage: {', '.join(STAGE_FIELDS)}")
 
 work = root / "work"
 t0 = time.perf_counter()
@@ -39,11 +46,27 @@ t1 = time.perf_counter()
 second = run_pipeline(config, root / "train.tsv", root / "test.tsv", work)
 t2 = time.perf_counter()
 
-cache = next(work.glob("cache_*"))
-artifacts = sorted(p.name for p in cache.iterdir() if p.name != "complete")
-print(f"\ncache directory {cache.name} holds {len(artifacts)} artifacts, e.g. "
-      f"{artifacts[:3]} ...")
+
+def listing(directory: Path) -> str:
+    names = sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file())
+    shown = names if len(names) <= 4 else names[:3] + ["...", names[-1]]
+    return f"{directory.name}: {len(names)} files {shown}"
+
+
+print("\nwork directory after the first config:")
+for directory in sorted(work.iterdir()):
+    print("  " + listing(directory))
 print(f"first run:  accuracy={first.accuracy:.3f}  ({t1 - t0:.2f}s, cold)")
 print(f"second run: accuracy={second.accuracy:.3f}  ({t2 - t1:.2f}s, cached)")
 assert first.accuracy == second.accuracy
 print("identical results; artifacts on disk were reused byte for byte")
+
+# Another assignment mode: no stage input changes, so the dictionary is reused.
+other = replace(config, mode="sa")
+t3 = time.perf_counter()
+third = run_pipeline(other, root / "train.tsv", root / "test.tsv", work)
+t4 = time.perf_counter()
+stages, caches = sorted(work.glob("dict_*")), sorted(work.glob("cache_*"))
+print(f"\nmode = sa:  accuracy={third.accuracy:.3f}  ({t4 - t3:.2f}s, dictionary reused)")
+print(f"work directory now holds {len(stages)} dictionary stage and {len(caches)} config directories")
+assert len(stages) == 1 and len(caches) == 2

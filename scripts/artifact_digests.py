@@ -1,20 +1,23 @@
-"""Print the sha256 of every dataset and cache file that a cold pipeline pass
-writes, and every test accuracy, for each perfbench workload config at seeds
-0..N-1. Two checkouts whose outputs are equal write the same bytes, so diffing
-the output of a change and of its parent checks a change meant to keep every
-artifact byte-identical. Run from anywhere:
+"""Print the sha256 of every dataset file, of every cache file that a pipeline
+config reads, and every test accuracy, for each perfbench workload config at
+seeds 0..N-1. Two checkouts whose outputs are equal write the same bytes, so
+diffing the output of a change and of its parent checks a change meant to keep
+every artifact byte-identical. Run from anywhere:
 
     python3 scripts/artifact_digests.py --seeds 3 > digests.txt
 
 One line per file or accuracy:
 
     <workload> <seed> data <file> <sha256>
-    <workload> <seed> <config #> <path inside the cache directory> <sha256>
+    <workload> <seed> <config #> dict/<path inside the stage directory> <sha256>
+    <workload> <seed> <config #> cache/<path inside the config directory> <sha256>
     <workload> <seed> <config #> accuracy <accuracy>
 
-Each pass runs in a fresh temporary directory. A cache directory's name hashes
-the absolute directory of the manifests, so it is left out; the config number
-names it.
+Each pass runs in a fresh temporary directory. A config reads the transform
+and dictionary from its stage directory, which configs with the same stage
+inputs share, and its model and test encodings from its own directory. A
+directory's name hashes the absolute directory of the manifests, so the
+directory's kind (`dict`, `cache`) stands in for it.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def main(argv: list[str] | None = None) -> None:
     from workloads import WORKLOADS
 
     from vladkit import PipelineConfig, run_pipeline
-    from vladkit.pipeline import cache_dir
+    from vladkit.pipeline import cache_dirs
 
     for name, workload in WORKLOADS.items():
         for seed in range(args.seeds):
@@ -63,9 +66,11 @@ def main(argv: list[str] | None = None) -> None:
                 for i, fields in enumerate(workload.configs):
                     config = PipelineConfig(seed=seed, **fields)
                     report = run_pipeline(config, train, test, work)
-                    cache = cache_dir(config, train, test, work)
-                    for path in _files(cache):
-                        print(name, seed, i, path.relative_to(cache).as_posix(), _sha256(path))
+                    for directory in cache_dirs(config, train, test, work):
+                        kind = directory.name.partition("_")[0]
+                        for path in _files(directory):
+                            rel = path.relative_to(directory).as_posix()
+                            print(name, seed, i, f"{kind}/{rel}", _sha256(path))
                     print(name, seed, i, "accuracy", repr(report.accuracy), flush=True)
 
 

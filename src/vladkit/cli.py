@@ -193,38 +193,46 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    out_train, out_test = (fileio.nonempty_path(p) for p in (args.out_train, args.out_test))
     manifest = fileio.load_manifest(args.manifest)
     train, test = split_manifest(manifest, args.per_class, args.seed)
-    fileio.save_manifest(train, args.out_train)
-    fileio.save_manifest(test, args.out_test)
+    fileio.save_manifest(train, out_train)
+    try:
+        fileio.save_manifest(test, out_test)
+    except OSError:  # both sides or neither
+        out_train.unlink(missing_ok=True)
+        raise
     print(f"train={len(train.entries)} test={len(test.entries)}")
     return 0
 
 
 def _cmd_preprocess_fit(args) -> int:
+    out = fileio.nonempty(args.out)  # checked before any work: "" names no file
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
     if args.subsample is not None:
         descriptors = subsample(descriptors, args.subsample, args.seed)
     transform = fit_whitening(descriptors, args.dim, args.epsilon)
-    fileio.write_whitening(transform.mean, transform.projection, args.out)
+    fileio.write_whitening(transform.mean, transform.projection, out)
     print(f"fit whitening {transform.input_dim}->{transform.output_dim}")
     return 0
 
 
 def _cmd_preprocess_apply(args) -> int:
+    out = fileio.nonempty(args.out)
     transform = load_transform(args.transform)
     fmap = read_feature_map(args.input)
     whitened = apply_whitening_batch(transform, fmap.descriptors().astype(np.float64))
-    out = whitened.reshape(fmap.height, fmap.width, transform.output_dim)
-    fileio.write_feature_map(FeatureMap(out.astype(np.float32)), args.out)
+    whitened = whitened.reshape(fmap.height, fmap.width, transform.output_dim)
+    fileio.write_feature_map(FeatureMap(whitened.astype(np.float32)), out)
     return 0
 
 
 def _cmd_codebook(args) -> int:
+    out = fileio.nonempty(args.out)
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
     transform = load_transform(args.transform) if args.transform is not None else None
     dictionary, report = train_dictionary(descriptors, transform, _config(args))
-    fileio.write_dictionary(dictionary.centers, args.out)
+    fileio.write_dictionary(dictionary.centers, out)
     print(
         f"trained {dictionary.num_words} words in {report.iterations} iterations"
         f" (converged={report.converged})"
@@ -233,11 +241,12 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    out = fileio.nonempty(args.out)
     dictionary = load_dictionary(args.dictionary)
     transform = load_transform(args.transform) if args.transform is not None else None
     fmap = read_feature_map(args.input)
     values = encode_entry(fmap, dictionary, transform, _config(args))
-    fileio.write_encoding(values, args.out)
+    fileio.write_encoding(values, out)
     return 0
 
 
@@ -249,10 +258,11 @@ def _encode_manifest(args, config: PipelineConfig):
 
 
 def _cmd_train(args) -> int:
+    out = fileio.nonempty(args.out)
     config = _config(args)
     x, y = _encode_manifest(args, config)
     model = train_ovr(x, y, config)
-    fileio.write_model(model.weights, model.biases, args.out)
+    fileio.write_model(model.weights, model.biases, out)
     print(f"trained model: {model.num_classes} classes, dim {model.dim}")
     return 0
 

@@ -209,11 +209,18 @@ def write_model(weights: np.ndarray, biases: np.ndarray, path) -> None:
 
 # -- manifests ---------------------------------------------------------------
 
-def nonempty_path(path) -> Path:
-    """Path(path), refusing "": Path("") is ".", a directory the user never named."""
+def nonempty(path):
+    """path itself, refusing "": Path("") is ".", a directory the user never
+    named. It builds no Path, so a hot caller such as `vladkit encode` pays
+    for the check alone."""
     if not str(path):
         raise ParseError("empty path '' names no file")
-    return Path(path)
+    return path
+
+
+def nonempty_path(path) -> Path:
+    """Path(path), refusing "" as nonempty does."""
+    return Path(nonempty(path))
 
 
 def read_text(path) -> str:

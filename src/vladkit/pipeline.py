@@ -1,7 +1,9 @@
 """End-to-end orchestration: whitening fit, codebook training, encoding of
 every manifest entry, classifier training, and evaluation, with on-disk
 caching of intermediates keyed by a content hash of the configuration and
-the input manifests."""
+the input manifests: the transform and dictionary in a stage directory that
+configs with the same stage inputs share, the model and test encodings in a
+directory per config."""
 
 from __future__ import annotations
 
@@ -73,6 +75,12 @@ class PipelineConfig:
         return parse_pyramid(self.pyramid)
 
 
+# The fields that build the whitening transform and the dictionary: the
+# dictionary stage's key covers these and the training manifest, so configs
+# that differ only in other fields share one transform and dictionary.
+STAGE_FIELDS = ("whiten", "pca_dim", "epsilon", "words", "max_iters", "tol", "subsample", "seed")
+
+
 # Config-text spelling of a field name, and of None, where they differ from
 # the default (the field name itself, and "auto"). Field types are read from
 # the annotation strings, e.g. "int | None".
@@ -101,10 +109,15 @@ def _parse_value(f: Field, text: str):
     return {"str": str, "int": int, "float": float}[kind](text)
 
 
-def config_to_text(config: PipelineConfig) -> str:
-    """Canonical flat key=value rendering; also the cache-key input."""
-    values = {key: _value_text(f.name, getattr(config, f.name)) for key, f in _FIELDS.items()}
+def _fields_text(config: PipelineConfig, names) -> str:
+    """The named fields' config-text lines, sorted by key."""
+    values = {_KEY_TEXT.get(n, n): _value_text(n, getattr(config, n)) for n in names}
     return "".join(f"{k} = {values[k]}\n" for k in sorted(values))
+
+
+def config_to_text(config: PipelineConfig) -> str:
+    """Canonical flat key=value rendering of every field."""
+    return _fields_text(config, [f.name for f in fields(PipelineConfig)])
 
 
 def parse_config_text(text: str) -> PipelineConfig:
@@ -220,14 +233,28 @@ def evaluate(model: LinearModel, encodings: np.ndarray, labels: np.ndarray) -> E
 
 # -- the pipeline ------------------------------------------------------------
 
-def cache_dir(config: PipelineConfig, train_path, test_path, work_dir) -> Path:
-    """The cache directory under work_dir for one config and manifest pair:
-    the key covers each manifest's bytes and the directory its relative
+# The fields that only the config directory's key covers, beside the stage key.
+_CONFIG_FIELDS = tuple(f.name for f in fields(PipelineConfig) if f.name not in STAGE_FIELDS)
+
+
+def _manifest_key(path) -> str:
+    """16 hex digits over a manifest's bytes and the directory its relative
     entries are read from."""
-    payload = config_to_text(config).encode()
-    for path in (train_path, test_path):
-        payload += Path(path).read_bytes() + b"\0" + bytes(Path(path).parent.resolve()) + b"\0"
-    return fileio.nonempty_path(work_dir) / f"cache_{fnv1a64(payload):016x}"
+    path = Path(path)
+    payload = path.read_bytes() + b"\0" + bytes(path.parent.resolve()) + b"\0"
+    return f"{fnv1a64(payload):016x}"
+
+
+def cache_dirs(config: PipelineConfig, train_path, test_path, work_dir) -> tuple[Path, Path]:
+    """The dictionary stage and the config directory under work_dir for one
+    config and manifest pair. The stage key covers the STAGE_FIELDS and the
+    training manifest; the config key covers the stage key, every other field
+    and the test manifest. Each manifest is hashed once."""
+    work_dir = fileio.nonempty_path(work_dir)
+    stage_text = _fields_text(config, STAGE_FIELDS)
+    stage_key = f"{fnv1a64((stage_text + _manifest_key(train_path)).encode()):016x}"
+    payload = stage_key + _fields_text(config, _CONFIG_FIELDS) + _manifest_key(test_path)
+    return work_dir / f"dict_{stage_key}", work_dir / f"cache_{fnv1a64(payload.encode()):016x}"
 
 
 def _test_encoding_paths(cache: Path, manifest: DatasetManifest) -> list[Path]:
@@ -235,19 +262,53 @@ def _test_encoding_paths(cache: Path, manifest: DatasetManifest) -> list[Path]:
     return [cache / "enc_test" / f"{idx:06d}.vle" for idx in range(len(manifest.entries))]
 
 
-def _build_cache(cache: Path, config: PipelineConfig, train_manifest, test_manifest) -> None:
-    """Write every artifact into the empty cache directory, the `complete`
-    marker last. The training encodings, read by no later run, stay in memory."""
+def _emptied(directory: Path, created: list[Path]) -> bool:
+    """Whether directory lacks its `complete` marker. If so, it is deleted,
+    made again empty and appended to created: the caller builds it, writes
+    the marker last, and removes it if the run fails."""
+    if (directory / "complete").exists():
+        return False
+    shutil.rmtree(directory, ignore_errors=True)
+    directory.mkdir(parents=True)
+    created.append(directory)
+    return True
+
+
+def _build_stage(stage: Path, config: PipelineConfig, train_manifest) -> None:
+    """The whitening transform and the dictionary, from the training set;
+    the marker last."""
     descriptors = load_descriptor_stack(train_manifest)
     transform = None
     if config.whiten:
         fitted = fit_whitening(descriptors, config.pca_dim, config.epsilon)
-        fileio.write_whitening(fitted.mean, fitted.projection, cache / "transform.vlw")
-        transform = load_transform(cache / "transform.vlw")
+        fileio.write_whitening(fitted.mean, fitted.projection, stage / "transform.vlw")
+        transform = load_transform(stage / "transform.vlw")
     trained, _ = train_dictionary(descriptors, transform, config)
-    del descriptors  # freed before the encodings are built
-    fileio.write_dictionary(trained.centers, cache / "dictionary.vld")
-    dictionary = load_dictionary(cache / "dictionary.vld")
+    fileio.write_dictionary(trained.centers, stage / "dictionary.vld")
+    (stage / "complete").touch()
+
+
+def _load_stage(
+    stage: Path, config: PipelineConfig
+) -> tuple[Dictionary, WhiteningTransform | None]:
+    """The stage's dictionary and transform (None without whitening),
+    checked against the config and each other."""
+    transform = load_transform(stage / "transform.vlw") if config.whiten else None
+    dictionary = load_dictionary(stage / "dictionary.vld")
+    if dictionary.num_words != config.words:
+        raise CacheMismatch(
+            f"cached dictionary has {dictionary.num_words} words, config wants {config.words}"
+        )
+    if transform is not None and dictionary.dim != transform.output_dim:
+        raise CacheMismatch(
+            f"dictionary dim {dictionary.dim} != whitening output {transform.output_dim}"
+        )
+    return dictionary, transform
+
+
+def _build_config(cache: Path, config, dictionary, transform, train_manifest, test_manifest):
+    """The model and one encoding per test image, the marker last. The
+    training encodings, read by no later run, stay in memory."""
     model = train_ovr(*encode_manifest(train_manifest, dictionary, transform, config), config)
     fileio.write_model(model.weights, model.biases, cache / "model.vlm")
     test_x, _ = encode_manifest(test_manifest, dictionary, transform, config)
@@ -258,33 +319,28 @@ def _build_cache(cache: Path, config: PipelineConfig, train_manifest, test_manif
 
 
 def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> EvalReport:
-    """fit whitening -> train codebook -> encode -> train -> evaluate. A cache
-    directory without its `complete` marker is deleted and built afresh (or
-    not at all, if the build raises); then the stored artifacts are read."""
+    """fit whitening -> train codebook -> encode -> train -> evaluate. The
+    transform and dictionary live in a stage directory that every config with
+    the same stage inputs shares; the model and test encodings live in the
+    config's own directory. Each directory is complete or rebuilt, and a run
+    that raises removes every directory it created."""
     # Checked before any stage runs, so a bad config leaves no artifact behind.
     assignment.validate(config, config.words)
     train_manifest = fileio.load_manifest(train_path)
     test_manifest = fileio.load_manifest(test_path)
-    cache = cache_dir(config, train_path, test_path, work_dir)
-    if not (cache / "complete").exists():
-        shutil.rmtree(cache, ignore_errors=True)
-        cache.mkdir(parents=True)
-        try:
-            _build_cache(cache, config, train_manifest, test_manifest)
-        except BaseException:
-            shutil.rmtree(cache, ignore_errors=True)
-            raise
+    stage, cache = cache_dirs(config, train_path, test_path, work_dir)
+    created: list[Path] = []
+    try:
+        if _emptied(stage, created):
+            _build_stage(stage, config, train_manifest)
+        dictionary, transform = _load_stage(stage, config)
+        if _emptied(cache, created):
+            _build_config(cache, config, dictionary, transform, train_manifest, test_manifest)
+    except BaseException:
+        for directory in created:
+            shutil.rmtree(directory, ignore_errors=True)
+        raise
 
-    transform = load_transform(cache / "transform.vlw") if config.whiten else None
-    dictionary = load_dictionary(cache / "dictionary.vld")
-    if dictionary.num_words != config.words:
-        raise CacheMismatch(
-            f"cached dictionary has {dictionary.num_words} words, config wants {config.words}"
-        )
-    if transform is not None and dictionary.dim != transform.output_dim:
-        raise CacheMismatch(
-            f"dictionary dim {dictionary.dim} != whitening output {transform.output_dim}"
-        )
     model = load_model(cache / "model.vlm")
     rows = [fileio.read_encoding(path) for path in _test_encoding_paths(cache, test_manifest)]
     dims = {row.size for row in rows}
@@ -311,13 +367,12 @@ def run_bench(
     out_path = fileio.nonempty_path(out_path)  # checked before the first pair runs
     rows = []
     sample = read_feature_map(fileio.load_manifest(test_path).paths()[0])
+    stage, _ = cache_dirs(config, train_path, test_path, work_dir)  # shared by every pair
     for mode in modes:
         for pyramid in pyramids:
             combo = replace(config, mode=mode, pyramid=_parse_value(_FIELDS["pyramid"], pyramid))
             report = run_pipeline(combo, train_path, test_path, work_dir)
-            cache = cache_dir(combo, train_path, test_path, work_dir)
-            dictionary = load_dictionary(cache / "dictionary.vld")
-            transform = load_transform(cache / "transform.vlw") if combo.whiten else None
+            dictionary, transform = _load_stage(stage, combo)
             times = []
             for _ in range(5):
                 start = time.perf_counter()

@@ -251,13 +251,16 @@ def test_a7_determinism_and_roundtrip(tmp_path):
             PipelineConfig(words=3, epochs=10, seed=0, mode="sa"),
             root / "train.tsv", root / "test.tsv", root / "work",
         )
-        # The cache key covers the manifests' directory, so only the cache
-        # directory's name may differ between the two roots.
+        # The cache keys cover the manifests' directory, so only the stage and
+        # config directories' names may differ between the two roots.
+        stages = list((root / "work").glob("dict_*"))
         caches = list((root / "work").glob("cache_*"))
         runs.append({
-            str(p.relative_to(root)).replace(caches[0].name, "cache_<key>"): p.read_bytes()
+            str(p.relative_to(root))
+            .replace(stages[0].name, "dict_<key>")
+            .replace(caches[0].name, "cache_<key>"): p.read_bytes()
             for p in root.rglob("*") if p.is_file()
-        } if len(caches) == 1 else None)
+        } if len(stages) == len(caches) == 1 else None)
     deterministic = runs[0] is not None and runs[0] == runs[1]
     # Bit-exact round-trips for every container format, 100 random payloads.
     rng = np.random.default_rng(7)

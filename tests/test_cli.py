@@ -344,6 +344,10 @@ def test_pipeline_rebuilds_a_cache_without_its_marker(workspace, tmp_path, capsy
     capsys.readouterr()
 
 
+def _relative_files(directory: Path) -> list[str]:
+    return sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*") if p.is_file())
+
+
 def _accuracy(out: str) -> str:
     return [line for line in out.splitlines() if line.startswith("accuracy=")][-1]
 
@@ -362,14 +366,16 @@ def test_train_and_evaluate_reproduce_the_pipeline(settings, workspace, tmp_path
     text = "words = 4\nepochs = 5\n" + "".join(f"{k} = {v}\n" for k, v in settings.items())
     assert _pipeline(text, data, tmp_path / "work", tmp_path) == 0
     accuracy = _accuracy(capsys.readouterr().out)
-    (cache,) = (tmp_path / "work").iterdir()
+    (stage,) = (tmp_path / "work").glob("dict_*")
+    (cache,) = (tmp_path / "work").glob("cache_*")
+    assert len(list((tmp_path / "work").iterdir())) == 2
     tests = len(fileio.load_manifest(data / "test.tsv").entries)
-    assert sorted(p.relative_to(cache).as_posix() for p in cache.rglob("*") if p.is_file()) == (
-        ["complete", "dictionary.vld"] + [f"enc_test/{i:06d}.vle" for i in range(tests)]
-        + ["model.vlm", "transform.vlw"]
+    assert _relative_files(stage) == ["complete", "dictionary.vld", "transform.vlw"]
+    assert _relative_files(cache) == (
+        ["complete"] + [f"enc_test/{i:06d}.vle" for i in range(tests)] + ["model.vlm"]
     )
 
-    encoder = ["--dict", str(cache / "dictionary.vld"), "--transform", str(cache / "transform.vlw")]
+    encoder = ["--dict", str(stage / "dictionary.vld"), "--transform", str(stage / "transform.vlw")]
     for key, value in settings.items():
         encoder += [f"--{key}", value]
     assert main(["train", "--manifest", str(data / "train.tsv"), "--epochs", "5",
@@ -400,7 +406,9 @@ def test_pipeline_cache_key_covers_the_manifests_directory(tmp_path, capsys):
     for name in ("train.tsv", "test.tsv"):
         assert (tmp_path / "seed1" / name).read_bytes() == (tmp_path / "seed2" / name).read_bytes()
     assert accuracies["1", "fresh1"] != accuracies["2", "fresh2"]
-    assert len(list((tmp_path / "shared").iterdir())) == 2
+    assert len(list((tmp_path / "shared").glob("cache_*"))) == 2
+    assert len(list((tmp_path / "shared").glob("dict_*"))) == 2
+    assert len(list((tmp_path / "shared").iterdir())) == 4
     for seed in ("1", "2"):
         assert accuracies[seed, "shared"] == accuracies[seed, f"fresh{seed}"]
 
@@ -547,6 +555,18 @@ def _required_args(command, workspace, stages, out):
     }[command]
 
 
+def test_split_that_cannot_write_its_test_side_leaves_no_train_side(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "split", "--manifest", str(workspace / "data" / "manifest.tsv"), "--per-class", "2",
+        "--out-train", "a.tsv", "--out-test", "nodir/b.tsv",
+    ]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", list(CONFIG_FIELDS))
 def test_config_flags_follow_the_config_schema(command, workspace, stage_files, tmp_path, capsys):
     config_fields = CONFIG_FIELDS[command]
@@ -669,6 +689,24 @@ EMPTY_PATHS = {
         "split", "--manifest", "", "--per-class", "2", "--out-train", "a.tsv",
         "--out-test", "b.tsv",
     ],
+    "split_out_train": [
+        "split", "--manifest", "{data}/manifest.tsv", "--per-class", "2", "--out-train", "",
+        "--out-test", "b.tsv",
+    ],
+    "split_out_test": [
+        "split", "--manifest", "{data}/manifest.tsv", "--per-class", "2", "--out-train", "a.tsv",
+        "--out-test", "",
+    ],
+    # A stage command's --out is checked before the stage runs.
+    "preprocess_fit_out": ["preprocess", "fit", "--manifest", "{data}/train.tsv", "--out", ""],
+    "preprocess_apply_out": [
+        "preprocess", "apply", "--transform", "{data}/t.vlw", "--in", "{data}/x.vlf", "--out", "",
+    ],
+    "codebook_train_out": [
+        "codebook", "train", "--manifest", "{data}/train.tsv", "--words", "2", "--out", "",
+    ],
+    "encode_out": ["encode", "--dict", "{data}/d.vld", "--in", "{data}/x.vlf", "--out", ""],
+    "train_out": ["train", "--manifest", "{data}/train.tsv", "--dict", "{data}/d.vld", "--out", ""],
     "pipeline_manifests": [
         "pipeline", "--config", "config", "--train-manifest", "", "--test-manifest", "",
         "--work-dir", "work",

@@ -77,22 +77,23 @@ def test_pipeline_config_values_never_escape_main(key_value, dataset, capsys):
 
 @pytest.fixture(scope="module")
 def artifacts(dataset):
-    """One container of each kind: a training feature map and the cache of
-    a finished pipeline run."""
+    """One container of each kind: a training feature map and the stage and
+    config directories of a finished pipeline run."""
     root = dataset / "artifacts"
     root.mkdir()
     config = root / "config"
     config.write_text(BASE_CONFIG + "mode = lsa\nknn = 2\npyramid = 1x2\n")
     assert _pipeline(dataset, config, root / "work") == 0
-    (cache,) = (root / "work").iterdir()
+    (stage,) = (root / "work").glob("dict_*")
+    (cache,) = (root / "work").glob("cache_*")
     data = dataset / "data"
     first = (data / "train.tsv").read_text().split("\t")[0]
     return {
         "config": config,
-        "cache": cache,
+        "work": root / "work",
         "vlf": data / first,
-        "vlw": cache / "transform.vlw",
-        "vld": cache / "dictionary.vld",
+        "vlw": stage / "transform.vlw",
+        "vld": stage / "dictionary.vld",
         "vlm": cache / "model.vlm",
         "vle": cache / "enc_test" / "000002.vle",
     }
@@ -123,9 +124,8 @@ def test_corrupted_containers_never_escape_main(kind, data, artifacts, dataset, 
     corruption = data.draw(corruptions(artifacts[kind].stat().st_size))
     with tempfile.TemporaryDirectory(dir=dataset) as tmp:
         tmp = Path(tmp)
-        cache = tmp / "work" / artifacts["cache"].name
-        shutil.copytree(artifacts["cache"], cache)
-        files = {k: cache / artifacts[k].relative_to(artifacts["cache"])
+        shutil.copytree(artifacts["work"], tmp / "work")
+        files = {k: tmp / "work" / artifacts[k].relative_to(artifacts["work"])
                  for k in ("vlw", "vld", "vlm", "vle")}
         files["vlf"] = tmp / "map.vlf"
         shutil.copyfile(artifacts["vlf"], files["vlf"])

@@ -51,7 +51,10 @@ def test_tracer_counters_read_a_pyramid_and_a_flat_run(tracing, tmp_path):
             config = PipelineConfig(words=2, epochs=2, max_iters=5, pyramid=pyramid)
             with tracer.span("bench.cold_pass", pass_id=f"run-{pyramid}"):
                 with tracer.span("pipeline.run_pipeline"):
-                    run_pipeline(config, data / "train.tsv", data / "test.tsv", tmp_path / "work")
+                    # A work dir per pass: the flat pass would reuse the pyramid
+                    # pass's dictionary stage and run no k-means.
+                    work = tmp_path / f"work-{pyramid}"
+                    run_pipeline(config, data / "train.tsv", data / "test.tsv", work)
     passes = tracer.passes("run-")
     assert set(passes) == {"run-a", "run-None"}
     for pass_id, spans in passes.items():

@@ -1,15 +1,19 @@
 import csv
 import re
+import shutil
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vladkit import fileio
+from vladkit import fileio, pipeline
 from vladkit.errors import CacheMismatch, ParseError
 from vladkit.fileio import DatasetManifest
 from vladkit.pipeline import (
+    STAGE_FIELDS,
     PipelineConfig,
+    cache_dirs,
     config_to_text,
     fnv1a64,
     load_config,
@@ -205,10 +209,10 @@ def test_pipeline_cache_mismatch_detected(dataset, tmp_path):
     train_path, test_path = dataset
     config = small_config(mode="hard")
     run_pipeline(config, train_path, test_path, tmp_path)
-    cache = next(tmp_path.glob("cache_*"))
-    # Corrupt the cached dictionary with a different word count.
+    (stage,) = tmp_path.glob("dict_*")
+    # Corrupt the stage's dictionary with a different word count.
     wrong = np.zeros((3, 6), dtype=np.float32)
-    fileio.write_dictionary(wrong, cache / "dictionary.vld")
+    fileio.write_dictionary(wrong, stage / "dictionary.vld")
     with pytest.raises(CacheMismatch):
         run_pipeline(config, train_path, test_path, tmp_path)
 
@@ -247,3 +251,97 @@ def test_bench_cross_product(dataset, tmp_path):
         assert int(encoding_len) == 6 * 6 * regions
         assert float(encode_us) > 0
         assert re.fullmatch(r"[01]\.\d{6}", accuracy)
+    # Mode and pyramid are no stage inputs: one dictionary serves every pair.
+    assert len(list(tmp_path.glob("dict_*"))) == 1
+    assert len(list(tmp_path.glob("cache_*"))) == 4
+
+
+def _files(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _same_report(a, b) -> bool:
+    return a.accuracy == b.accuracy and np.array_equal(a.confusion, b.confusion)
+
+
+def test_configs_that_differ_in_encoder_or_epochs_share_one_stage(dataset, tmp_path, monkeypatch):
+    """Five modes and one changed `epochs`, as the mode-sweep benchmark runs
+    them: whitening is fitted and k-means run once for all six."""
+    calls = {"fit_whitening": 0, "kmeans_train": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(pipeline, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    train_path, test_path = dataset
+    configs = [small_config(mode=mode) for mode in ("hard", "sa", "lsa", "llc", "llc-approx")]
+    configs.append(small_config(mode="hard", epochs=10))
+    for config in configs:
+        run_pipeline(config, train_path, test_path, tmp_path)
+    assert calls == {"fit_whitening": 1, "kmeans_train": 1}
+    assert len(list(tmp_path.glob("dict_*"))) == 1
+    assert len(list(tmp_path.glob("cache_*"))) == 6
+
+
+# A valid value other than small_config's for every PipelineConfig field.
+OTHER_VALUE = {
+    "mode": "sa", "beta": 2.0, "knn": 2, "lam": 1e-3, "sigma": 2.0,
+    "norm_scheme": "global-only", "pyramid": "2x2", "whiten": False, "pca_dim": 4,
+    "epsilon": 0.5, "words": 5, "max_iters": 3, "tol": 0.5, "subsample": 500, "reg": 1e-3,
+    "epochs": 3, "seed": 1,
+}
+
+
+def test_stage_key_covers_exactly_the_declared_stage_fields(dataset, tmp_path):
+    """A field left out of STAGE_FIELDS that builds the stage changes its
+    bytes under a shared name; a declared field must change the name."""
+    assert set(OTHER_VALUE) == {f.name for f in fields(PipelineConfig)}
+    assert set(STAGE_FIELDS) < set(OTHER_VALUE)
+    train_path, test_path = dataset
+    base = small_config(epochs=5)
+    run_pipeline(base, train_path, test_path, tmp_path / "base")
+    stage, cache = cache_dirs(base, train_path, test_path, tmp_path / "base")
+    expected = {name: (stage / name).read_bytes() for name in ("transform.vlw", "dictionary.vld")}
+    for name, value in OTHER_VALUE.items():
+        config = replace(base, **{name: value})
+        assert getattr(config, name) != getattr(base, name)
+        work = tmp_path / name
+        varied, varied_cache = cache_dirs(config, train_path, test_path, work)
+        assert varied_cache.name != cache.name, name
+        if name in STAGE_FIELDS:
+            assert varied.name != stage.name, name
+            continue
+        assert varied.name == stage.name, name
+        run_pipeline(config, train_path, test_path, work)  # in a fresh work dir
+        assert {n: (varied / n).read_bytes() for n in expected} == expected, name
+
+
+def test_stage_without_its_marker_or_deleted_is_rebuilt(dataset, tmp_path):
+    train_path, test_path = dataset
+    config = small_config(mode="sa")
+    first = run_pipeline(config, train_path, test_path, tmp_path)
+    snapshot = _files(tmp_path)
+    stage, _ = cache_dirs(config, train_path, test_path, tmp_path)
+    # A killed build: no marker, a truncated dictionary.
+    (stage / "complete").unlink()
+    (stage / "dictionary.vld").write_bytes(b"VLD1")
+    assert _same_report(run_pipeline(config, train_path, test_path, tmp_path), first)
+    assert _files(tmp_path) == snapshot
+    # The config directory stays complete; its stage comes back byte for byte.
+    shutil.rmtree(stage)
+    assert _same_report(run_pipeline(config, train_path, test_path, tmp_path), first)
+    assert _files(tmp_path) == snapshot
+
+
+def test_failed_run_keeps_the_stage_it_did_not_create(dataset, tmp_path, monkeypatch):
+    train_path, test_path = dataset
+    run_pipeline(small_config(mode="hard"), train_path, test_path, tmp_path)
+    snapshot = _files(tmp_path)
+
+    def fail(values, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "write_encoding", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(small_config(mode="sa"), train_path, test_path, tmp_path)
+    assert _files(tmp_path) == snapshot
