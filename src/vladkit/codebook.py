@@ -37,11 +37,17 @@ class KmeansReport:
 def squared_distances(data: np.ndarray, centers: np.ndarray, data_norms=None) -> np.ndarray:
     """Pairwise squared Euclidean distances, (N, M). Clamped at zero to guard
     against tiny negative values from the expansion formula. data_norms, the
-    rows' np.sum(data * data, axis=1), may be passed in to skip that pass."""
+    rows' np.sum(data * data, axis=1), may be passed in to skip that pass.
+    The expansion runs in place on the one (N, M) product, so no scaled copy
+    of the data is made; scaling by -2 is exact, so the values are those of
+    norms - 2 * data @ centers.T + center norms, bit for bit."""
     if data_norms is None:
         data_norms = np.sum(data * data, axis=1)
-    d2 = data_norms[:, None] - 2.0 * data @ centers.T + np.sum(centers * centers, axis=1)[None, :]
-    return np.maximum(d2, 0.0)
+    d2 = data @ centers.T
+    d2 *= -2.0
+    d2 += data_norms[:, None]
+    d2 += np.sum(centers * centers, axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kmeans_init_plusplus(data: np.ndarray, m: int, seed: int) -> np.ndarray:

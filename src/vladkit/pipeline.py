@@ -203,12 +203,14 @@ def encode_manifest(
     config: PipelineConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's encoding, rounded to the float32 that a `.vle` stores,
-    as an (N, dim) float64 array, and the entries' labels."""
-    rows = [
-        encode_entry(read_feature_map(path), dictionary, transform, config).astype(np.float32)
-        for path in manifest.paths()
-    ]
-    return np.array(rows, dtype=np.float64), manifest.labels()
+    as one (N, dim) float32 array filled row by row, and the entries' labels."""
+    spec = config.pyramid_spec()
+    regions = 1 if spec is None else spec.total_regions
+    paths = manifest.paths()
+    encodings = np.empty((len(paths), regions * dictionary.num_words * dictionary.dim), np.float32)
+    for row, path in zip(encodings, paths):
+        row[:] = encode_entry(read_feature_map(path), dictionary, transform, config)
+    return encodings, manifest.labels()
 
 
 def train_dictionary(
@@ -342,11 +344,14 @@ def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> Eva
         raise
 
     model = load_model(cache / "model.vlm")
-    rows = [fileio.read_encoding(path) for path in _test_encoding_paths(cache, test_manifest)]
-    dims = {row.size for row in rows}
-    if dims != {model.dim}:
-        raise CacheMismatch(f"cached model dim {model.dim} != encoding dims {sorted(dims)}")
-    return evaluate(model, np.array(rows, dtype=np.float64), test_manifest.labels())
+    paths = _test_encoding_paths(cache, test_manifest)
+    test_x = np.empty((len(paths), model.dim), np.float32)
+    for row, path in zip(test_x, paths):
+        values = fileio.read_encoding(path)
+        if values.size != model.dim:
+            raise CacheMismatch(f"cached model dim {model.dim} != {path.name} length {values.size}")
+        row[:] = values
+    return evaluate(model, test_x, test_manifest.labels())
 
 
 # -- benchmark harness -------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_pegasos_ovr
-from vladkit import errors, fileio
+from vladkit import classifier, errors, fileio
 from vladkit.classifier import LinearModel, predict, tabulate, train_ovr
 from vladkit.pipeline import _MINIMUM, PipelineConfig
 
@@ -175,3 +175,49 @@ def test_training_makes_no_augmented_copy():
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes / 2
+
+
+def test_float32_encodings_give_the_model_and_scores_of_their_float64_widening(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((13, 50)).astype(np.float32)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    wide = x.astype(np.float64)
+    y = np.arange(13) % 3
+    config = PipelineConfig(epochs=5, seed=3)
+    whole = train_ovr(wide, y, config)
+    # Blocks this small cut every product's loop into several blocks.
+    monkeypatch.setattr(classifier, "_BLOCK", 120)
+    counts = []
+    blocks = classifier._blocks
+
+    def counted(*args):
+        counts.append(len(blocks(*args)))
+        return blocks(*args)
+
+    monkeypatch.setattr(classifier, "_blocks", counted)
+    model = train_ovr(x, y, config)
+    model_wide = train_ovr(wide, y, config)
+    assert np.array_equal(model.weights, model_wide.weights)
+    assert np.array_equal(model.biases, model_wide.biases)
+    labels, scores = predict(model, x)
+    labels_wide, scores_wide = predict(model, wide)
+    assert np.array_equal(scores, scores_wide) and np.array_equal(labels, labels_wide)
+    assert len(counts) == 6 and min(counts) > 1  # gram, weights, predict; twice each
+    # Blocking leaves the unblocked model within the oracle tolerance.
+    scale = max(np.abs(whole.weights).max(), np.abs(whole.biases).max())
+    assert np.abs(model.weights - whole.weights).max() <= ORACLE_ATOL * scale
+    assert np.abs(model.biases - whole.biases).max() <= ORACLE_ATOL * scale
+
+
+def test_float32_training_widens_in_blocks(monkeypatch):
+    # A float64 copy of x alone would take 2 * x.nbytes.
+    monkeypatch.setattr(classifier, "_BLOCK", 1 << 16)
+    x = np.random.default_rng(4).standard_normal((20, 40_000)).astype(np.float32)
+    y = np.arange(20) % 4
+    tracemalloc.start()
+    try:
+        train_ovr(x, y, PipelineConfig(epochs=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes

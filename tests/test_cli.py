@@ -567,6 +567,22 @@ def test_split_that_cannot_write_its_test_side_leaves_no_train_side(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out_test", ["a.tsv", "./a.tsv", "sub/../a.tsv"])
+def test_split_to_one_file_for_both_sides_writes_nothing(
+    out_test, workspace, tmp_path, monkeypatch, capsys
+):
+    # Written in turn, the test side would replace the training side.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main([
+        "split", "--manifest", str(workspace / "data" / "manifest.tsv"), "--per-class", "2",
+        "--out-train", "a.tsv", "--out-test", out_test,
+    ]) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert not list((tmp_path / "sub").iterdir())
+
+
 @pytest.mark.parametrize("command", list(CONFIG_FIELDS))
 def test_config_flags_follow_the_config_schema(command, workspace, stage_files, tmp_path, capsys):
     config_fields = CONFIG_FIELDS[command]

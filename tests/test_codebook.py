@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,33 @@ def test_subsample_rejects_cap_below_one():
     for cap in (0, -5):
         with pytest.raises(errors.EmptyInput):
             subsample(data, cap, seed=0)
+
+
+def traced_peak(run) -> int:
+    """The peak bytes of Python allocations while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distances_make_no_scaled_copy_of_the_data():
+    # Distances to one center are N floats. `-2.0 * data @ centers.T` would
+    # first scale a copy of all N x D of the data.
+    data = np.random.default_rng(9).standard_normal((20_000, 64))
+    center = data[:1].copy()
+    norms = np.sum(data * data, axis=1)
+    peak = traced_peak(lambda: codebook.squared_distances(data, center, norms))
+    assert peak < data.nbytes / 4
+
+
+def test_kmeans_holds_at_most_two_distance_matrices():
+    # A Lloyd step computes its (N, M) distances while the last step's are
+    # still held; a scaled copy of the data, or a temporary per term of the
+    # expansion, would come on top.
+    data = np.random.default_rng(10).standard_normal((8192, 32))
+    m = 32
+    peak = traced_peak(lambda: kmeans_train(data, m, max_iters=5, seed=0))
+    assert peak < 2.5 * max(data.nbytes, data.shape[0] * m * 8)

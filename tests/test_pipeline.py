@@ -9,7 +9,7 @@ import pytest
 
 from vladkit import fileio, pipeline
 from vladkit.errors import CacheMismatch, ParseError
-from vladkit.fileio import DatasetManifest
+from vladkit.fileio import DatasetManifest, read_feature_map
 from vladkit.pipeline import (
     STAGE_FIELDS,
     PipelineConfig,
@@ -226,6 +226,26 @@ def test_pipeline_cached_encoding_of_another_length_detected(dataset, tmp_path):
     fileio.write_encoding(np.ones(6 * 6 - 1), cache / "enc_test" / "000001.vle")
     with pytest.raises(CacheMismatch):
         run_pipeline(config, train_path, test_path, tmp_path)
+
+
+@pytest.mark.parametrize("pyramid", [None, "a"])
+def test_encode_manifest_fills_one_float32_matrix_with_each_rounded_encoding(
+    pyramid, dataset, tmp_path
+):
+    train_path, _ = dataset
+    config = small_config(mode="sa", pyramid=pyramid)
+    stage = tmp_path / "stage"
+    stage.mkdir()
+    manifest = fileio.load_manifest(train_path)
+    pipeline._build_stage(stage, config, manifest)
+    dictionary, transform = pipeline._load_stage(stage, config)
+    encodings, labels = pipeline.encode_manifest(manifest, dictionary, transform, config)
+    assert encodings.dtype == np.float32 and encodings.flags.c_contiguous
+    assert np.array_equal(labels, manifest.labels())
+    assert len(encodings) == len(manifest.entries)
+    for row, path in zip(encodings, manifest.paths()):
+        one = pipeline.encode_entry(read_feature_map(path), dictionary, transform, config)
+        assert np.array_equal(row, one.astype(np.float32))
 
 
 def test_bench_cross_product(dataset, tmp_path):
