@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad files, dimension
-mismatches, and everything else raised as a VladkitError).
+mismatches, a request too large to allocate, and everything else raised as
+a VladkitError).
 """
 
 from __future__ import annotations
@@ -311,8 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) and exc.code != 2 else 1
     try:
         return args.run(args)
-    except (VladkitError, OSError) as exc:
-        print(f"vladkit: error: {exc}", file=sys.stderr)
+    except (VladkitError, OSError, MemoryError) as exc:  # MemoryError: more than the host can allocate
+        print(f"vladkit: error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
 

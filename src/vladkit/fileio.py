@@ -10,6 +10,10 @@ file. The five magics are
     VLE1  encoding         (length, then floats)
     VLM1  linear model     (C, dim, then C*(dim+1) floats, weights then bias)
 
+A reader returns read-only float32 views of the bytes it read, and a writer
+writes from the caller's arrays; `pipeline`'s `load_*` helpers widen to
+float64.
+
 Manifests are UTF-8 text, one "path<TAB>label" per line, LF endings. A
 relative path is read from the directory of the manifest file.
 """
@@ -31,9 +35,6 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
-
-_U32 = struct.Struct("<I")
-
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -109,15 +110,18 @@ def _check_payload(path, floats: np.ndarray, expected: int) -> np.ndarray:
     return floats
 
 
-def _write_container(path, magic: bytes, header: list[int], payload: np.ndarray):
-    values = np.ascontiguousarray(payload, dtype="<f4")
-    if not np.isfinite(values).all():
+def _write_container(path, magic: bytes, header: list[int], *parts: np.ndarray):
+    """Write the magic and u32 header, then each part's floats in order. A
+    part is written from its own buffer: a little-endian float32 array
+    without a copy, anything else after one conversion. Nothing is written
+    if any part holds a NaN or Inf."""
+    parts = [np.ascontiguousarray(part, dtype="<f4") for part in parts]
+    if not all(np.isfinite(part).all() for part in parts):
         raise NonFinite(f"refusing to write non-finite payload to {path}")
     with open(path, "wb") as f:
-        f.write(magic)
-        for h in header:
-            f.write(_U32.pack(h))
-        f.write(values.tobytes())
+        f.write(struct.pack(f"<4s{len(header)}I", magic, *header))
+        for part in parts:
+            f.write(part)
 
 
 # -- feature maps ------------------------------------------------------------
@@ -126,14 +130,11 @@ def read_feature_map(path) -> FeatureMap:
     (h, w, d), floats = _read_container(path, b"VLF1", 3)
     if h < 1 or w < 1 or d < 1:
         raise ParseError(f"{path}: non-positive dimensions {h}x{w}x{d}")
-    floats = _check_payload(path, floats, h * w * d)
-    return FeatureMap(floats.astype(np.float32).reshape(h, w, d))
+    return FeatureMap(_check_payload(path, floats, h * w * d).reshape(h, w, d))
 
 
 def write_feature_map(fmap: FeatureMap, path) -> None:
-    _write_container(
-        path, b"VLF1", [fmap.height, fmap.width, fmap.dim], fmap.data.reshape(-1)
-    )
+    _write_container(path, b"VLF1", [fmap.height, fmap.width, fmap.dim], fmap.data)
 
 
 # -- dictionaries ------------------------------------------------------------
@@ -143,12 +144,12 @@ def read_dictionary(path) -> np.ndarray:
     (m, d), floats = _read_container(path, b"VLD1", 2)
     if m < 1 or d < 1:
         raise ParseError(f"{path}: non-positive dictionary shape {m}x{d}")
-    return _check_payload(path, floats, m * d).astype(np.float32).reshape(m, d)
+    return _check_payload(path, floats, m * d).reshape(m, d)
 
 
 def write_dictionary(centers: np.ndarray, path) -> None:
     centers = np.asarray(centers)
-    _write_container(path, b"VLD1", list(centers.shape), centers.reshape(-1))
+    _write_container(path, b"VLD1", list(centers.shape), centers)
 
 
 # -- whitening transforms ----------------------------------------------------
@@ -159,32 +160,29 @@ def read_whitening(path) -> tuple[np.ndarray, np.ndarray]:
     if d_in < 1 or d_out < 1 or d_out > d_in:
         raise ParseError(f"{path}: bad whitening dims {d_in}->{d_out}")
     floats = _check_payload(path, floats, d_in + d_out * d_in)
-    mean = floats[:d_in].astype(np.float32)
-    projection = floats[d_in:].astype(np.float32).reshape(d_out, d_in)
-    return mean, projection
+    return floats[:d_in], floats[d_in:].reshape(d_out, d_in)
 
 
 def write_whitening(mean: np.ndarray, projection: np.ndarray, path) -> None:
-    mean = np.asarray(mean).reshape(-1)
+    mean = np.asarray(mean)
     projection = np.asarray(projection)
     d_out, d_in = projection.shape
     if mean.size != d_in:
         raise DimMismatch(
             f"mean length {mean.size} does not match projection D_in {d_in}"
         )
-    payload = np.concatenate([mean, projection.reshape(-1)])
-    _write_container(path, b"VLW1", [d_in, d_out], payload)
+    _write_container(path, b"VLW1", [d_in, d_out], mean, projection)
 
 
 # -- encodings ---------------------------------------------------------------
 
 def read_encoding(path) -> np.ndarray:
     (n,), floats = _read_container(path, b"VLE1", 1)
-    return _check_payload(path, floats, n).astype(np.float32)
+    return _check_payload(path, floats, n)
 
 
 def write_encoding(values: np.ndarray, path) -> None:
-    values = np.asarray(values).reshape(-1)
+    values = np.asarray(values)
     _write_container(path, b"VLE1", [values.size], values)
 
 
@@ -195,16 +193,15 @@ def read_model(path) -> tuple[np.ndarray, np.ndarray]:
     (c, dim), floats = _read_container(path, b"VLM1", 2)
     if c < 1 or dim < 1:
         raise ParseError(f"{path}: bad model shape C={c}, dim={dim}")
-    floats = _check_payload(path, floats, c * (dim + 1))
-    rows = floats.astype(np.float32).reshape(c, dim + 1)
-    return rows[:, :dim].copy(), rows[:, dim].copy()
+    rows = _check_payload(path, floats, c * (dim + 1)).reshape(c, dim + 1)
+    return rows[:, :dim], rows[:, dim]
 
 
 def write_model(weights: np.ndarray, biases: np.ndarray, path) -> None:
     weights = np.asarray(weights)
     biases = np.asarray(biases).reshape(-1, 1)
     rows = np.hstack([weights, biases])
-    _write_container(path, b"VLM1", [weights.shape[0], weights.shape[1]], rows.reshape(-1))
+    _write_container(path, b"VLM1", list(weights.shape), rows)
 
 
 # -- manifests ---------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each pyramid level (r, c) cuts the H x W grid into r*c regions with
 floor-proportional boundaries; every region gets its own VLAD encoding and
-the segments are concatenated level by level (row-major within a level),
-then globally L2-normalized. Empty regions contribute an all-zero segment.
+the segments follow level by level (row-major within a level) in one
+preallocated encoding, then it is globally L2-normalized. Empty regions
+keep an all-zero segment.
 A descriptor's whitened form and assignment weights do not depend on the
 region it falls in, so the image is whitened and assigned once and each
 region aggregates its slice of the two grids.
@@ -87,20 +88,18 @@ def encode_spm(
     spec: PyramidSpec,
 ) -> np.ndarray:
     """The pyramid encoding of one image: every region's segment, in
-    region_slices order, then one global L2."""
-    segment_len = dictionary.num_words * dictionary.dim
+    region_slices order, then one global L2. The segments are the rows of
+    one preallocated array, so an empty region keeps its zeros."""
+    encoding = np.zeros((spec.total_regions, dictionary.num_words * dictionary.dim))
     descriptors = fmap.descriptors().astype(np.float64)
     if transform is not None:
         descriptors = apply_whitening_batch(transform, descriptors)
     weights = vlad.weight_matrix(dictionary, descriptors, config)
     x_grid = descriptors.reshape(fmap.height, fmap.width, dictionary.dim)
     w_grid = weights.reshape(fmap.height, fmap.width, dictionary.num_words)
-    segments = []
-    for rows, cols in region_slices(fmap.height, fmap.width, spec):
+    for segment, (rows, cols) in zip(encoding, region_slices(fmap.height, fmap.width, spec)):
         region = x_grid[rows, cols].reshape(-1, dictionary.dim)
-        if region.shape[0] == 0:
-            segments.append(np.zeros(segment_len))
-            continue
-        region_weights = w_grid[rows, cols].reshape(-1, dictionary.num_words)
-        segments.append(encode_descriptors(dictionary, region, region_weights, config.norm_scheme))
-    return l2_normalize(np.concatenate(segments))
+        if region.shape[0]:
+            region_weights = w_grid[rows, cols].reshape(-1, dictionary.num_words)
+            segment[:] = encode_descriptors(dictionary, region, region_weights, config.norm_scheme)
+    return l2_normalize(encoding.reshape(-1))

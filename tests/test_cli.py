@@ -655,6 +655,39 @@ def test_encode_singular_llc_approx_system_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.vle").exists()
 
 
+def test_an_impossible_allocation_exits_2(tmp_path, capsys):
+    # 10^9 components of 10^9 dims: 6.9 EiB, beyond any 64-bit address space.
+    assert main([
+        "synth", "--classes", "1000000000", "--per-class", "1", "--height", "1",
+        "--width", "1", "--dim", "1000000000", "--out-dir", str(tmp_path / "d"),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("vladkit: error: Unable to allocate")
+
+
+def test_a_pyramid_too_large_to_allocate_exits_2_at_once(workspace, stage_files, tmp_path):
+    """10^16 regions: the encoding's one allocation (1.7 EiB) fails before a
+    region is cut. The child process caps its address space, so code that
+    walked the regions first fails there instead of filling the host."""
+    pytest.importorskip("resource")
+    out = tmp_path / "e.vle"
+    args = _required_args("encode", workspace, stage_files, out)
+    cap = 2**31
+    code = (
+        f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}));"
+        " from vladkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args, "--pyramid", "100000000x100000000"],
+        env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("vladkit: error: Unable to allocate")
+    assert not out.exists()
+
+
 def test_manifest_of_mixed_descriptor_dims_exits_2(tmp_path, capsys):
     for name, dim in (("a.vlf", 2), ("b.vlf", 3)):
         fmap = fileio.FeatureMap(np.ones((2, 2, dim), dtype=np.float32))

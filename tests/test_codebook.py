@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from memtrace import traced_peak
 from oracles import best_kmeans_objective, naive_nearest
 from vladkit import codebook, errors
 from vladkit.assignment import weight_matrix
@@ -162,16 +161,6 @@ def test_subsample_rejects_cap_below_one():
     for cap in (0, -5):
         with pytest.raises(errors.EmptyInput):
             subsample(data, cap, seed=0)
-
-
-def traced_peak(run) -> int:
-    """The peak bytes of Python allocations while run() runs."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_distances_make_no_scaled_copy_of_the_data():

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from memtrace import traced_peak
 from vladkit import errors, fileio
 from vladkit.fileio import DatasetManifest, FeatureMap
 
@@ -52,6 +53,13 @@ def test_truncated_header(tmp_path):
 def test_nan_refused_on_write(tmp_path):
     with pytest.raises(errors.NonFinite):
         FeatureMap(np.array([[[np.nan]]], dtype=np.float32))
+    # A whitening container is written in two parts; each is checked.
+    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+    for mean, projection in ((np.array([np.nan, 0.0]), np.eye(2)), (np.zeros(2), bad)):
+        path = tmp_path / "t.vlw"
+        with pytest.raises(errors.NonFinite):
+            fileio.write_whitening(mean, projection, path)
+        assert not path.exists()
 
 
 def test_nan_refused_on_read(tmp_path):
@@ -107,6 +115,31 @@ def test_model_roundtrip(tmp_path):
     w2, b2 = fileio.read_model(path)
     assert np.array_equal(weights, w2)
     assert np.array_equal(biases, b2)
+
+
+def test_read_encoding_returns_a_view_of_the_bytes_read(tmp_path):
+    # The bytes read are the one buffer: a float32 copy of them doubled the peak.
+    values = np.arange(100_000, dtype=np.float32)
+    path = tmp_path / "e.vle"
+    fileio.write_encoding(values, path)
+    assert traced_peak(lambda: fileio.read_encoding(path)) < 1.5 * values.nbytes
+    read = fileio.read_encoding(path)
+    assert read.dtype == np.float32 and not read.flags.writeable
+
+
+def test_writers_write_from_the_callers_array(tmp_path):
+    # tobytes() copied every payload once more, and write_whitening first
+    # concatenated its two parts.
+    values = np.arange(100_000, dtype=np.float32)
+    assert traced_peak(lambda: fileio.write_encoding(values, tmp_path / "e.vle")) < 0.5 * values.nbytes
+    rng = np.random.default_rng(4)
+    mean, projection = rng.standard_normal(256), rng.standard_normal((200, 256))
+    path = tmp_path / "t.vlw"
+    payload = 4 * (mean.size + projection.size)
+    assert traced_peak(lambda: fileio.write_whitening(mean, projection, path)) < 2.5 * payload
+    header = b"VLW1" + struct.pack("<II", 256, 200)
+    floats = mean.astype("<f4").tobytes() + projection.astype("<f4").tobytes()
+    assert path.read_bytes() == header + floats
 
 
 def test_manifest_basic(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import vladkit.spm
 import vladkit.vlad
+from memtrace import traced_peak
 from vladkit import errors, fileio
 from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary, kmeans_train
@@ -103,6 +104,18 @@ def test_empty_region_contributes_zero_segment():
     occupied = [i for i in range(4) if np.any(segments[i])]
     assert len(occupied) <= 1
     assert np.isfinite(out).all()
+
+
+def test_encode_spm_fills_one_encoding():
+    # Each segment goes into its row of one preallocated encoding; a list of
+    # segments and their concatenation held two encodings before the L2.
+    rng = np.random.default_rng(8)
+    d = Dictionary(centers=rng.standard_normal((64, 64)))
+    fmap = grid_map(rng, 8, 8, 64)
+    spec = parse_pyramid("c")
+    encoding_bytes = spec.total_regions * 64 * 64 * 8
+    peak = traced_peak(lambda: encode_spm(fmap, d, None, PipelineConfig(), spec))
+    assert peak < 3 * encoding_bytes
 
 
 def test_global_norm_is_one():
