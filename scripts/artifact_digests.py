@@ -13,7 +13,9 @@ One line per file or accuracy:
     <workload> <seed> <config #> cache/<path inside the config directory> <sha256>
     <workload> <seed> <config #> accuracy <accuracy>
 
-Each pass runs in a fresh temporary directory. A config reads the transform
+Each pass runs in a fresh temporary directory, and the script exits non-zero
+if a pass leaves a `.tmp-*` build directory in its work directory: a clean
+run publishes every directory it builds. A config reads the transform
 and dictionary from its stage directory, which configs with the same stage
 inputs share, and its model and test encodings from its own directory. A
 directory's name hashes the absolute directory of the manifests, so the
@@ -45,8 +47,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--seeds", type=int, default=3, help="run seeds 0..N-1")
     args = parser.parse_args(argv)
 
-    # k-means is bit-reproducible only with single-threaded BLAS, so cap the
-    # threads before NumPy loads, as the benchmark does.
+    # Cap BLAS at one thread before NumPy loads, to match the benchmark's pin.
+    # Artifacts were measured byte-identical with two threads too.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -72,6 +74,9 @@ def main(argv: list[str] | None = None) -> None:
                             rel = path.relative_to(directory).as_posix()
                             print(name, seed, i, f"{kind}/{rel}", _sha256(path))
                     print(name, seed, i, "accuracy", repr(report.accuracy), flush=True)
+                leftovers = sorted(p.name for p in work.glob(".tmp-*"))
+                if leftovers:
+                    sys.exit(f"{name} seed {seed}: a clean pass left {leftovers} in its work dir")
 
 
 if __name__ == "__main__":

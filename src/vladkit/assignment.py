@@ -20,7 +20,7 @@ import numpy as np
 
 from .codebook import Dictionary, squared_distances
 from .errors import (
-    BadK, BadLambda, DimMismatch, NonPositiveBeta, NonPositiveSigma, SingularSystem,
+    BadK, BadLambda, DimMismatch, NonFinite, NonPositiveBeta, NonPositiveSigma, SingularSystem,
 )
 
 if TYPE_CHECKING:
@@ -92,8 +92,12 @@ def weight_matrix(
     if config.mode == "llc":
         if m == 1:
             return np.ones_like(d2)
-        s = np.exp(np.sqrt(d2) / config.sigma)
-        return _solve_affine_ls(centers[None, :, :] - x[:, None, :], config.lam * s * s)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            s = np.exp(np.sqrt(d2) / config.sigma)
+            penalty = config.lam * s * s
+        if not np.isfinite(penalty).all():
+            raise NonFinite(f"llc: exp(distance / sigma) overflows at sigma {config.sigma}")
+        return _solve_affine_ls(centers[None, :, :] - x[:, None, :], penalty)
     w = np.zeros_like(d2)
     if config.mode == "hard":
         np.put_along_axis(w, np.argmin(d2, axis=1)[:, None], 1.0, axis=1)

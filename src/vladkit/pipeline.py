@@ -3,13 +3,16 @@ every manifest entry, classifier training, and evaluation, with on-disk
 caching of intermediates keyed by a content hash of the configuration and
 the input manifests: the transform and dictionary in a stage directory that
 configs with the same stage inputs share, the model and test encodings in a
-directory per config."""
+directory per config. Each directory is published by one rename from a
+`.tmp-*` directory, which a killed run leaves behind and which is safe to
+delete when no run is active."""
 
 from __future__ import annotations
 
 import csv
 import math
 import shutil
+import tempfile
 import time
 from dataclasses import Field, dataclass, fields, replace
 from pathlib import Path
@@ -204,10 +207,9 @@ def encode_manifest(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's encoding, rounded to the float32 that a `.vle` stores,
     as one (N, dim) float32 array filled row by row, and the entries' labels."""
-    spec = config.pyramid_spec()
-    regions = 1 if spec is None else spec.total_regions
+    spec = config.pyramid_spec() or PyramidSpec(((1, 1),))  # flat: one region
     paths = manifest.paths()
-    encodings = np.empty((len(paths), regions * dictionary.num_words * dictionary.dim), np.float32)
+    encodings = np.empty((len(paths), spec.encoding_length(dictionary, len(paths))), np.float32)
     for row, path in zip(encodings, paths):
         row[:] = encode_entry(read_feature_map(path), dictionary, transform, config)
     return encodings, manifest.labels()
@@ -253,7 +255,8 @@ def cache_dirs(config: PipelineConfig, train_path, test_path, work_dir) -> tuple
     training manifest; the config key covers the stage key, every other field
     and the test manifest. Each manifest is hashed once."""
     work_dir = fileio.nonempty_path(work_dir)
-    stage_text = _fields_text(config, STAGE_FIELDS)
+    # In every key, so that no half-written directory of the marker layout is read.
+    stage_text = "layout = 2\n" + _fields_text(config, STAGE_FIELDS)
     stage_key = f"{fnv1a64((stage_text + _manifest_key(train_path)).encode()):016x}"
     payload = stage_key + _fields_text(config, _CONFIG_FIELDS) + _manifest_key(test_path)
     return work_dir / f"dict_{stage_key}", work_dir / f"cache_{fnv1a64(payload.encode()):016x}"
@@ -264,21 +267,27 @@ def _test_encoding_paths(cache: Path, manifest: DatasetManifest) -> list[Path]:
     return [cache / "enc_test" / f"{idx:06d}.vle" for idx in range(len(manifest.entries))]
 
 
-def _emptied(directory: Path, created: list[Path]) -> bool:
-    """Whether directory lacks its `complete` marker. If so, it is deleted,
-    made again empty and appended to created: the caller builds it, writes
-    the marker last, and removes it if the run fails."""
-    if (directory / "complete").exists():
-        return False
-    shutil.rmtree(directory, ignore_errors=True)
-    directory.mkdir(parents=True)
-    created.append(directory)
-    return True
+def _published(directory: Path, build, *args) -> None:
+    """Unless directory exists, build(tmp, *args) fills a fresh `.tmp-*`
+    directory beside it, and one rename publishes that. If another run wins,
+    its directory stays: by the determinism contract, its bytes are equal."""
+    if directory.is_dir():
+        return
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=".tmp-", dir=directory.parent))
+    tmp.chmod(directory.parent.stat().st_mode & 0o7777)  # the work dir's, not mkdtemp's 0700
+    try:
+        build(tmp, *args)
+        tmp.rename(directory)
+    except OSError:
+        if not directory.is_dir():
+            raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _build_stage(stage: Path, config: PipelineConfig, train_manifest) -> None:
-    """The whitening transform and the dictionary, from the training set;
-    the marker last."""
+    """The whitening transform and the dictionary, from the training set."""
     descriptors = load_descriptor_stack(train_manifest)
     transform = None
     if config.whiten:
@@ -287,7 +296,6 @@ def _build_stage(stage: Path, config: PipelineConfig, train_manifest) -> None:
         transform = load_transform(stage / "transform.vlw")
     trained, _ = train_dictionary(descriptors, transform, config)
     fileio.write_dictionary(trained.centers, stage / "dictionary.vld")
-    (stage / "complete").touch()
 
 
 def _load_stage(
@@ -309,39 +317,31 @@ def _load_stage(
 
 
 def _build_config(cache: Path, config, dictionary, transform, train_manifest, test_manifest):
-    """The model and one encoding per test image, the marker last. The
-    training encodings, read by no later run, stay in memory."""
+    """The model and one encoding per test image. The training encodings,
+    read by no later run, stay in memory."""
     model = train_ovr(*encode_manifest(train_manifest, dictionary, transform, config), config)
     fileio.write_model(model.weights, model.biases, cache / "model.vlm")
     test_x, _ = encode_manifest(test_manifest, dictionary, transform, config)
     (cache / "enc_test").mkdir()
     for values, path in zip(test_x, _test_encoding_paths(cache, test_manifest)):
         fileio.write_encoding(values, path)
-    (cache / "complete").touch()
 
 
 def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> EvalReport:
     """fit whitening -> train codebook -> encode -> train -> evaluate. The
     transform and dictionary live in a stage directory that every config with
     the same stage inputs shares; the model and test encodings live in the
-    config's own directory. Each directory is complete or rebuilt, and a run
-    that raises removes every directory it created."""
+    config's own directory, each renamed from a `.tmp-*` directory when whole,
+    so runs may share a work_dir. A failed run keeps what it renamed; a killed
+    one leaves its `.tmp-*`, which is safe to delete when no run is active."""
     # Checked before any stage runs, so a bad config leaves no artifact behind.
     assignment.validate(config, config.words)
     train_manifest = fileio.load_manifest(train_path)
     test_manifest = fileio.load_manifest(test_path)
     stage, cache = cache_dirs(config, train_path, test_path, work_dir)
-    created: list[Path] = []
-    try:
-        if _emptied(stage, created):
-            _build_stage(stage, config, train_manifest)
-        dictionary, transform = _load_stage(stage, config)
-        if _emptied(cache, created):
-            _build_config(cache, config, dictionary, transform, train_manifest, test_manifest)
-    except BaseException:
-        for directory in created:
-            shutil.rmtree(directory, ignore_errors=True)
-        raise
+    _published(stage, _build_stage, config, train_manifest)
+    dictionary, transform = _load_stage(stage, config)
+    _published(cache, _build_config, config, dictionary, transform, train_manifest, test_manifest)
 
     model = load_model(cache / "model.vlm")
     paths = _test_encoding_paths(cache, test_manifest)

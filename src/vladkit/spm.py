@@ -19,7 +19,7 @@ import numpy as np
 
 from . import vlad
 from .codebook import Dictionary
-from .errors import ParseError
+from .errors import DimTooLarge, ParseError
 from .fileio import FeatureMap
 from .vlad import encode_descriptors
 from .whitening import WhiteningTransform, apply_whitening_batch, l2_normalize
@@ -48,6 +48,14 @@ class PyramidSpec:
     @property
     def total_regions(self) -> int:
         return sum(r * c for r, c in self.levels)
+
+    def encoding_length(self, dictionary: Dictionary, images: int = 1) -> int:
+        """total_regions * words * dim, refused when `images` float64
+        encodings of that length hold more bytes than NumPy can index."""
+        length = self.total_regions * dictionary.num_words * dictionary.dim
+        if images * length * 8 > np.iinfo(np.intp).max:
+            raise DimTooLarge(f"{self.total_regions}-region pyramid: encoding too long to index")
+        return length
 
 
 def parse_pyramid(text: str) -> PyramidSpec:
@@ -90,7 +98,7 @@ def encode_spm(
     """The pyramid encoding of one image: every region's segment, in
     region_slices order, then one global L2. The segments are the rows of
     one preallocated array, so an empty region keeps its zeros."""
-    encoding = np.zeros((spec.total_regions, dictionary.num_words * dictionary.dim))
+    encoding = np.zeros(spec.encoding_length(dictionary)).reshape(spec.total_regions, -1)
     descriptors = fmap.descriptors().astype(np.float64)
     if transform is not None:
         descriptors = apply_whitening_batch(transform, descriptors)

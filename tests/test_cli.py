@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -324,22 +325,30 @@ def test_pipeline_failed_write_leaves_no_cache(workspace, tmp_path, monkeypatch,
     monkeypatch.setattr(fileio, "write_encoding", write_half_then_fail)
     assert _pipeline(SMALL_RUN, data, tmp_path / "work", tmp_path) == 2
     assert "disk full" in capsys.readouterr().err
-    assert not list((tmp_path / "work").iterdir())
+    # The stage was published before the write failed: it stays, whole. The
+    # config directory was not, and its `.tmp-*` directory is gone.
+    (stage,) = (tmp_path / "work").iterdir()
+    assert stage.name.startswith("dict_")
+    assert _files(stage) == _files(tmp_path / "clean" / stage.name)
     monkeypatch.undo()
     assert _pipeline(SMALL_RUN, data, tmp_path / "work", tmp_path) == 0
     assert _files(tmp_path / "work") == _files(tmp_path / "clean")
 
 
-def test_pipeline_rebuilds_a_cache_without_its_marker(workspace, tmp_path, capsys):
-    """A killed run leaves no `complete` marker and maybe a truncated file."""
+def test_pipeline_rebuilds_a_cache_beside_a_killed_runs_tmp_dir(workspace, tmp_path, capsys):
+    """A killed run leaves its config directory unpublished, as a `.tmp-*`
+    directory that may hold a truncated file. No later run reads it."""
     data = workspace / "data"
     assert _pipeline(SMALL_RUN, data, tmp_path / "clean", tmp_path) == 0
     shutil.copytree(tmp_path / "clean", tmp_path / "killed")
     (cache,) = (tmp_path / "killed").glob("cache_*")
-    (cache / "complete").unlink()
-    encoding = cache / "enc_test" / "000001.vle"
+    leftover = cache.rename(tmp_path / "killed" / ".tmp-killed")
+    encoding = leftover / "enc_test" / "000001.vle"
     os.truncate(encoding, os.path.getsize(encoding) // 2)
+    killed = _files(leftover)
     assert _pipeline(SMALL_RUN, data, tmp_path / "killed", tmp_path) == 0
+    assert _files(leftover) == killed
+    shutil.rmtree(leftover)
     assert _files(tmp_path / "killed") == _files(tmp_path / "clean")
     capsys.readouterr()
 
@@ -370,10 +379,8 @@ def test_train_and_evaluate_reproduce_the_pipeline(settings, workspace, tmp_path
     (cache,) = (tmp_path / "work").glob("cache_*")
     assert len(list((tmp_path / "work").iterdir())) == 2
     tests = len(fileio.load_manifest(data / "test.tsv").entries)
-    assert _relative_files(stage) == ["complete", "dictionary.vld", "transform.vlw"]
-    assert _relative_files(cache) == (
-        ["complete"] + [f"enc_test/{i:06d}.vle" for i in range(tests)] + ["model.vlm"]
-    )
+    assert _relative_files(stage) == ["dictionary.vld", "transform.vlw"]
+    assert _relative_files(cache) == [f"enc_test/{i:06d}.vle" for i in range(tests)] + ["model.vlm"]
 
     encoder = ["--dict", str(stage / "dictionary.vld"), "--transform", str(stage / "transform.vlw")]
     for key, value in settings.items():
@@ -685,6 +692,36 @@ def test_a_pyramid_too_large_to_allocate_exits_2_at_once(workspace, stage_files,
     )
     assert result.returncode == 2
     assert result.stderr.startswith("vladkit: error: Unable to allocate")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, pyramid", [
+    ("encode", "--pyramid", "3037000500x3037000500"),  # more regions than an index
+    ("encode", "--pyramid", "1000000000x1000000000"),  # more values than an index
+    ("train", "--pyramid", "100000000x100000000"),  # one encoding fits, a split does not
+    ("bench", "--pyramids", "1000000000x1000000000"),
+])
+def test_a_pyramid_too_large_to_index_exits_2(
+    command, flag, pyramid, workspace, stage_files, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    args = _required_args(command, workspace, stage_files, out)
+    if flag in args:
+        args[args.index(flag) + 1] = pyramid
+    else:
+        args += [flag, pyramid]
+    assert main(args) == 2
+    assert "encoding too long to index" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_encode_llc_with_a_sigma_too_small_blames_sigma(workspace, stage_files, tmp_path, capsys):
+    out = tmp_path / "e.vle"
+    args = _required_args("encode", workspace, stage_files, out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning first
+        assert main(args + ["--mode", "llc", "--sigma", "1e-300"]) == 2
+    assert "overflows at sigma 1e-300" in capsys.readouterr().err
     assert not out.exists()
 
 

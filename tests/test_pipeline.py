@@ -1,6 +1,10 @@
 import csv
+import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -336,18 +340,18 @@ def test_stage_key_covers_exactly_the_declared_stage_fields(dataset, tmp_path):
         assert {n: (varied / n).read_bytes() for n in expected} == expected, name
 
 
-def test_stage_without_its_marker_or_deleted_is_rebuilt(dataset, tmp_path):
+def test_leftover_tmp_dir_is_ignored_and_a_deleted_stage_rebuilt(dataset, tmp_path):
     train_path, test_path = dataset
     config = small_config(mode="sa")
     first = run_pipeline(config, train_path, test_path, tmp_path)
-    snapshot = _files(tmp_path)
     stage, _ = cache_dirs(config, train_path, test_path, tmp_path)
-    # A killed build: no marker, a truncated dictionary.
-    (stage / "complete").unlink()
-    (stage / "dictionary.vld").write_bytes(b"VLD1")
+    # A killed build of the stage: a `.tmp-*` directory, a truncated dictionary.
+    shutil.copytree(stage, tmp_path / ".tmp-killed")
+    (tmp_path / ".tmp-killed" / "dictionary.vld").write_bytes(b"VLD1")
+    snapshot = _files(tmp_path)
     assert _same_report(run_pipeline(config, train_path, test_path, tmp_path), first)
     assert _files(tmp_path) == snapshot
-    # The config directory stays complete; its stage comes back byte for byte.
+    # The config directory stays; its stage comes back byte for byte.
     shutil.rmtree(stage)
     assert _same_report(run_pipeline(config, train_path, test_path, tmp_path), first)
     assert _files(tmp_path) == snapshot
@@ -365,3 +369,103 @@ def test_failed_run_keeps_the_stage_it_did_not_create(dataset, tmp_path, monkeyp
     with pytest.raises(OSError, match="disk full"):
         run_pipeline(small_config(mode="sa"), train_path, test_path, tmp_path)
     assert _files(tmp_path) == snapshot
+
+
+# A child process that runs one pipeline and prints its report and its count
+# of artifact writes. It exits at once after write number `kill_at` (0:
+# never). With a barrier directory, each dictionary and model write waits
+# there until the other child has made the same write, so both children
+# build both directories at once.
+_CHILD = """
+import json, os, sys, time
+from pathlib import Path
+from vladkit import fileio, pipeline
+
+train, test, work, config_text, kill_at, barrier = sys.argv[1:]
+writes = 0
+
+def counted(name, real):
+    def write(*args):
+        global writes
+        real(*args)
+        writes += 1
+        if writes == int(kill_at):
+            os._exit(3)
+        if barrier and name in ("write_dictionary", "write_model"):
+            Path(barrier, f"{name}-{os.getpid()}").touch()
+            deadline = time.monotonic() + 30
+            while len(list(Path(barrier).glob(name + "-*"))) < 2:
+                if time.monotonic() > deadline:
+                    sys.exit(f"{name}: the other child never arrived")
+                time.sleep(0.01)
+    return write
+
+for name in ("write_whitening", "write_dictionary", "write_model", "write_encoding"):
+    setattr(fileio, name, counted(name, getattr(fileio, name)))
+config = pipeline.parse_config_text(config_text)
+report = pipeline.run_pipeline(config, train, test, work)
+print(json.dumps([report.accuracy, report.confusion.tolist(), writes]))
+"""
+
+CHILD_CONFIG = "mode = llc\npyramid = c\nwords = 2\nepochs = 5\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """Two test images, so a child makes few writes."""
+    root = tmp_path_factory.mktemp("tiny")
+    spec = SynthSpec(
+        num_classes=2, images_per_class=3, grid_h=4, grid_w=4, dim=4,
+        mode="descriptor-signal", noise_sigma=0.1, seed=5,
+    )
+    train, test = split_manifest(synth_dataset(spec, root), per_class=2, seed=1)
+    fileio.save_manifest(train, root / "train.tsv")
+    fileio.save_manifest(test, root / "test.tsv")
+    return root / "train.tsv", root / "test.tsv"
+
+
+def _child(dataset, work, kill_at=0, barrier=""):
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    args = [*map(str, dataset), str(work), CHILD_CONFIG, str(kill_at), str(barrier)]
+    return subprocess.Popen(
+        [sys.executable, "-c", _CHILD, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1"),
+    )
+
+
+def _published_files(work: Path) -> dict[Path, bytes]:
+    return {rel: data for rel, data in _files(work).items() if not rel.parts[0].startswith(".tmp-")}
+
+
+def test_two_runs_building_one_config_at_once_both_succeed(tiny_dataset, tmp_path):
+    (tmp_path / "barrier").mkdir()
+    children = [_child(tiny_dataset, tmp_path / "work", barrier=tmp_path / "barrier") for _ in "ab"]
+    results = [child.communicate(timeout=120) for child in children]
+    assert [child.returncode for child in children] == [0, 0], [err for _, err in results]
+    reports = [json.loads(out) for out, _ in results]
+    assert reports[0] == reports[1]
+    # Both children built both directories; each kept its rename or the winner's.
+    assert len(list((tmp_path / "barrier").iterdir())) == 4
+    assert sorted(p.name[:5] for p in (tmp_path / "work").iterdir()) == ["cache", "dict_"]
+    modes = {p.stat().st_mode for p in (tmp_path / "work").iterdir()}
+    assert modes == {(tmp_path / "work").stat().st_mode}
+    report = run_pipeline(parse_config_text(CHILD_CONFIG), *tiny_dataset, tmp_path / "clean")
+    assert reports[0][:2] == [report.accuracy, report.confusion.tolist()]
+    assert _files(tmp_path / "work") == _files(tmp_path / "clean")
+
+
+def test_a_run_killed_after_any_write_leaves_the_next_run_byte_identical(tiny_dataset, tmp_path):
+    clean = _child(tiny_dataset, tmp_path / "clean")
+    out, err = clean.communicate(timeout=120)
+    assert clean.returncode == 0, err
+    writes = json.loads(out)[2]
+    assert writes == 3 + 2  # transform, dictionary, model, two test encodings
+    for kill_at in range(1, writes + 1):
+        work = tmp_path / f"killed{kill_at}"
+        killed = _child(tiny_dataset, work, kill_at=kill_at)
+        killed.communicate(timeout=120)
+        assert killed.returncode == 3, kill_at
+        assert len(list(work.glob(".tmp-*"))) == 1, kill_at
+        run_pipeline(parse_config_text(CHILD_CONFIG), *tiny_dataset, work)
+        assert _published_files(work) == _files(tmp_path / "clean"), kill_at
