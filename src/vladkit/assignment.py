@@ -19,9 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .codebook import Dictionary, squared_distances
-from .errors import (
-    BadK, BadLambda, DimMismatch, NonFinite, NonPositiveBeta, NonPositiveSigma, SingularSystem,
-)
+from .errors import VladkitError
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -36,13 +34,13 @@ def validate(config: PipelineConfig, num_words: int) -> None:
     """Range checks of the parameters config.mode uses, for a dictionary of
     num_words words. Written as `not lo < x < inf` so that NaN fails them."""
     if config.mode in ("sa", "lsa") and not 0 < config.beta < math.inf:
-        raise NonPositiveBeta(f"beta must be finite and positive, got {config.beta}")
+        raise VladkitError(f"beta must be finite and positive, got {config.beta}")
     if config.mode in ("lsa", "llc-approx") and not 1 <= config.knn <= num_words:
-        raise BadK(f"knn {config.knn} outside [1, {num_words}]")
+        raise VladkitError(f"knn {config.knn} outside [1, {num_words}]")
     if config.mode == "llc" and not 0 < config.sigma < math.inf:
-        raise NonPositiveSigma(f"sigma must be finite and positive, got {config.sigma}")
+        raise VladkitError(f"sigma must be finite and positive, got {config.sigma}")
     if config.mode == "llc" and not 0 <= config.lam < math.inf:
-        raise BadLambda(f"lambda must be finite and non-negative, got {config.lam}")
+        raise VladkitError(f"lambda must be finite and non-negative, got {config.lam}")
 
 
 def _softmax_rows(d2: np.ndarray, beta: float) -> np.ndarray:
@@ -68,10 +66,10 @@ def _solve_affine_ls(b: np.ndarray, penalty_diag: np.ndarray | None) -> np.ndarr
     try:
         a = np.linalg.solve(c, np.ones((c.shape[0], k, 1)))[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
+        raise VladkitError(str(exc)) from None
     total = a.sum(axis=1, keepdims=True)
     if not np.isfinite(a).all() or (total == 0.0).any():
-        raise SingularSystem("constrained least squares produced no usable solution")
+        raise VladkitError("constrained least squares produced no usable solution")
     return a / total
 
 
@@ -83,7 +81,7 @@ def weight_matrix(
     x = np.asarray(descriptors, dtype=np.float64)
     m = dictionary.num_words
     if x.ndim != 2 or x.shape[1] != dictionary.dim:
-        raise DimMismatch(f"descriptors shape {x.shape} != (N, {dictionary.dim})")
+        raise VladkitError(f"descriptors shape {x.shape} != (N, {dictionary.dim})")
     validate(config, m)
     centers = np.asarray(dictionary.centers, dtype=np.float64)
     d2 = squared_distances(x, centers)
@@ -96,7 +94,7 @@ def weight_matrix(
             s = np.exp(np.sqrt(d2) / config.sigma)
             penalty = config.lam * s * s
         if not np.isfinite(penalty).all():
-            raise NonFinite(f"llc: exp(distance / sigma) overflows at sigma {config.sigma}")
+            raise VladkitError(f"llc: exp(distance / sigma) overflows at sigma {config.sigma}")
         return _solve_affine_ls(centers[None, :, :] - x[:, None, :], penalty)
     w = np.zeros_like(d2)
     if config.mode == "hard":

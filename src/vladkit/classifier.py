@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimMismatch, TooFewClasses
+from .errors import VladkitError
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -76,17 +76,19 @@ def train_ovr(encodings: np.ndarray, labels: np.ndarray, config: PipelineConfig)
     x = np.asarray(encodings)
     labels = np.asarray(labels, dtype=int)
     if x.ndim != 2 or x.shape[0] != labels.shape[0]:
-        raise DimMismatch("encodings and labels disagree in length")
+        raise VladkitError("encodings and labels disagree in length")
     num_classes = int(labels.max()) + 1 if labels.size else 0
     if num_classes < 2:
-        raise TooFewClasses("need at least two classes to train")
+        raise VladkitError("need at least two classes to train")
     # The bias rides along as a constant input so it shares the weight
     # shrinkage; otherwise the early 1/(reg*t) steps let it run away.
     gram = _gram(x)
     gram += 1.0
     # Row i of y and of coef holds training row i's target and coefficient
-    # in every class, so a step touches one contiguous row of each.
-    y = np.where(labels[:, None] == np.arange(num_classes), 1.0, -1.0)
+    # in every class, so a step touches one contiguous row of each. No
+    # C-length array is filled before y, so a sparse label's huge C fails here.
+    y = np.full((x.shape[0], num_classes), -1.0)
+    y[np.arange(x.shape[0]), labels] = 1.0
     coef = np.zeros_like(y)  # weights = coef.T @ x, biases = coef.sum(0)
     rng = np.random.default_rng(config.seed)
     t = 0
@@ -108,7 +110,7 @@ def predict(model: LinearModel, encodings: np.ndarray) -> tuple[np.ndarray, np.n
     or float64 array. Score ties go to the lowest class index."""
     x = np.asarray(encodings)
     if x.ndim != 2 or x.shape[1] != model.dim:
-        raise DimMismatch(f"encodings shape {x.shape} != (N, {model.dim})")
+        raise VladkitError(f"encodings shape {x.shape} != (N, {model.dim})")
     scores = np.empty((x.shape[0], model.num_classes))
     for rows in _blocks(x.shape[0], _BLOCK // max(1, model.dim)):
         scores[rows] = x[rows].astype(np.float64, copy=False) @ model.weights.T + model.biases

@@ -17,7 +17,7 @@ from . import fileio, pipeline
 from .assignment import MODES
 from .classifier import train_ovr
 from .codebook import subsample
-from .errors import ParseError, VladkitError
+from .errors import VladkitError
 from .fileio import FeatureMap, read_feature_map
 from .pipeline import (
     PipelineConfig,
@@ -196,7 +196,7 @@ def _cmd_synth(args) -> int:
 def _cmd_split(args) -> int:
     out_train, out_test = (fileio.nonempty_path(p) for p in (args.out_train, args.out_test))
     if out_train.resolve() == out_test.resolve():  # the test side would overwrite the train side
-        raise ParseError(f"--out-train and --out-test name the same file {str(out_train)!r}")
+        raise VladkitError(f"--out-train and --out-test name the same file {str(out_train)!r}")
     manifest = fileio.load_manifest(args.manifest)
     train, test = split_manifest(manifest, args.per_class, args.seed)
     fileio.save_manifest(train, out_train)

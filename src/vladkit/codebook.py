@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, TooFewPoints
+from .errors import VladkitError
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def kmeans_init_plusplus(data: np.ndarray, m: int, seed: int) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     if n < m:
-        raise TooFewPoints(f"{n} points < {m} requested centers")
+        raise VladkitError(f"{n} points < {m} requested centers")
     rng = np.random.default_rng(seed)
     if n == m:
         return data.copy()
@@ -121,7 +121,7 @@ def kmeans_train(
 def subsample(data: np.ndarray, cap: int, seed: int) -> np.ndarray:
     """Uniform seeded subsample used to bound dictionary training cost."""
     if cap < 1:
-        raise EmptyInput(f"subsample cap must be at least 1, got {cap}")
+        raise VladkitError(f"subsample cap must be at least 1, got {cap}")
     if len(data) <= cap:
         return data
     rng = np.random.default_rng(seed)

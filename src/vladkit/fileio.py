@@ -20,6 +20,7 @@ relative path is read from the directory of the manifest file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -27,14 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DimMismatch,
-    NegativeLabel,
-    NonFinite,
-    ParseError,
-    TruncatedFile,
-)
+from .errors import VladkitError
+
+# The largest label L whose (C, C) int64 confusion matrix, C = L + 1, NumPy can
+# index: (L + 1)^2 * 8 <= intp max. It also keeps C within a `.vlm` header's u32.
+_MAX_LABEL = math.isqrt(np.iinfo(np.intp).max // 8) - 1
+
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -46,7 +45,7 @@ class FeatureMap:
         if self.data.ndim != 3:
             raise ValueError("feature map data must be H x W x D")
         if not np.isfinite(self.data).all():
-            raise NonFinite("feature map contains NaN/Inf")
+            raise VladkitError("feature map contains NaN/Inf")
 
     @property
     def height(self) -> int:
@@ -70,11 +69,6 @@ class DatasetManifest:
     entries: tuple[tuple[str, int], ...]
     root: Path = field(default=Path("."), compare=False)  # relative entries start here
 
-    @property
-    def num_classes(self) -> int:
-        """One more than the largest label; 0 without entries."""
-        return 1 + max((label for _, label in self.entries), default=-1)
-
     def paths(self) -> list[Path]:
         """Each entry's feature-map file; an absolute entry stays as it is."""
         return [self.root / rel for rel, _ in self.entries]
@@ -90,23 +84,23 @@ def _read_container(path, magic: bytes, n_header: int):
     with open(path, "rb") as f:  # not Path(path): Path("") is "." and hides the name given
         data = f.read()
     if data[:4] != magic:
-        raise BadMagic(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+        raise VladkitError(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
     start = 4 + 4 * n_header
     if len(data) < start:
-        raise TruncatedFile(f"{path}: header needs {start} bytes, file has {len(data)}")
+        raise VladkitError(f"{path}: header needs {start} bytes, file has {len(data)}")
     if (len(data) - start) % 4 != 0:
-        raise TruncatedFile(f"{path}: payload not a whole number of floats")
+        raise VladkitError(f"{path}: payload not a whole number of floats")
     header = list(struct.unpack_from(f"<{n_header}I", data, 4))
     return header, np.frombuffer(data, dtype="<f4", offset=start)
 
 
 def _check_payload(path, floats: np.ndarray, expected: int) -> np.ndarray:
     if floats.size != expected:
-        raise TruncatedFile(
+        raise VladkitError(
             f"{path}: expected {expected} floats, found {floats.size}"
         )
     if not np.isfinite(floats).all():
-        raise NonFinite(f"{path}: payload contains NaN/Inf")
+        raise VladkitError(f"{path}: payload contains NaN/Inf")
     return floats
 
 
@@ -117,7 +111,7 @@ def _write_container(path, magic: bytes, header: list[int], *parts: np.ndarray):
     if any part holds a NaN or Inf."""
     parts = [np.ascontiguousarray(part, dtype="<f4") for part in parts]
     if not all(np.isfinite(part).all() for part in parts):
-        raise NonFinite(f"refusing to write non-finite payload to {path}")
+        raise VladkitError(f"refusing to write non-finite payload to {path}")
     with open(path, "wb") as f:
         f.write(struct.pack(f"<4s{len(header)}I", magic, *header))
         for part in parts:
@@ -129,7 +123,7 @@ def _write_container(path, magic: bytes, header: list[int], *parts: np.ndarray):
 def read_feature_map(path) -> FeatureMap:
     (h, w, d), floats = _read_container(path, b"VLF1", 3)
     if h < 1 or w < 1 or d < 1:
-        raise ParseError(f"{path}: non-positive dimensions {h}x{w}x{d}")
+        raise VladkitError(f"{path}: non-positive dimensions {h}x{w}x{d}")
     return FeatureMap(_check_payload(path, floats, h * w * d).reshape(h, w, d))
 
 
@@ -143,7 +137,7 @@ def read_dictionary(path) -> np.ndarray:
     """Returns the (M, D) centers matrix."""
     (m, d), floats = _read_container(path, b"VLD1", 2)
     if m < 1 or d < 1:
-        raise ParseError(f"{path}: non-positive dictionary shape {m}x{d}")
+        raise VladkitError(f"{path}: non-positive dictionary shape {m}x{d}")
     return _check_payload(path, floats, m * d).reshape(m, d)
 
 
@@ -158,7 +152,7 @@ def read_whitening(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (mean, projection) with projection shaped (D_out, D_in)."""
     (d_in, d_out), floats = _read_container(path, b"VLW1", 2)
     if d_in < 1 or d_out < 1 or d_out > d_in:
-        raise ParseError(f"{path}: bad whitening dims {d_in}->{d_out}")
+        raise VladkitError(f"{path}: bad whitening dims {d_in}->{d_out}")
     floats = _check_payload(path, floats, d_in + d_out * d_in)
     return floats[:d_in], floats[d_in:].reshape(d_out, d_in)
 
@@ -168,7 +162,7 @@ def write_whitening(mean: np.ndarray, projection: np.ndarray, path) -> None:
     projection = np.asarray(projection)
     d_out, d_in = projection.shape
     if mean.size != d_in:
-        raise DimMismatch(
+        raise VladkitError(
             f"mean length {mean.size} does not match projection D_in {d_in}"
         )
     _write_container(path, b"VLW1", [d_in, d_out], mean, projection)
@@ -192,7 +186,7 @@ def read_model(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (weights, biases) with weights shaped (C, dim)."""
     (c, dim), floats = _read_container(path, b"VLM1", 2)
     if c < 1 or dim < 1:
-        raise ParseError(f"{path}: bad model shape C={c}, dim={dim}")
+        raise VladkitError(f"{path}: bad model shape C={c}, dim={dim}")
     rows = _check_payload(path, floats, c * (dim + 1)).reshape(c, dim + 1)
     return rows[:, :dim], rows[:, dim]
 
@@ -211,7 +205,7 @@ def nonempty(path):
     named. It builds no Path, so a hot caller such as `vladkit encode` pays
     for the check alone."""
     if not str(path):
-        raise ParseError("empty path '' names no file")
+        raise VladkitError("empty path '' names no file")
     return path
 
 
@@ -225,7 +219,7 @@ def read_text(path) -> str:
     try:
         return nonempty_path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+        raise VladkitError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -237,19 +231,21 @@ def load_manifest(path) -> DatasetManifest:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'path<TAB>label'")
+            raise VladkitError(f"{path}:{lineno}: expected 'path<TAB>label'")
         rel, label_text = parts
         if "\0" in rel:
-            raise ParseError(f"{path}:{lineno}: NUL byte in path {rel!r}")
+            raise VladkitError(f"{path}:{lineno}: NUL byte in path {rel!r}")
         try:
             label = int(label_text)
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad label {label_text!r}")
+            raise VladkitError(f"{path}:{lineno}: bad label {label_text!r}")
         if label < 0:
-            raise NegativeLabel(f"{path}:{lineno}: label {label} < 0")
+            raise VladkitError(f"{path}:{lineno}: label {label} < 0")
+        if label > _MAX_LABEL:
+            raise VladkitError(f"{path}:{lineno}: label {label} too large to index")
         entries.append((rel, label))
     if not entries:
-        raise ParseError(f"{path}: empty manifest")
+        raise VladkitError(f"{path}: empty manifest")
     return DatasetManifest(tuple(entries), path.parent)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import assignment, fileio, whitening
 from .classifier import EvalReport, LinearModel, predict, tabulate, train_ovr
 from .codebook import Dictionary, KmeansReport, kmeans_train, subsample
-from .errors import CacheMismatch, DimMismatch, ParseError
+from .errors import VladkitError
 from .fileio import DatasetManifest, read_feature_map
 from .spm import PyramidSpec, encode_spm, parse_pyramid
 from .vlad import NORM_SCHEMES, encode
@@ -61,15 +61,15 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.mode not in assignment.MODES:
-            raise ParseError(f"unknown mode {self.mode!r}")
+            raise VladkitError(f"unknown mode {self.mode!r}")
         if self.norm_scheme not in NORM_SCHEMES:
-            raise ParseError(f"unknown norm_scheme {self.norm_scheme!r}")
+            raise VladkitError(f"unknown norm_scheme {self.norm_scheme!r}")
         for name, low in _MINIMUM.items():
             value = getattr(self, name)
             if value is not None and not low <= value < math.inf:
-                raise ParseError(f"{name} must be finite and at least {low}, got {value}")
+                raise VladkitError(f"{name} must be finite and at least {low}, got {value}")
         if self.subsample is not None and self.subsample < self.words:
-            raise ParseError(f"subsample {self.subsample} is below words {self.words}")
+            raise VladkitError(f"subsample {self.subsample} is below words {self.words}")
         self.pyramid_spec()  # a bad pyramid text fails here, before any stage runs
 
     def pyramid_spec(self) -> PyramidSpec | None:
@@ -130,21 +130,21 @@ def parse_config_text(text: str) -> PipelineConfig:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ParseError(f"line {lineno}: expected 'key = value'")
+            raise VladkitError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _FIELDS:
-            raise ParseError(f"line {lineno}: unknown key {key!r}")
+            raise VladkitError(f"line {lineno}: unknown key {key!r}")
         if key in values:
-            raise ParseError(f"line {lineno}: key {key!r} already set on line {values[key][0]}")
+            raise VladkitError(f"line {lineno}: key {key!r} already set on line {values[key][0]}")
         values[key] = lineno, value
     try:  # absent keys keep their defaults
         return PipelineConfig(
             **{_FIELDS[k].name: _parse_value(_FIELDS[k], v) for k, (_, v) in values.items()}
         )
     except ValueError as exc:
-        raise ParseError(f"bad config value: {exc}") from None
+        raise VladkitError(f"bad config value: {exc}") from None
 
 
 def load_config(path) -> PipelineConfig:
@@ -183,7 +183,7 @@ def load_descriptor_stack(manifest: DatasetManifest) -> np.ndarray:
     blocks = [read_feature_map(path).descriptors() for path in manifest.paths()]
     dims = sorted({block.shape[1] for block in blocks})
     if len(dims) > 1:
-        raise DimMismatch(f"feature maps of one manifest have descriptor dims {dims}")
+        raise VladkitError(f"feature maps of one manifest have descriptor dims {dims}")
     return np.concatenate(blocks, dtype=np.float64)
 
 
@@ -306,11 +306,11 @@ def _load_stage(
     transform = load_transform(stage / "transform.vlw") if config.whiten else None
     dictionary = load_dictionary(stage / "dictionary.vld")
     if dictionary.num_words != config.words:
-        raise CacheMismatch(
+        raise VladkitError(
             f"cached dictionary has {dictionary.num_words} words, config wants {config.words}"
         )
     if transform is not None and dictionary.dim != transform.output_dim:
-        raise CacheMismatch(
+        raise VladkitError(
             f"dictionary dim {dictionary.dim} != whitening output {transform.output_dim}"
         )
     return dictionary, transform
@@ -349,7 +349,7 @@ def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> Eva
     for row, path in zip(test_x, paths):
         values = fileio.read_encoding(path)
         if values.size != model.dim:
-            raise CacheMismatch(f"cached model dim {model.dim} != {path.name} length {values.size}")
+            raise VladkitError(f"cached model dim {model.dim} != {path.name} length {values.size}")
         row[:] = values
     return evaluate(model, test_x, test_manifest.labels())
 

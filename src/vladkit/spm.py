@@ -19,7 +19,7 @@ import numpy as np
 
 from . import vlad
 from .codebook import Dictionary
-from .errors import DimTooLarge, ParseError
+from .errors import VladkitError
 from .fileio import FeatureMap
 from .vlad import encode_descriptors
 from .whitening import WhiteningTransform, apply_whitening_batch, l2_normalize
@@ -40,10 +40,10 @@ class PyramidSpec:
 
     def __post_init__(self):
         if not self.levels:
-            raise ParseError("pyramid needs at least one level")
+            raise VladkitError("pyramid needs at least one level")
         for r, c in self.levels:
             if r < 1 or c < 1:
-                raise ParseError(f"bad pyramid level ({r}, {c})")
+                raise VladkitError(f"bad pyramid level ({r}, {c})")
 
     @property
     def total_regions(self) -> int:
@@ -54,7 +54,7 @@ class PyramidSpec:
         encodings of that length hold more bytes than NumPy can index."""
         length = self.total_regions * dictionary.num_words * dictionary.dim
         if images * length * 8 > np.iinfo(np.intp).max:
-            raise DimTooLarge(f"{self.total_regions}-region pyramid: encoding too long to index")
+            raise VladkitError(f"{self.total_regions}-region pyramid: encoding too long to index")
         return length
 
 
@@ -67,7 +67,7 @@ def parse_pyramid(text: str) -> PyramidSpec:
         try:
             r, c = (int(p) for p in part.lower().split("x"))
         except ValueError:  # not a number, or not two parts
-            raise ParseError(f"bad pyramid level {part!r}; expected RxC") from None
+            raise VladkitError(f"bad pyramid level {part!r}; expected RxC") from None
         levels.append((r, c))
     return PyramidSpec(tuple(levels))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import VladkitError
 from .fileio import DatasetManifest, FeatureMap, nonempty_path, save_manifest, write_feature_map
 
 _NUM_COMPONENT_GROUPS = 4  # spatial-signal bag groups; matches 2x2 quadrant count
@@ -40,12 +40,12 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.mode not in ("descriptor-signal", "spatial-signal"):
-            raise ParseError(f"unknown synth mode {self.mode!r}")
+            raise VladkitError(f"unknown synth mode {self.mode!r}")
         for name in ("num_classes", "images_per_class", "grid_h", "grid_w", "dim"):
             if getattr(self, name) < 1:
-                raise ParseError(f"{name} must be positive")
+                raise VladkitError(f"{name} must be positive")
         if not 0 <= self.noise_sigma < math.inf:
-            raise ParseError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
+            raise VladkitError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
 
 
 def _largest_remainder_counts(total: int, proportions: np.ndarray) -> np.ndarray:
@@ -160,17 +160,19 @@ def split_manifest(
 ) -> tuple[DatasetManifest, DatasetManifest]:
     """Seeded n-per-class train/test split. Entries keep manifest order."""
     if per_class < 0:
-        raise ParseError(f"per_class must be at least 0, got {per_class}")
+        raise VladkitError(f"per_class must be at least 0, got {per_class}")
     rng = np.random.default_rng(seed)
+    by_label: dict[int, list[int]] = {}
+    for i, (_, label) in enumerate(manifest.entries):
+        by_label.setdefault(label, []).append(i)
     train_idx: set[int] = set()
-    for c in range(manifest.num_classes):
-        idx = [i for i, (_, label) in enumerate(manifest.entries) if label == c]
+    for _, idx in sorted(by_label.items()):  # an absent label would draw nothing
         chosen = rng.permutation(len(idx))[:per_class]
         train_idx.update(idx[j] for j in chosen)
     train = [e for i, e in enumerate(manifest.entries) if i in train_idx]
     test = [e for i, e in enumerate(manifest.entries) if i not in train_idx]
     if not train or not test:  # load_manifest rejects an empty manifest
-        raise ParseError(f"per_class {per_class} empties the {'test' if train else 'train'} split")
+        raise VladkitError(f"per_class {per_class} empties the {'test' if train else 'train'} split")
     return (
         DatasetManifest(tuple(train), manifest.root),
         DatasetManifest(tuple(test), manifest.root),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .assignment import weight_matrix
 from .codebook import Dictionary
-from .errors import DimMismatch, EmptyInput
+from .errors import VladkitError
 from .fileio import FeatureMap
 from .whitening import WhiteningTransform, apply_whitening_batch, l2_normalize, l2_normalize_rows
 
@@ -31,10 +31,10 @@ def vlad_aggregate(
     their (N, M) assignment weights."""
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.ndim != 2 or descriptors.shape[0] == 0:
-        raise EmptyInput("need at least one descriptor")
+        raise VladkitError("need at least one descriptor")
     n, d = descriptors.shape
     if d != dictionary.dim or weights.shape != (n, dictionary.num_words):
-        raise DimMismatch(f"descriptors {(n, d)} or weights {weights.shape} do not fit the words")
+        raise VladkitError(f"descriptors {(n, d)} or weights {weights.shape} do not fit the words")
     centers = np.asarray(dictionary.centers, dtype=np.float64)
     # block m = sum_i w_im x_i - (sum_i w_im) d_m
     blocks = weights.T @ descriptors - weights.sum(axis=0)[:, None] * centers
@@ -46,7 +46,7 @@ def vlad_normalize(
 ) -> np.ndarray:
     raw = np.asarray(raw, dtype=np.float64)
     if raw.size != num_words * dim:
-        raise DimMismatch(f"raw length {raw.size} != {num_words}*{dim}")
+        raise VladkitError(f"raw length {raw.size} != {num_words}*{dim}")
     if scheme == "intra-then-global":
         return l2_normalize(l2_normalize_rows(raw.reshape(num_words, dim)).reshape(-1))
     if scheme == "global-only":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimMismatch, DimTooLarge, NonFinite, ParseError
+from .errors import VladkitError
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class WhiteningTransform:
         descriptor or an (N, D_in) batch."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.input_dim:
-            raise DimMismatch(
+            raise VladkitError(
                 f"descriptor dim {x.shape[-1]} != transform input {self.input_dim}"
             )
         return (x - self.mean) @ self.projection.T
@@ -41,16 +41,16 @@ def fit_whitening(
     epsilon: float | None = None,
 ) -> WhiteningTransform:
     if epsilon is not None and not 0 <= epsilon < np.inf:  # NaN fails too
-        raise ParseError(f"epsilon must be finite and at least 0, got {epsilon}")
+        raise VladkitError(f"epsilon must be finite and at least 0, got {epsilon}")
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
-        raise DegenerateInput("need at least 2 descriptors to fit whitening")
+        raise VladkitError("need at least 2 descriptors to fit whitening")
     n, d_in = x.shape
     top = min(n - 1, d_in)
     if output_dim is None:
         output_dim = top
     if not 1 <= output_dim <= top:
-        raise DimTooLarge(
+        raise VladkitError(
             f"output_dim must be between 1 and min(N-1, D_in) = {top}, got {output_dim}"
         )
     mean = x.mean(axis=0)
@@ -101,5 +101,5 @@ def apply_whitening_batch(t: WhiteningTransform, x: np.ndarray) -> np.ndarray:
     """Project N descriptors, (N, D_in), and L2-normalize each result row."""
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
-        raise NonFinite("descriptor contains NaN/Inf")
+        raise VladkitError("descriptor contains NaN/Inf")
     return l2_normalize_rows(t.project(x))

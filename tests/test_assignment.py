@@ -10,9 +10,9 @@ from oracles import (
     naive_soft_weights,
     random_feasible,
 )
-from vladkit import errors
 from vladkit.assignment import validate, weight_matrix
 from vladkit.codebook import Dictionary
+from vladkit.errors import VladkitError
 from vladkit.pipeline import PipelineConfig
 
 HARD = PipelineConfig(mode="hard")
@@ -99,7 +99,7 @@ def test_soft_max_weight_monotone_in_beta():
 
 def test_soft_rejects_bad_beta():
     d = Dictionary(centers=np.zeros((2, 1)))
-    with pytest.raises(errors.NonPositiveBeta):
+    with pytest.raises(VladkitError, match="beta must be finite and positive, got 0.0"):
         assign(d, np.zeros(1), PipelineConfig(mode="sa", beta=0.0))
 
 
@@ -107,21 +107,21 @@ def test_validate_rejects_nan_and_out_of_range_parameters():
     d = Dictionary(centers=np.zeros((2, 1)))
     nan = float("nan")
     cases = [
-        (PipelineConfig(mode="sa", beta=nan), errors.NonPositiveBeta),
-        (PipelineConfig(mode="lsa", beta=nan), errors.NonPositiveBeta),
-        (PipelineConfig(mode="lsa", knn=0), errors.BadK),
-        (PipelineConfig(mode="llc-approx", knn=3), errors.BadK),
-        (PipelineConfig(mode="llc", sigma=nan), errors.NonPositiveSigma),
-        (PipelineConfig(mode="sa", beta=math.inf), errors.NonPositiveBeta),
-        (PipelineConfig(mode="llc", sigma=math.inf), errors.NonPositiveSigma),
-        (PipelineConfig(mode="llc", lam=-1.0), errors.BadLambda),
-        (PipelineConfig(mode="llc", lam=nan), errors.BadLambda),
-        (PipelineConfig(mode="llc", lam=math.inf), errors.BadLambda),
+        (PipelineConfig(mode="sa", beta=nan), "beta must be finite and positive"),
+        (PipelineConfig(mode="lsa", beta=nan), "beta must be finite and positive"),
+        (PipelineConfig(mode="lsa", knn=0), r"knn 0 outside \[1, 2\]"),
+        (PipelineConfig(mode="llc-approx", knn=3), r"knn 3 outside \[1, 2\]"),
+        (PipelineConfig(mode="llc", sigma=nan), "sigma must be finite and positive"),
+        (PipelineConfig(mode="sa", beta=math.inf), "beta must be finite and positive"),
+        (PipelineConfig(mode="llc", sigma=math.inf), "sigma must be finite and positive"),
+        (PipelineConfig(mode="llc", lam=-1.0), "lambda must be finite and non-negative"),
+        (PipelineConfig(mode="llc", lam=nan), "lambda must be finite and non-negative"),
+        (PipelineConfig(mode="llc", lam=math.inf), "lambda must be finite and non-negative"),
     ]
-    for config, error in cases:
-        with pytest.raises(error):
+    for config, message in cases:
+        with pytest.raises(VladkitError, match=message):
             validate(config, 2)
-        with pytest.raises(error):
+        with pytest.raises(VladkitError, match=message):
             weight_matrix(d, np.zeros((1, 1)), config)
     # Parameters a mode does not use are not checked.
     validate(PipelineConfig(mode="hard", beta=nan, knn=0, lam=nan, sigma=nan), 2)
@@ -187,7 +187,7 @@ def test_lsa_support_bounded():
 
 def test_lsa_bad_k():
     d = Dictionary(centers=np.zeros((2, 1)))
-    with pytest.raises(errors.BadK):
+    with pytest.raises(VladkitError, match=r"knn 3 outside \[1, 2\]"):
         assign(d, np.zeros(1), PipelineConfig(mode="lsa", beta=1.0, knn=3))
 
 
@@ -273,7 +273,7 @@ ALL_CONFIGS = [
 def test_llc_approx_duplicate_words_raise_singular_system():
     # Two copies of the descriptor's own word make its 2-NN system all zero.
     d = Dictionary(centers=np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]]))
-    with pytest.raises(errors.SingularSystem):
+    with pytest.raises(VladkitError, match="Singular matrix"):
         weight_matrix(d, np.array([[1.0, 2.0]]), PipelineConfig(mode="llc-approx", knn=2))
 
 def test_weights_sum_to_one_all_modes():

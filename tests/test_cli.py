@@ -715,6 +715,38 @@ def test_a_pyramid_too_large_to_index_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", [2**62, 2**63])
+def test_a_label_too_large_to_index_exits_2(label, workspace, stage_files, tmp_path, capsys):
+    """The confusion matrix of label + 1 classes could not be indexed, so the
+    manifest is refused where it is read, before any work or write."""
+    data = workspace / "data"
+    bad = {}
+    for side in ("train", "test"):
+        manifest = fileio.load_manifest(data / f"{side}.tsv")
+        labels = manifest.labels().tolist()
+        labels[2] = label
+        bad[side] = tmp_path / f"bad-{side}.tsv"
+        bad[side].write_text("".join(f"{p}\t{c}\n" for p, c in zip(manifest.paths(), labels)))
+    config = tmp_path / "config"
+    config.write_text("words = 4\n")
+    out = tmp_path / "out"
+    runs = []
+    for command, side in (("train", "train"), ("evaluate", "test")):
+        args = _required_args(command, workspace, stage_files, out)
+        args[args.index("--manifest") + 1] = str(bad[side])
+        runs.append((args, side))
+    for side, other in (("train", "test"), ("test", "train")):
+        manifests = {side: bad[side], other: data / f"{other}.tsv"}
+        runs.append(([
+            "pipeline", "--config", str(config), "--train-manifest", str(manifests["train"]),
+            "--test-manifest", str(manifests["test"]), "--work-dir", str(out),
+        ], side))
+    for args, side in runs:
+        assert main(args) == 2
+        assert f"{bad[side]}:3: label {label} too large to index" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_encode_llc_with_a_sigma_too_small_blames_sigma(workspace, stage_files, tmp_path, capsys):
     out = tmp_path / "e.vle"
     args = _required_args("encode", workspace, stage_files, out)

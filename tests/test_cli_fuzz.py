@@ -1,6 +1,7 @@
-"""Fuzz of the command line: out-of-range and junk config values, and
-corrupted or truncated containers, config files and manifests. Whatever the
-input, `main` returns 0, 1 or 2; an exception that escapes it fails the test."""
+"""Fuzz of the command line: out-of-range and junk config values and stage
+command flags, corrupted or truncated containers, config files and
+manifests, and huge or sparse manifest labels. Whatever the input, `main`
+returns 0, 1 or 2; an exception that escapes it fails the test."""
 
 import shutil
 import tempfile
@@ -172,5 +173,88 @@ def test_corrupted_config_and_manifests_never_escape_main(kind, data, artifacts,
                 "--dict", str(artifacts["vld"]), "--transform", str(artifacts["vlw"]),
                 "--mode", "lsa", "--knn", "2", "--pyramid", "1x2",
             ]))
+        assert set(codes) <= {0, 1, 2}
+    capsys.readouterr()
+
+
+# The value flags of the stage commands; their path flags name the files of
+# the `artifacts` fixture. Each base command exits 0 as it stands.
+ENCODER_FLAGS = ["--mode", "--beta", "--knn", "--lambda", "--sigma", "--norm-scheme", "--pyramid"]
+STAGE_FLAGS = {
+    "preprocess fit": ["--dim", "--epsilon", "--subsample"],
+    "codebook train": ["--words", "--seed", "--max-iters", "--tol", "--subsample"],
+    "encode": ENCODER_FLAGS,
+    "train": ["--reg", "--epochs", "--seed"] + ENCODER_FLAGS,
+    "evaluate": ENCODER_FLAGS,
+    "bench": ["--modes", "--pyramids", "--words", "--seed"],
+}
+
+
+def _stage_command(command, artifacts, dataset, tmp: Path) -> list[str]:
+    data = dataset / "data"
+    train = ["--manifest", str(data / "train.tsv")]
+    encoder = ["--dict", str(artifacts["vld"]), "--transform", str(artifacts["vlw"]),
+               "--mode", "lsa", "--knn", "2", "--pyramid", "1x2"]  # the model's settings
+    return command.split() + {
+        "preprocess fit": train + ["--out", str(tmp / "t.vlw")],
+        "codebook train": train + ["--words", "2", "--out", str(tmp / "d.vld")],
+        "encode": ["--in", str(artifacts["vlf"]), "--out", str(tmp / "e.vle")] + encoder,
+        "train": train + ["--out", str(tmp / "m.vlm"), "--epochs", "3"] + encoder,
+        "evaluate": ["--manifest", str(data / "test.tsv"), "--model", str(artifacts["vlm"]),
+                     "--confusion-out", str(tmp / "c.csv")] + encoder,
+        "bench": ["--train-manifest", str(data / "train.tsv"),
+                  "--test-manifest", str(data / "test.tsv"), "--modes", "hard",
+                  "--pyramids", "none", "--words", "2", "--work-dir", str(tmp / "work"),
+                  "--out", str(tmp / "b.csv")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", STAGE_FLAGS)
+@FUZZ
+@given(data=st.data())
+def test_stage_command_flags_never_escape_main(command, data, artifacts, dataset, capsys):
+    flag = data.draw(st.sampled_from(STAGE_FLAGS[command]))
+    huge_ok = flag != "--epochs"  # a valid request whose run time grows with it
+    value = data.draw(st.one_of(
+        st.sampled_from([v for v in VALUES if huge_ok or v != HUGE]),
+        st.integers(-10, 10).map(str),
+        st.floats().map(repr),
+    ))
+    with tempfile.TemporaryDirectory(dir=dataset) as tmp:
+        args = _stage_command(command, artifacts, dataset, Path(tmp))
+        assert main(args + [flag, value]) in (0, 1, 2)  # a later flag overrides the base's
+    capsys.readouterr()
+
+
+@FUZZ
+@given(
+    side=st.sampled_from(["train", "test"]),
+    line=st.integers(0, 5),
+    label=st.sampled_from([10**9, 2**62, 2**63]),
+)
+def test_huge_and_sparse_labels_never_escape_main(side, line, label, artifacts, dataset, capsys):
+    """2^62 and 2^63 are refused as the manifest is read. 10^9 passes; training
+    then asks for (N, 10^9 + 1) float64 arrays, and evaluation for a
+    (10^9 + 1)^2 confusion matrix, which the allocator refuses."""
+    data = dataset / "data"
+    entries = (data / f"{side}.tsv").read_text().splitlines()
+    entries[line] = entries[line].split("\t")[0] + f"\t{label}"
+    # The copy sits next to the original, so its entries resolve alike.
+    fuzzed = data / f"fuzzed-{side}.tsv"
+    fuzzed.write_text("\n".join(entries) + "\n")
+    manifests = {"train": data / "train.tsv", "test": data / "test.tsv", side: fuzzed}
+    with tempfile.TemporaryDirectory(dir=dataset) as tmp:
+        tmp = Path(tmp)
+        codes = [main([
+            "pipeline", "--config", str(artifacts["config"]), "--work-dir", str(tmp / "work"),
+            "--train-manifest", str(manifests["train"]), "--test-manifest", str(manifests["test"]),
+        ]), main([
+            "split", "--manifest", str(fuzzed), "--per-class", "1",
+            "--out-train", str(tmp / "a.tsv"), "--out-test", str(tmp / "b.tsv"),
+        ])]
+        for command in ("train", "evaluate"):
+            args = _stage_command(command, artifacts, dataset, tmp)
+            args[args.index("--manifest") + 1] = str(fuzzed)
+            codes.append(main(args))
         assert set(codes) <= {0, 1, 2}
     capsys.readouterr()

@@ -3,9 +3,10 @@ import pytest
 
 from memtrace import traced_peak
 from oracles import best_kmeans_objective, naive_nearest
-from vladkit import codebook, errors
+from vladkit import codebook
 from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary, kmeans_init_plusplus, kmeans_train, subsample
+from vladkit.errors import VladkitError
 from vladkit.pipeline import PipelineConfig
 
 
@@ -29,7 +30,7 @@ def test_init_deterministic():
 
 
 def test_init_too_few_points():
-    with pytest.raises(errors.TooFewPoints):
+    with pytest.raises(VladkitError, match="2 points < 3 requested centers"):
         kmeans_init_plusplus(np.zeros((2, 2)), 3, seed=0)
 
 
@@ -142,7 +143,7 @@ def test_nearest_center_brute_force():
 
 def test_nearest_center_dim_mismatch():
     d = Dictionary(centers=np.zeros((2, 3)))
-    with pytest.raises(errors.DimMismatch):
+    with pytest.raises(VladkitError, match=r"descriptors shape \(1, 4\) != \(N, 3\)"):
         nearest_words(d, np.zeros((1, 4)))
 
 
@@ -159,7 +160,7 @@ def test_subsample_seeded_and_capped():
 def test_subsample_rejects_cap_below_one():
     data = np.zeros((10, 2))
     for cap in (0, -5):
-        with pytest.raises(errors.EmptyInput):
+        with pytest.raises(VladkitError, match=f"subsample cap must be at least 1, got {cap}"):
             subsample(data, cap, seed=0)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from memtrace import traced_peak
-from vladkit import errors, fileio
+from vladkit import fileio
+from vladkit.errors import VladkitError
 from vladkit.fileio import DatasetManifest, FeatureMap
 
 
@@ -33,31 +34,31 @@ def test_write_size_arithmetic(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "m.vlf"
     path.write_bytes(b"XXXX" + struct.pack("<III", 1, 1, 1) + struct.pack("<f", 0.0))
-    with pytest.raises(errors.BadMagic):
+    with pytest.raises(VladkitError, match="expected magic b'VLF1', got b'XXXX'"):
         fileio.read_feature_map(path)
 
 
 def test_truncated(tmp_path):
     path = tmp_path / "m.vlf"
     path.write_bytes(b"VLF1" + struct.pack("<III", 2, 2, 3) + struct.pack("<11f", *range(11)))
-    with pytest.raises(errors.TruncatedFile):
+    with pytest.raises(VladkitError, match="expected 12 floats, found 11"):
         fileio.read_feature_map(path)
 
 
 def test_truncated_header(tmp_path):
     path = tmp_path / "m.vlf"
     path.write_bytes(b"VLF1" + struct.pack("<II", 2, 2))
-    with pytest.raises(errors.TruncatedFile):
+    with pytest.raises(VladkitError, match="header needs 16 bytes, file has 12"):
         fileio.read_feature_map(path)
 
 def test_nan_refused_on_write(tmp_path):
-    with pytest.raises(errors.NonFinite):
+    with pytest.raises(VladkitError, match="feature map contains NaN/Inf"):
         FeatureMap(np.array([[[np.nan]]], dtype=np.float32))
     # A whitening container is written in two parts; each is checked.
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     for mean, projection in ((np.array([np.nan, 0.0]), np.eye(2)), (np.zeros(2), bad)):
         path = tmp_path / "t.vlw"
-        with pytest.raises(errors.NonFinite):
+        with pytest.raises(VladkitError, match="refusing to write non-finite payload"):
             fileio.write_whitening(mean, projection, path)
         assert not path.exists()
 
@@ -65,7 +66,7 @@ def test_nan_refused_on_write(tmp_path):
 def test_nan_refused_on_read(tmp_path):
     path = tmp_path / "m.vlf"
     path.write_bytes(b"VLF1" + struct.pack("<III", 1, 1, 1) + struct.pack("<f", float("nan")))
-    with pytest.raises(errors.NonFinite):
+    with pytest.raises(VladkitError, match="m.vlf: payload contains NaN/Inf"):
         fileio.read_feature_map(path)
 
 
@@ -147,27 +148,27 @@ def test_manifest_basic(tmp_path):
     path.write_text("a.vlf\t0\nb.vlf\t1\n")
     manifest = fileio.load_manifest(path)
     assert manifest.entries == (("a.vlf", 0), ("b.vlf", 1))
-    assert manifest.num_classes == 2
+    assert manifest.labels().tolist() == [0, 1]
 
 
 def test_manifest_empty(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("")
-    with pytest.raises(errors.ParseError):
+    with pytest.raises(VladkitError, match="m.tsv: empty manifest"):
         fileio.load_manifest(path)
 
 
 def test_manifest_negative_label(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("a.vlf\t-1\n")
-    with pytest.raises(errors.NegativeLabel):
+    with pytest.raises(VladkitError, match="m.tsv:1: label -1 < 0"):
         fileio.load_manifest(path)
 
 
 def test_manifest_malformed(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("a.vlf 0\n")
-    with pytest.raises(errors.ParseError):
+    with pytest.raises(VladkitError, match="m.tsv:1: expected 'path<TAB>label'"):
         fileio.load_manifest(path)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vladkit import fileio, pipeline
-from vladkit.errors import CacheMismatch, ParseError
+from vladkit.errors import VladkitError
 from vladkit.fileio import DatasetManifest, read_feature_map
 from vladkit.pipeline import (
     STAGE_FIELDS,
@@ -121,17 +121,17 @@ def test_config_whiten_is_a_strict_bool():
     for text, value in [("true", True), ("YES", True), ("1", True),
                         ("false", False), ("No", False), ("0", False)]:
         assert parse_config_text(f"whiten = {text}\n").whiten is value
-    with pytest.raises(ParseError):
+    with pytest.raises(VladkitError, match="whiten must be true/1/yes or false/0/no, got 'maybe'"):
         parse_config_text("whiten = maybe\n")
 
 
 def test_config_unknown_key_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(VladkitError, match="^line 1: unknown key 'bogus'$"):
         parse_config_text("bogus = 1\n")
 
 
 def test_config_key_given_twice_rejected():
-    with pytest.raises(ParseError, match=r"^line 3: key 'mode' already set on line 1$"):
+    with pytest.raises(VladkitError, match=r"^line 3: key 'mode' already set on line 1$"):
         parse_config_text("mode = hard\n# comment\nmode = sa\n")
 
 
@@ -217,7 +217,7 @@ def test_pipeline_cache_mismatch_detected(dataset, tmp_path):
     # Corrupt the stage's dictionary with a different word count.
     wrong = np.zeros((3, 6), dtype=np.float32)
     fileio.write_dictionary(wrong, stage / "dictionary.vld")
-    with pytest.raises(CacheMismatch):
+    with pytest.raises(VladkitError, match="cached dictionary has 3 words, config wants 6"):
         run_pipeline(config, train_path, test_path, tmp_path)
 
 
@@ -228,7 +228,7 @@ def test_pipeline_cached_encoding_of_another_length_detected(dataset, tmp_path):
     cache = next(tmp_path.glob("cache_*"))
     # A well-formed container, one float short of the model's dim.
     fileio.write_encoding(np.ones(6 * 6 - 1), cache / "enc_test" / "000001.vle")
-    with pytest.raises(CacheMismatch):
+    with pytest.raises(VladkitError, match="cached model dim 36 != 000001.vle length 35"):
         run_pipeline(config, train_path, test_path, tmp_path)
 
 

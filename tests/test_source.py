@@ -1,6 +1,7 @@
 """Source hygiene checks over src/vladkit."""
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vladkit"
@@ -31,3 +32,24 @@ def test_every_private_module_level_name_is_loaded_in_src():
                 if name.startswith("_") and not name.startswith("__") and name not in loaded
             ]
     assert unused == []
+
+
+def test_vladkit_error_is_the_only_exception_class():
+    """Every failure is a VladkitError told apart by its message: no code
+    catches a narrower class, so src/vladkit defines none."""
+    bases = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = {ast.unparse(b).rpartition(".")[2] for b in node.bases}
+                bases[f"{path.stem}.{node.name}"] = names
+    known = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    exceptions = set()
+    while True:  # a class deriving from an exception class is one too
+        found = {cls for cls, names in bases.items() if names & known}
+        if found == exceptions:
+            break
+        exceptions = found
+        known |= {cls.rpartition(".")[2] for cls in found}
+    assert sorted(exceptions) == ["errors.VladkitError"]

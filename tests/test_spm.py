@@ -4,9 +4,10 @@ import pytest
 import vladkit.spm
 import vladkit.vlad
 from memtrace import traced_peak
-from vladkit import errors, fileio
+from vladkit import fileio
 from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary, kmeans_train
+from vladkit.errors import VladkitError
 from vladkit.fileio import FeatureMap
 from vladkit.pipeline import PipelineConfig
 from vladkit.spm import PyramidSpec, encode_spm, parse_pyramid, region_bounds, region_slices
@@ -24,20 +25,20 @@ def test_parse_presets_and_custom():
     assert parse_pyramid("b").levels == ((1, 1), (2, 2), (1, 3))
     assert parse_pyramid("c").levels == ((1, 1), (2, 2), (4, 4))
     assert parse_pyramid("2x3,1x1").levels == ((2, 3), (1, 1))
-    with pytest.raises(errors.ParseError):
+    with pytest.raises(VladkitError, match="bad pyramid level '2x'; expected RxC"):
         parse_pyramid("2x")
-    with pytest.raises(errors.ParseError):
+    with pytest.raises(VladkitError, match=r"bad pyramid level \(0, 2\)"):
         parse_pyramid("0x2")
 
 
 @pytest.mark.parametrize("text", ["2x2x2", "ax1", "", "1x-1", "3", "1x1,"])
 def test_parse_pyramid_rejects_bad_levels(text):
-    with pytest.raises(errors.ParseError, match="pyramid level"):
+    with pytest.raises(VladkitError, match="bad pyramid level"):
         parse_pyramid(text)
 
 
 def test_pyramid_spec_needs_a_level():
-    with pytest.raises(errors.ParseError, match="at least one level"):
+    with pytest.raises(VladkitError, match="pyramid needs at least one level"):
         PyramidSpec(())
 
 

@@ -85,13 +85,24 @@ def test_synth_and_split_manifests_point_at_the_written_maps(tmp_path):
 
 
 def test_split_sides_equal_their_saved_copies(tmp_path):
-    """Each side's class count comes from its own labels: a class that
-    falls wholly into training does not count on the test side."""
+    """A class that falls wholly into training is absent from the test side."""
     path = tmp_path / "manifest.tsv"
     path.write_text("a\t0\nb\t0\nc\t1\nd\t1\ne\t2\n")
     train, test = split_manifest(fileio.load_manifest(path), per_class=1, seed=0)
-    assert (train.num_classes, test.num_classes) == (3, 2)
+    assert (set(train.labels()), set(test.labels())) == ({0, 1, 2}, {0, 1})
     for side, name in ((train, "train.tsv"), (test, "test.tsv")):
         fileio.save_manifest(side, tmp_path / name)
         assert fileio.load_manifest(tmp_path / name) == side
-    assert DatasetManifest(()).num_classes == 0
+
+
+def test_split_of_a_sparse_label_draws_as_its_dense_twin():
+    """Labels are visited in ascending order and an absent one draws nothing,
+    so {0, 10^9} splits as {0, 1} does, without a pass per absent label."""
+    names = [f"m{i:02d}.vlf" for i in range(16)]
+    for seed in range(5):
+        sides = []
+        for high in (1, 10**9):
+            manifest = DatasetManifest(tuple((n, high * (i % 3 == 0)) for i, n in enumerate(names)))
+            sides.append([[rel for rel, _ in side.entries]
+                          for side in split_manifest(manifest, per_class=2, seed=seed)])
+        assert sides[0] == sides[1]

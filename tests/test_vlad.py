@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import naive_hard_weights, naive_soft_weights, naive_vlad
-from vladkit import errors
 from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary
+from vladkit.errors import VladkitError
 from vladkit.fileio import FeatureMap
 from vladkit.pipeline import PipelineConfig
 from vladkit.vlad import encode, vlad_aggregate, vlad_normalize
@@ -96,19 +96,19 @@ def test_translation_covariance():
 
 def test_empty_input_rejected():
     d = Dictionary(centers=np.zeros((2, 2)))
-    with pytest.raises(errors.EmptyInput):
+    with pytest.raises(VladkitError, match="need at least one descriptor"):
         vlad_aggregate(d, np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_dim_mismatch_rejected():
     d = Dictionary(centers=np.zeros((2, 2)))
-    with pytest.raises(errors.DimMismatch):
+    with pytest.raises(VladkitError, match=r"descriptors shape \(3, 4\) != \(N, 2\)"):
         aggregate(d, np.zeros((3, 4)), PipelineConfig(mode="hard"))
     # Weights that do not match the descriptors or the words; one column
     # would otherwise broadcast over both words.
     for x, w in ((np.zeros((3, 4)), np.full((3, 2), 0.5)), (np.zeros((3, 2)), np.ones((3, 1))),
                  (np.zeros((3, 2)), np.full((2, 2), 0.5))):
-        with pytest.raises(errors.DimMismatch):
+        with pytest.raises(VladkitError, match="do not fit the words"):
             vlad_aggregate(d, x, w)
 
 

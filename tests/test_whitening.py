@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vladkit import errors
+from vladkit.errors import VladkitError
 from vladkit.whitening import (
     WhiteningTransform,
     apply_whitening_batch,
@@ -70,12 +70,12 @@ def test_rotation_invariance_of_fit_quality():
 
 
 def test_degenerate_input():
-    with pytest.raises(errors.DegenerateInput):
+    with pytest.raises(VladkitError, match="need at least 2 descriptors to fit whitening"):
         fit_whitening(np.ones((1, 3)))
 
 
 def test_dim_too_large():
-    with pytest.raises(errors.DimTooLarge):
+    with pytest.raises(VladkitError, match=r"output_dim must be between 1 and .* = 4, got 5"):
         fit_whitening(np.random.default_rng(0).standard_normal((10, 4)), output_dim=5)
 
 
@@ -101,7 +101,7 @@ def test_apply_output_unit_norm():
 
 def test_apply_dim_mismatch():
     t = WhiteningTransform(mean=np.zeros(3), projection=np.eye(3))
-    with pytest.raises(errors.DimMismatch):
+    with pytest.raises(VladkitError, match="descriptor dim 4 != transform input 3"):
         apply_whitening_batch(t, np.zeros((1, 4)))
 
 
@@ -110,7 +110,7 @@ def test_apply_rejects_non_finite():
     for bad in (np.nan, np.inf):
         x = np.ones((4, 3))
         x[2, 1] = bad
-        with pytest.raises(errors.NonFinite):
+        with pytest.raises(VladkitError, match="descriptor contains NaN/Inf"):
             apply_whitening_batch(t, x)
 
 
