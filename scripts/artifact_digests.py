@@ -13,6 +13,12 @@ One line per file or accuracy:
     <workload> <seed> <config #> cache/<path inside the config directory> <sha256>
     <workload> <seed> <config #> accuracy <accuracy>
 
+With `--dump DIR`, each config's stage and config directories are also
+copied to DIR/<workload>/<seed>/<config #>/dict and .../cache, next to
+scores.npy: the (N, C) class scores that `predict` gives the cached model on
+the cached test encodings, in manifest order. `scripts/artifact_compare.py`
+compares two such dumps numerically.
+
 Each pass runs in a fresh temporary directory, and the script exits non-zero
 if a pass leaves a `.tmp-*` build directory in its work directory: a clean
 run publishes every directory it builds. A config reads the transform
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -45,18 +52,23 @@ def _files(root: Path) -> list[Path]:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(prog="scripts/artifact_digests.py")
     parser.add_argument("--seeds", type=int, default=3, help="run seeds 0..N-1")
+    parser.add_argument("--dump", type=Path, help="a new directory to keep the artifacts in")
     args = parser.parse_args(argv)
+    if args.dump is not None and args.dump.exists():
+        parser.error(f"--dump {args.dump} already exists")
 
     # Cap BLAS at one thread before NumPy loads, to match the benchmark's pin.
     # Artifacts were measured byte-identical with two threads too.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import numpy as np
     from make_dataset import make_dataset
     from workloads import WORKLOADS
 
-    from vladkit import PipelineConfig, run_pipeline
-    from vladkit.pipeline import cache_dirs
+    from vladkit import PipelineConfig, predict, run_pipeline
+    from vladkit.fileio import read_encoding
+    from vladkit.pipeline import cache_dirs, load_model
 
     for name, workload in WORKLOADS.items():
         for seed in range(args.seeds):
@@ -74,6 +86,14 @@ def main(argv: list[str] | None = None) -> None:
                             rel = path.relative_to(directory).as_posix()
                             print(name, seed, i, f"{kind}/{rel}", _sha256(path))
                     print(name, seed, i, "accuracy", repr(report.accuracy), flush=True)
+                    if args.dump is not None:
+                        kept = args.dump / name / str(seed) / str(i)
+                        for directory in cache_dirs(config, train, test, work):
+                            shutil.copytree(directory, kept / directory.name.partition("_")[0])
+                        model = load_model(kept / "cache" / "model.vlm")
+                        # The `.vle` names are the zero-padded manifest indices.
+                        encodings = [read_encoding(p) for p in _files(kept / "cache" / "enc_test")]
+                        np.save(kept / "scores.npy", predict(model, np.stack(encodings))[1])
                 leftovers = sorted(p.name for p in work.glob(".tmp-*"))
                 if leftovers:
                     sys.exit(f"{name} seed {seed}: a clean pass left {leftovers} in its work dir")

@@ -4,17 +4,16 @@ Each class gets a binary classifier trained by epoch-wise stochastic
 subgradient descent (Pegasos-style 1/(reg*t) step size). All classes step
 together over one shuffle per epoch, drawn from one generator seeded with
 config.seed, so the trained model is reproducible bit for bit. Training runs
-in the dual: each class's weights stay a combination of the training rows X,
-so a step reads one row of the Gram matrix X Xᵀ + 1 instead of a dim-length
-row (the `+ 1` is the constant bias input), and no bias-augmented copy of X
-is made.
+in the dual over the Gram matrix X Xᵀ + 1 (the `+ 1` is the constant bias
+input). With that step size the coefficients after step t are S / (reg*t),
+where S counts each training row's signed violations (Shalev-Shwartz et al.,
+ICML 2007), so training keeps S and scales it once, at the end.
 
-The pipeline passes encodings as float32, the precision a `.vle` stores.
-The products widen them to float64 in blocks of at most _BLOCK values (two blocks for the
-Gram matrix), so no float64 copy of a whole split is made, and a float64
-caller's blocks are views. A split of at most _BLOCK values gets the
-unblocked products. A larger one may differ from them in the last bit of a
-Gram entry, as BLAS may order a dot product's sum by the blocks' shape.
+The Gram matrix, the weights and the scores widen float32 encodings, as a
+`.vle` stores them, to float64 one column block of at most _BLOCK values at a
+time (the sums add the blocks' products in column order), so no float64 copy
+of a split is made. A split of at most _BLOCK values is one block, so it gets
+the unblocked products bit for bit.
 """
 
 from __future__ import annotations
@@ -48,26 +47,19 @@ class LinearModel:
 _BLOCK = 1 << 19
 
 
-def _blocks(size: int, per_block: int) -> list[slice]:
-    """range(size) cut into the fewest near-equal slices of at most per_block
-    (at least 1) indices; near-equal, so no slice is a lone remainder row."""
-    count = max(1, -(-size // max(1, per_block)))
-    bounds = [size * k // count for k in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+def _column_blocks(x: np.ndarray, use) -> None:
+    """use(cols, x[:, cols] widened to float64) for each block of at most
+    _BLOCK values of x's columns, in column order. The call holds the only
+    reference to its block, so one widened block is alive at a time."""
+    width = max(1, _BLOCK // max(1, x.shape[0]))
+    for start in range(0, x.shape[1], width):
+        cols = slice(start, start + width)
+        use(cols, x[:, cols].astype(np.float64, copy=False))
 
 
-def _gram(x: np.ndarray) -> np.ndarray:
-    """x xᵀ in float64, (N, N), one pair of row blocks at a time; the lower
-    triangle mirrors the upper, as one symmetric product does."""
-    gram = np.empty((x.shape[0], x.shape[0]))
-    rows = _blocks(x.shape[0], _BLOCK // max(1, x.shape[1]))
-    for k, a in enumerate(rows):
-        xa = x[a].astype(np.float64, copy=False)
-        gram[a, a] = xa @ xa.T
-        for b in rows[k + 1:]:
-            gram[a, b] = xa @ x[b].astype(np.float64, copy=False).T
-            gram[b, a] = gram[a, b].T
-    return gram
+def _too_many_classes(count: int) -> VladkitError:
+    """Classes run from 0 to the largest label, which may be sparse."""
+    return VladkitError(f"largest label {count - 1} makes {count} classes: out of memory")
 
 
 def train_ovr(encodings: np.ndarray, labels: np.ndarray, config: PipelineConfig) -> LinearModel:
@@ -82,26 +74,28 @@ def train_ovr(encodings: np.ndarray, labels: np.ndarray, config: PipelineConfig)
         raise VladkitError("need at least two classes to train")
     # The bias rides along as a constant input so it shares the weight
     # shrinkage; otherwise the early 1/(reg*t) steps let it run away.
-    gram = _gram(x)
+    gram = np.zeros((x.shape[0], x.shape[0]))
+    _column_blocks(x, lambda cols, block: np.add(gram, block @ block.T, out=gram))
     gram += 1.0
-    # Row i of y and of coef holds training row i's target and coefficient
-    # in every class, so a step touches one contiguous row of each. No
-    # C-length array is filled before y, so a sparse label's huge C fails here.
-    y = np.full((x.shape[0], num_classes), -1.0)
+    # Row i of y and of counts holds training row i's target and count in every
+    # class, so a step touches one contiguous row of each. y is the first C-wide array.
+    try:
+        y = np.full((x.shape[0], num_classes), -1.0)
+    except MemoryError:
+        raise _too_many_classes(num_classes) from None
     y[np.arange(x.shape[0]), labels] = 1.0
-    coef = np.zeros_like(y)  # weights = coef.T @ x, biases = coef.sum(0)
+    counts = np.zeros_like(y)
     rng = np.random.default_rng(config.seed)
-    t = 0
+    t = 0  # steps taken; coef = counts / (reg * t)
     for _ in range(config.epochs):
         for i in rng.permutation(x.shape[0]):
+            # y_i (gram_i @ coef) < 1, read on the counts; at t = 0 every class violates.
+            violated = y[i] * (gram[i] @ counts) < (config.reg * t or 1.0)
+            counts[i] += y[i] * violated
             t += 1
-            lr = 1.0 / (config.reg * t)
-            violated = y[i] * (gram[i] @ coef) < 1.0
-            coef *= 1.0 - lr * config.reg
-            coef[i] += lr * y[i] * violated
+    coef = counts / (config.reg * t)  # weights = coef.T @ x, biases = coef.sum(0)
     weights = np.empty((num_classes, x.shape[1]))
-    for cols in _blocks(x.shape[1], _BLOCK // max(1, x.shape[0])):
-        weights[:, cols] = coef.T @ x[:, cols].astype(np.float64, copy=False)
+    _column_blocks(x, lambda cols, block: np.matmul(coef.T, block, out=weights[:, cols]))
     return LinearModel(weights=weights, biases=coef.sum(axis=0))
 
 
@@ -111,9 +105,11 @@ def predict(model: LinearModel, encodings: np.ndarray) -> tuple[np.ndarray, np.n
     x = np.asarray(encodings)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise VladkitError(f"encodings shape {x.shape} != (N, {model.dim})")
-    scores = np.empty((x.shape[0], model.num_classes))
-    for rows in _blocks(x.shape[0], _BLOCK // max(1, model.dim)):
-        scores[rows] = x[rows].astype(np.float64, copy=False) @ model.weights.T + model.biases
+    scores = np.zeros((x.shape[0], model.num_classes))
+    _column_blocks(
+        x, lambda cols, block: np.add(scores, block @ model.weights[:, cols].T, out=scores)
+    )
+    scores += model.biases
     return np.argmax(scores, axis=1), scores
 
 
@@ -125,7 +121,10 @@ class EvalReport:
 
 
 def tabulate(true_labels: np.ndarray, predicted: np.ndarray, num_classes: int) -> EvalReport:
-    confusion = np.zeros((num_classes, num_classes), dtype=int)
+    try:
+        confusion = np.zeros((num_classes, num_classes), dtype=int)
+    except MemoryError:
+        raise _too_many_classes(num_classes) from None
     np.add.at(confusion, (true_labels, predicted), 1)
     row_totals = confusion.sum(axis=1)
     safe = np.where(row_totals == 0, 1, row_totals)

@@ -210,32 +210,32 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_preprocess_fit(args) -> int:
-    out = fileio.nonempty(args.out)  # checked before any work: "" names no file
+    fileio.nonempty_path(args.out)  # checked before any work: "" names no file
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
     if args.subsample is not None:
         descriptors = subsample(descriptors, args.subsample, args.seed)
     transform = fit_whitening(descriptors, args.dim, args.epsilon)
-    fileio.write_whitening(transform.mean, transform.projection, out)
+    fileio.write_whitening(transform.mean, transform.projection, args.out)
     print(f"fit whitening {transform.input_dim}->{transform.output_dim}")
     return 0
 
 
 def _cmd_preprocess_apply(args) -> int:
-    out = fileio.nonempty(args.out)
+    fileio.nonempty_path(args.out)
     transform = load_transform(args.transform)
     fmap = read_feature_map(args.input)
     whitened = apply_whitening_batch(transform, fmap.descriptors().astype(np.float64))
     whitened = whitened.reshape(fmap.height, fmap.width, transform.output_dim)
-    fileio.write_feature_map(FeatureMap(whitened.astype(np.float32)), out)
+    fileio.write_feature_map(FeatureMap(whitened.astype(np.float32)), args.out)
     return 0
 
 
 def _cmd_codebook(args) -> int:
-    out = fileio.nonempty(args.out)
+    fileio.nonempty_path(args.out)
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
     transform = load_transform(args.transform) if args.transform is not None else None
     dictionary, report = train_dictionary(descriptors, transform, _config(args))
-    fileio.write_dictionary(dictionary.centers, out)
+    fileio.write_dictionary(dictionary.centers, args.out)
     print(
         f"trained {dictionary.num_words} words in {report.iterations} iterations"
         f" (converged={report.converged})"
@@ -244,12 +244,12 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    out = fileio.nonempty(args.out)
+    fileio.nonempty_path(args.out)
     dictionary = load_dictionary(args.dictionary)
     transform = load_transform(args.transform) if args.transform is not None else None
     fmap = read_feature_map(args.input)
     values = encode_entry(fmap, dictionary, transform, _config(args))
-    fileio.write_encoding(values, out)
+    fileio.write_encoding(values, args.out)
     return 0
 
 
@@ -261,11 +261,11 @@ def _encode_manifest(args, config: PipelineConfig):
 
 
 def _cmd_train(args) -> int:
-    out = fileio.nonempty(args.out)
+    fileio.nonempty_path(args.out)
     config = _config(args)
     x, y = _encode_manifest(args, config)
     model = train_ovr(x, y, config)
-    fileio.write_model(model.weights, model.biases, out)
+    fileio.write_model(model.weights, model.biases, args.out)
     print(f"trained model: {model.num_classes} classes, dim {model.dim}")
     return 0
 

@@ -200,18 +200,12 @@ def write_model(weights: np.ndarray, biases: np.ndarray, path) -> None:
 
 # -- manifests ---------------------------------------------------------------
 
-def nonempty(path):
-    """path itself, refusing "": Path("") is ".", a directory the user never
-    named. It builds no Path, so a hot caller such as `vladkit encode` pays
-    for the check alone."""
+def nonempty_path(path) -> Path:
+    """Path(path), refusing "": Path("") is ".", a directory the user never
+    named."""
     if not str(path):
         raise VladkitError("empty path '' names no file")
-    return path
-
-
-def nonempty_path(path) -> Path:
-    """Path(path), refusing "" as nonempty does."""
-    return Path(nonempty(path))
+    return Path(path)
 
 
 def read_text(path) -> str:

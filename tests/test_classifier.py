@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from memtrace import traced_peak
 from oracles import naive_pegasos_ovr
 from vladkit import classifier, fileio
 from vladkit.classifier import LinearModel, predict, tabulate, train_ovr
@@ -84,6 +85,25 @@ def test_argmax_invariant_to_positive_rescaling():
     scaled = LinearModel(weights=model.weights / 7.5, biases=np.zeros(3))
     x = rng.standard_normal((20, 4))
     assert np.array_equal(predict(model, x)[0], predict(scaled, 7.5 * x)[0])
+
+
+def test_a_sparse_label_names_itself_where_classes_are_allocated(monkeypatch):
+    message = "largest label 1000000000 makes 1000000001 classes: out of memory"
+    # The (C, C) confusion matrix, 8 * 10^18 bytes, fits in no address space.
+    with pytest.raises(VladkitError, match=message):
+        tabulate(np.array([0, 10**9]), np.array([0, 0]), 10**9 + 1)
+    # Training's (N, C) targets take 32 GB, which an overcommitting host may
+    # grant, so the allocator's refusal is simulated.
+    full = np.full
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape) > 10**8:
+            raise MemoryError
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", refusing)
+    with pytest.raises(VladkitError, match=message):
+        train_ovr(np.eye(4), np.array([0, 1, 0, 10**9]), PipelineConfig())
 
 
 def test_tabulate_identities():
@@ -189,13 +209,18 @@ def test_float32_encodings_give_the_model_and_scores_of_their_float64_widening(m
     # Blocks this small cut every product's loop into several blocks.
     monkeypatch.setattr(classifier, "_BLOCK", 120)
     counts = []
-    blocks = classifier._blocks
+    column_blocks = classifier._column_blocks
 
-    def counted(*args):
-        counts.append(len(blocks(*args)))
-        return blocks(*args)
+    def counted(x, use):
+        counts.append(0)
 
-    monkeypatch.setattr(classifier, "_blocks", counted)
+        def counting(cols, block):
+            counts[-1] += 1
+            use(cols, block)
+
+        column_blocks(x, counting)
+
+    monkeypatch.setattr(classifier, "_column_blocks", counted)
     model = train_ovr(x, y, config)
     model_wide = train_ovr(wide, y, config)
     assert np.array_equal(model.weights, model_wide.weights)
@@ -222,3 +247,12 @@ def test_float32_training_widens_in_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes
+
+
+def test_float32_prediction_widens_in_blocks(monkeypatch):
+    # A float64 copy of x alone would take 2 * x.nbytes.
+    monkeypatch.setattr(classifier, "_BLOCK", 1 << 16)
+    x = np.random.default_rng(4).standard_normal((20, 40_000)).astype(np.float32)
+    rng = np.random.default_rng(5)
+    model = LinearModel(weights=rng.standard_normal((4, 40_000)), biases=rng.standard_normal(4))
+    assert traced_peak(lambda: predict(model, x)) < x.nbytes

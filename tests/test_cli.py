@@ -747,6 +747,31 @@ def test_a_label_too_large_to_index_exits_2(label, workspace, stage_files, tmp_p
         assert not out.exists()
 
 
+def test_a_sparse_test_label_exits_2_naming_it(workspace, stage_files, tmp_path, capsys):
+    """Label 10^9 passes the manifest's bound, but the (10^9 + 1)^2 confusion
+    matrix that evaluation tabulates fits in no host's memory."""
+    data = workspace / "data"
+    manifest = fileio.load_manifest(data / "test.tsv")
+    labels = manifest.labels().tolist()
+    labels[2] = 10**9
+    bad = tmp_path / "bad-test.tsv"
+    bad.write_text("".join(f"{p}\t{c}\n" for p, c in zip(manifest.paths(), labels)))
+    config = tmp_path / "config"
+    config.write_text("words = 4\n")
+    evaluate = _required_args("evaluate", workspace, stage_files, tmp_path / "confusion.csv")
+    evaluate[evaluate.index("--manifest") + 1] = str(bad)
+    pipeline = [
+        "pipeline", "--config", str(config), "--train-manifest", str(data / "train.tsv"),
+        "--test-manifest", str(bad), "--work-dir", str(tmp_path / "work"),
+    ]
+    for args in (evaluate, pipeline):
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "vladkit: error: largest label 1000000000 makes 1000000001 classes: out of memory\n"
+        )
+    assert not (tmp_path / "confusion.csv").exists()
+
+
 def test_encode_llc_with_a_sigma_too_small_blames_sigma(workspace, stage_files, tmp_path, capsys):
     out = tmp_path / "e.vle"
     args = _required_args("encode", workspace, stage_files, out)
