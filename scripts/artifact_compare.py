@@ -5,15 +5,15 @@ anywhere:
 
     python3 scripts/artifact_compare.py parent-dump change-dump
 
-For each workload and artifact kind (transform, dictionary, encodings, model,
-and the test images' class scores) it prints the number of files, the largest
-absolute difference of a value, and the largest relative one: a file's largest
-absolute difference over its largest magnitude in A. For each workload it then prints how many test
-predictions (the argmax of the dumped class scores) agree, and the smallest
-gap between an image's top two scores in A and in B: how close a prediction
-came to flipping. Two dumps of one tree report 0 and full agreement
-everywhere. The script exits non-zero if the dumps hold different files or
-shapes, and with `--identical` also if any value or prediction differs.
+For each workload and artifact kind (transform, dictionary, encodings, model)
+it prints the number of files, the largest absolute difference of a value,
+and the largest relative one: a file's largest absolute difference over its
+largest magnitude in A. For each workload it then scores each config's dumped
+test encodings with its dumped model, using `predict`, and prints how many
+test predictions agree between A and B, and the smallest gap between an
+image's top two scores in A and in B: how close a prediction came to
+flipping. Like `diff`, the script exits 0 only if the dumps are equal: the
+same files and shapes, every value equal and every prediction agreeing.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from vladkit import fileio  # noqa: E402
+from vladkit import fileio, predict  # noqa: E402
+from vladkit.pipeline import load_model  # noqa: E402
 
 # The kind of each dumped file suffix, and its reader.
 KINDS = {
@@ -36,7 +37,6 @@ KINDS = {
     ".vld": ("dictionary", fileio.read_dictionary),
     ".vle": ("encodings", fileio.read_encoding),
     ".vlm": ("model", fileio.read_model),
-    ".npy": ("scores", np.load),
 }
 
 
@@ -45,6 +45,13 @@ def _flat(parts) -> np.ndarray:
     flattened, in float64."""
     parts = parts if isinstance(parts, tuple) else (parts,)
     return np.concatenate([np.ravel(part) for part in parts], dtype=np.float64)
+
+
+def _scores(cache: Path) -> np.ndarray:
+    """The (N, C) class scores of a config directory's model on its test
+    encodings, in file-name order: the zero-padded manifest indices."""
+    encodings = [fileio.read_encoding(p) for p in sorted((cache / "enc_test").glob("*.vle"))]
+    return predict(load_model(cache / "model.vlm"), np.stack(encodings))[1]
 
 
 def _top_two_gap(scores: np.ndarray) -> float:
@@ -61,10 +68,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="scripts/artifact_compare.py")
     parser.add_argument("a", type=Path, help="the first dump, e.g. the parent's")
     parser.add_argument("b", type=Path, help="the second dump")
-    parser.add_argument(
-        "--identical", action="store_true",
-        help="exit non-zero unless every value and prediction is equal",
-    )
     args = parser.parse_args(argv)
 
     files_a, files_b = _files(args.a), _files(args.b)
@@ -74,28 +77,27 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     # (workload, kind) -> [files, largest absolute, largest relative difference]
     diffs = defaultdict(lambda: [0, 0.0, 0.0])
-    # workload -> [agreeing predictions, predictions, smallest gap in A, in B]
-    predictions = defaultdict(lambda: [0, 0, np.inf, np.inf])
     for rel in sorted(files_a):
-        workload = rel.parts[0]
         kind, read = KINDS[rel.suffix]
-        a, b = read(args.a / rel), read(args.b / rel)
-        if kind == "scores" and a.shape == b.shape:
-            row = predictions[workload]
-            row[0] += int((a.argmax(axis=1) == b.argmax(axis=1)).sum())
-            row[1] += a.shape[0]
-            row[2] = min(row[2], _top_two_gap(a))
-            row[3] = min(row[3], _top_two_gap(b))
-        a, b = _flat(a), _flat(b)
+        a, b = _flat(read(args.a / rel)), _flat(read(args.b / rel))
         if a.shape != b.shape:
             print(f"{rel}: {a.size} values != {b.size}")
             return 1
         largest = float(np.abs(a - b).max(initial=0.0))
         scale = float(np.abs(a).max(initial=0.0))
-        row = diffs[workload, kind]
+        row = diffs[rel.parts[0], kind]
         row[0] += 1
         row[1] = max(row[1], largest)
         row[2] = max(row[2], largest / scale if scale else np.inf if largest else 0.0)
+    # workload -> [agreeing predictions, predictions, smallest gap in A, in B]
+    predictions = defaultdict(lambda: [0, 0, np.inf, np.inf])
+    for model in sorted(rel for rel in files_a if rel.suffix == ".vlm"):
+        a, b = _scores(args.a / model.parent), _scores(args.b / model.parent)
+        row = predictions[model.parts[0]]
+        row[0] += int((a.argmax(axis=1) == b.argmax(axis=1)).sum())
+        row[1] += a.shape[0]
+        row[2] = min(row[2], _top_two_gap(a))
+        row[3] = min(row[3], _top_two_gap(b))
 
     print(f"{'workload':<18} {'kind':<11} {'files':>5} {'max abs':>10} {'max rel':>10}")
     for (workload, kind), (count, largest, relative) in sorted(diffs.items()):
@@ -107,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     differs = any(row[1] for row in diffs.values()) or any(
         agree != total for agree, total, _, _ in predictions.values()
     )
-    return 1 if args.identical and differs else 0
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

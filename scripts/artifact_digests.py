@@ -14,10 +14,8 @@ One line per file or accuracy:
     <workload> <seed> <config #> accuracy <accuracy>
 
 With `--dump DIR`, each config's stage and config directories are also
-copied to DIR/<workload>/<seed>/<config #>/dict and .../cache, next to
-scores.npy: the (N, C) class scores that `predict` gives the cached model on
-the cached test encodings, in manifest order. `scripts/artifact_compare.py`
-compares two such dumps numerically.
+copied to DIR/<workload>/<seed>/<config #>/dict and .../cache.
+`scripts/artifact_compare.py` compares two such dumps numerically.
 
 Each pass runs in a fresh temporary directory, and the script exits non-zero
 if a pass leaves a `.tmp-*` build directory in its work directory: a clean
@@ -62,13 +60,11 @@ def main(argv: list[str] | None = None) -> None:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import numpy as np
     from make_dataset import make_dataset
     from workloads import WORKLOADS
 
-    from vladkit import PipelineConfig, predict, run_pipeline
-    from vladkit.fileio import read_encoding
-    from vladkit.pipeline import cache_dirs, load_model
+    from vladkit import PipelineConfig, run_pipeline
+    from vladkit.pipeline import cache_dirs
 
     for name, workload in WORKLOADS.items():
         for seed in range(args.seeds):
@@ -90,10 +86,6 @@ def main(argv: list[str] | None = None) -> None:
                         kept = args.dump / name / str(seed) / str(i)
                         for directory in cache_dirs(config, train, test, work):
                             shutil.copytree(directory, kept / directory.name.partition("_")[0])
-                        model = load_model(kept / "cache" / "model.vlm")
-                        # The `.vle` names are the zero-padded manifest indices.
-                        encodings = [read_encoding(p) for p in _files(kept / "cache" / "enc_test")]
-                        np.save(kept / "scores.npy", predict(model, np.stack(encodings))[1])
                 leftovers = sorted(p.name for p in work.glob(".tmp-*"))
                 if leftovers:
                     sys.exit(f"{name} seed {seed}: a clean pass left {leftovers} in its work dir")

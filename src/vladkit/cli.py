@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -194,7 +195,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    out_train, out_test = (fileio.nonempty_path(p) for p in (args.out_train, args.out_test))
+    out_train, out_test = (Path(fileio.nonempty(p)) for p in (args.out_train, args.out_test))
     if out_train.resolve() == out_test.resolve():  # the test side would overwrite the train side
         raise VladkitError(f"--out-train and --out-test name the same file {str(out_train)!r}")
     manifest = fileio.load_manifest(args.manifest)
@@ -210,7 +211,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_preprocess_fit(args) -> int:
-    fileio.nonempty_path(args.out)  # checked before any work: "" names no file
+    fileio.nonempty(args.out)  # checked before any work: "" names no file
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
     if args.subsample is not None:
         descriptors = subsample(descriptors, args.subsample, args.seed)
@@ -221,7 +222,7 @@ def _cmd_preprocess_fit(args) -> int:
 
 
 def _cmd_preprocess_apply(args) -> int:
-    fileio.nonempty_path(args.out)
+    fileio.nonempty(args.out)
     transform = load_transform(args.transform)
     fmap = read_feature_map(args.input)
     whitened = apply_whitening_batch(transform, fmap.descriptors().astype(np.float64))
@@ -231,7 +232,7 @@ def _cmd_preprocess_apply(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    fileio.nonempty_path(args.out)
+    fileio.nonempty(args.out)
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
     transform = load_transform(args.transform) if args.transform is not None else None
     dictionary, report = train_dictionary(descriptors, transform, _config(args))
@@ -244,7 +245,7 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    fileio.nonempty_path(args.out)
+    fileio.nonempty(args.out)
     dictionary = load_dictionary(args.dictionary)
     transform = load_transform(args.transform) if args.transform is not None else None
     fmap = read_feature_map(args.input)
@@ -261,7 +262,7 @@ def _encode_manifest(args, config: PipelineConfig):
 
 
 def _cmd_train(args) -> int:
-    fileio.nonempty_path(args.out)
+    fileio.nonempty(args.out)
     config = _config(args)
     x, y = _encode_manifest(args, config)
     model = train_ovr(x, y, config)
@@ -272,7 +273,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     # Checked before any work: an empty path is not stdout.
-    out = None if args.confusion_out is None else fileio.nonempty_path(args.confusion_out)
+    out = None if args.confusion_out is None else Path(fileio.nonempty(args.confusion_out))
     model = load_model(args.model)
     report = evaluate(model, *_encode_manifest(args, _config(args)))
     print(f"accuracy={report.accuracy}")

@@ -200,18 +200,19 @@ def write_model(weights: np.ndarray, biases: np.ndarray, path) -> None:
 
 # -- manifests ---------------------------------------------------------------
 
-def nonempty_path(path) -> Path:
-    """Path(path), refusing "": Path("") is ".", a directory the user never
-    named."""
+def nonempty(path):
+    """path itself, refusing "": Path("") is ".", a directory the user never
+    named. It builds no Path, so a hot caller such as `vladkit encode` pays
+    for the check alone."""
     if not str(path):
         raise VladkitError("empty path '' names no file")
-    return Path(path)
+    return path
 
 
 def read_text(path) -> str:
     """A UTF-8 text file's contents, with universal newlines."""
     try:
-        return nonempty_path(path).read_text(encoding="utf-8")
+        return Path(nonempty(path)).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise VladkitError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

@@ -254,7 +254,7 @@ def cache_dirs(config: PipelineConfig, train_path, test_path, work_dir) -> tuple
     config and manifest pair. The stage key covers the STAGE_FIELDS and the
     training manifest; the config key covers the stage key, every other field
     and the test manifest. Each manifest is hashed once."""
-    work_dir = fileio.nonempty_path(work_dir)
+    work_dir = Path(fileio.nonempty(work_dir))
     # In every key, so that no half-written directory of the marker layout is read.
     stage_text = "layout = 2\n" + _fields_text(config, STAGE_FIELDS)
     stage_key = f"{fnv1a64((stage_text + _manifest_key(train_path)).encode()):016x}"
@@ -369,7 +369,7 @@ def run_bench(
     of 5 encodes of the first test image, and the encoding length. Written
     after every pair has run, so a failing pair leaves no file. Returns the
     row count."""
-    out_path = fileio.nonempty_path(out_path)  # checked before the first pair runs
+    out_path = Path(fileio.nonempty(out_path))  # checked before the first pair runs
     rows = []
     sample = read_feature_map(fileio.load_manifest(test_path).paths()[0])
     stage, _ = cache_dirs(config, train_path, test_path, work_dir)  # shared by every pair

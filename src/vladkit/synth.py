@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import VladkitError
-from .fileio import DatasetManifest, FeatureMap, nonempty_path, save_manifest, write_feature_map
+from .fileio import DatasetManifest, FeatureMap, nonempty, save_manifest, write_feature_map
 
 _NUM_COMPONENT_GROUPS = 4  # spatial-signal bag groups; matches 2x2 quadrant count
 
@@ -139,7 +140,7 @@ def synth_dataset(spec: SynthSpec, out_dir) -> DatasetManifest:
     """Write the feature-map files plus a `manifest.tsv` into out_dir and
     return the manifest. Pure function of (spec.seed, spec): identical specs
     produce byte-identical directories."""
-    out_dir = nonempty_path(out_dir)
+    out_dir = Path(nonempty(out_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     spatial = spec.mode == "spatial-signal"
