@@ -10,6 +10,7 @@ delete when no run is active."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import shutil
 import tempfile
@@ -196,7 +197,10 @@ def encode_entry(
     spec = config.pyramid_spec()
     if spec is None:
         return encode(dictionary, fmap, transform, config)
-    return encode_spm(fmap, dictionary, transform, config, spec)
+    return encode_spm([fmap], dictionary, transform, config, spec)[0]
+
+
+_CHUNK = 2**15  # encode_manifest's float64 encoding values per encode_spm call
 
 
 def encode_manifest(
@@ -206,12 +210,24 @@ def encode_manifest(
     config: PipelineConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's encoding, rounded to the float32 that a `.vle` stores,
-    as one (N, dim) float32 array filled row by row, and the entries' labels."""
-    spec = config.pyramid_spec() or PyramidSpec(((1, 1),))  # flat: one region
+    as one (N, dim) float32 array, and the entries' labels. A flat config
+    fills it row by row; a pyramid config in chunks of consecutive maps of
+    one shape, each chunk read when it is encoded."""
+    spec = config.pyramid_spec()
     paths = manifest.paths()
-    encodings = np.empty((len(paths), spec.encoding_length(dictionary, len(paths))), np.float32)
-    for row, path in zip(encodings, paths):
-        row[:] = encode_entry(read_feature_map(path), dictionary, transform, config)
+    length = (spec or PyramidSpec(((1, 1),))).encoding_length(dictionary, len(paths))
+    encodings = np.empty((len(paths), length), np.float32)
+    maps = (read_feature_map(path) for path in paths)
+    if spec is None:
+        for row, fmap in zip(encodings, maps):
+            row[:] = encode_entry(fmap, dictionary, transform, config)
+        return encodings, manifest.labels()
+    start = 0
+    for _, run in itertools.groupby(maps, key=lambda fmap: fmap.data.shape):
+        while chunk := list(itertools.islice(run, max(1, _CHUNK // length))):
+            stop = start + len(chunk)
+            encodings[start:stop] = encode_spm(chunk, dictionary, transform, config, spec)
+            start = stop
     return encodings, manifest.labels()
 
 

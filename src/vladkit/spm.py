@@ -5,13 +5,16 @@ floor-proportional boundaries; every region gets its own VLAD encoding and
 the segments follow level by level (row-major within a level) in one
 preallocated encoding, then it is globally L2-normalized. Empty regions
 keep an all-zero segment.
-A descriptor's whitened form and assignment weights do not depend on the
-region it falls in, so the image is whitened and assigned once and each
-region aggregates its slice of the two grids.
+encode_spm takes a batch of maps of one shape. A descriptor's whitened form
+and weights do not depend on its region, so each image is whitened and
+assigned once, and each region is aggregated and normalized once for the
+batch: one (N, P, M)^T (N, P, D) product over the region's P cells.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -77,9 +80,11 @@ def region_bounds(n: int, parts: int) -> list[tuple[int, int]]:
     return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
+@functools.lru_cache(maxsize=64)
 def region_slices(height: int, width: int, spec: PyramidSpec) -> list[tuple[slice, slice]]:
     """(rows, cols) slices of every region of a height x width grid, level
-    by level, then row-major within a level: the order of the segments."""
+    by level, then row-major within a level: the order of the segments.
+    Computed once per grid and pyramid, so callers share the list."""
     return [
         (slice(r0, r1), slice(c0, c1))
         for r, c in spec.levels
@@ -89,25 +94,29 @@ def region_slices(height: int, width: int, spec: PyramidSpec) -> list[tuple[slic
 
 
 def encode_spm(
-    fmap: FeatureMap,
+    fmaps: Sequence[FeatureMap],
     dictionary: Dictionary,
     transform: WhiteningTransform | None,
     config: PipelineConfig,
     spec: PyramidSpec,
 ) -> np.ndarray:
-    """The pyramid encoding of one image: every region's segment, in
-    region_slices order, then one global L2. The segments are the rows of
-    one preallocated array, so an empty region keeps its zeros."""
-    encoding = np.zeros(spec.encoding_length(dictionary)).reshape(spec.total_regions, -1)
-    descriptors = fmap.descriptors().astype(np.float64)
-    if transform is not None:
-        descriptors = apply_whitening_batch(transform, descriptors)
-    weights = vlad.weight_matrix(dictionary, descriptors, config)
-    x_grid = descriptors.reshape(fmap.height, fmap.width, dictionary.dim)
-    w_grid = weights.reshape(fmap.height, fmap.width, dictionary.num_words)
-    for segment, (rows, cols) in zip(encoding, region_slices(fmap.height, fmap.width, spec)):
-        region = x_grid[rows, cols].reshape(-1, dictionary.dim)
-        if region.shape[0]:
-            region_weights = w_grid[rows, cols].reshape(-1, dictionary.num_words)
-            segment[:] = encode_descriptors(dictionary, region, region_weights, config.norm_scheme)
-    return l2_normalize(encoding.reshape(-1))
+    """The (N, length) pyramid encodings of N maps of one H x W x D shape:
+    each region's segment, in region_slices order, in one preallocated array
+    (an empty region keeps its zeros), then one global L2 per row."""
+    n, height, width = len(fmaps), fmaps[0].height, fmaps[0].width
+    encodings = np.zeros((n, spec.encoding_length(dictionary, n)))
+    x_grid = np.empty((n, height, width, dictionary.dim))
+    w_grid = np.empty((n, height, width, dictionary.num_words))
+    for fmap, x, w in zip(fmaps, x_grid, w_grid):
+        descriptors = fmap.descriptors().astype(np.float64)
+        if transform is not None:
+            descriptors = apply_whitening_batch(transform, descriptors)
+        w.reshape(-1, dictionary.num_words)[:] = vlad.weight_matrix(dictionary, descriptors, config)
+        x.reshape(-1, dictionary.dim)[:] = descriptors
+    segments = encodings.reshape(n, spec.total_regions, -1)
+    for r, (rows, cols) in enumerate(region_slices(height, width, spec)):
+        region = x_grid[:, rows, cols].reshape(n, -1, dictionary.dim)
+        if region.shape[1]:
+            weights = w_grid[:, rows, cols].reshape(n, -1, dictionary.num_words)
+            encode_descriptors(dictionary, region, weights, config.norm_scheme, segments[:, r])
+    return l2_normalize(encodings, out=encodings)

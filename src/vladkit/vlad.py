@@ -27,43 +27,44 @@ NORM_SCHEMES = ("intra-then-global", "global-only", "signed-sqrt-then-global")
 def vlad_aggregate(
     dictionary: Dictionary, descriptors: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Raw (unnormalized) M*D residual vector of N descriptors, (N, D), under
-    their (N, M) assignment weights."""
+    """Raw (unnormalized) M*D residual vector of P descriptors, (..., P, D),
+    under their (..., P, M) assignment weights; leading axes index images."""
     descriptors = np.asarray(descriptors, dtype=np.float64)
-    if descriptors.ndim != 2 or descriptors.shape[0] == 0:
+    shape = descriptors.shape
+    if len(shape) < 2 or shape[-2] == 0:
         raise VladkitError("need at least one descriptor")
-    n, d = descriptors.shape
-    if d != dictionary.dim or weights.shape != (n, dictionary.num_words):
-        raise VladkitError(f"descriptors {(n, d)} or weights {weights.shape} do not fit the words")
-    centers = np.asarray(dictionary.centers, dtype=np.float64)
-    # block m = sum_i w_im x_i - (sum_i w_im) d_m
-    blocks = weights.T @ descriptors - weights.sum(axis=0)[:, None] * centers
-    return blocks.reshape(-1)
+    if shape[-1] != dictionary.dim or weights.shape != (*shape[:-1], dictionary.num_words):
+        raise VladkitError(f"descriptors {shape} or weights {weights.shape} do not fit the words")
+    # block m = sum_i w_im x_i - (sum_i w_im) d_m, one product per image
+    blocks = weights.swapaxes(-1, -2) @ descriptors
+    blocks -= np.add.reduce(weights, axis=-2)[..., None] * dictionary.centers
+    return blocks.reshape(*shape[:-2], -1)
 
 
 def vlad_normalize(
-    raw: np.ndarray, num_words: int, dim: int, scheme: str = "intra-then-global"
+    raw: np.ndarray, num_words: int, dim: int, scheme: str = "intra-then-global", out=None
 ) -> np.ndarray:
+    """Each raw vector along raw's last axis, normalized (into `out` when given)."""
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.size != num_words * dim:
-        raise VladkitError(f"raw length {raw.size} != {num_words}*{dim}")
+    if raw.ndim == 0 or raw.shape[-1] != num_words * dim:
+        raise VladkitError(f"raw shape {raw.shape} does not end in {num_words}*{dim}")
     if scheme == "intra-then-global":
-        return l2_normalize(l2_normalize_rows(raw.reshape(num_words, dim)).reshape(-1))
-    if scheme == "global-only":
-        return l2_normalize(raw)
-    if scheme == "signed-sqrt-then-global":
-        return l2_normalize(np.sign(raw) * np.sqrt(np.abs(raw)))
-    raise ValueError(f"unknown normalization scheme {scheme!r}")
+        raw = l2_normalize_rows(raw.reshape(*raw.shape[:-1], num_words, dim)).reshape(raw.shape)
+    elif scheme == "signed-sqrt-then-global":
+        raw = np.sign(raw) * np.sqrt(np.abs(raw))
+    elif scheme != "global-only":
+        raise ValueError(f"unknown normalization scheme {scheme!r}")
+    return l2_normalize(raw, out=out)
 
 
 def encode_descriptors(
-    dictionary: Dictionary, descriptors: np.ndarray, weights: np.ndarray, scheme: str
+    dictionary: Dictionary, descriptors: np.ndarray, weights: np.ndarray, scheme: str, out=None
 ) -> np.ndarray:
-    """Aggregate + normalize one descriptor set under its assignment weights
-    (see vlad_aggregate). The all-zero raw vector maps to the all-zero
-    encoding."""
+    """Aggregate + normalize descriptor sets, (..., P, D), under their
+    assignment weights (see vlad_aggregate), into `out` when given. The
+    all-zero raw vector maps to the all-zero encoding."""
     raw = vlad_aggregate(dictionary, descriptors, weights)
-    return vlad_normalize(raw, dictionary.num_words, dictionary.dim, scheme)
+    return vlad_normalize(raw, dictionary.num_words, dictionary.dim, scheme, out)
 
 
 def encode(

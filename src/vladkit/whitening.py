@@ -73,28 +73,29 @@ def fit_whitening(
 _TINY_NORM = 1e-150
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||_2, leaving the zero vector unchanged."""
+def _normalized(x: np.ndarray, norms, out: np.ndarray | None = None) -> np.ndarray:
+    """x over norms(x) along its last axis, leaving zero vectors unchanged."""
+    scale = norms(x)
+    tiny = scale < _TINY_NORM
+    if np.count_nonzero(tiny):
+        if np.count_nonzero(x[tiny[..., 0]]):  # a nonzero vector whose squares underflowed
+            x = np.where(tiny, x * 2.0**600, x)  # a power of two: exact, each square in range
+            scale = norms(x)
+        scale[scale == 0.0] = 1.0
+    return np.divide(x, scale, out=out)
+
+
+def l2_normalize(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each vector along v's last axis over its L2 norm, one dot product as in
+    np.linalg.norm(vector); into `out` when given, which may be v itself."""
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm < _TINY_NORM and np.count_nonzero(v):
-        v = v * 2.0**600  # a power of two: exact, and every square is then in range
-        norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return v.copy()
-    return v / norm
+    return _normalized(v, lambda y: np.sqrt(np.vecdot(y, y))[..., None], out)
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Each vector along x's last axis over np.linalg.norm(x, axis=-1)."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    zero = norms < _TINY_NORM  # all-zero rows, unless a tiny row is nonzero
-    if np.count_nonzero(zero) and np.count_nonzero(x[zero[..., 0]]):
-        x = np.where(zero, x * 2.0**600, x)
-        norms = np.linalg.norm(x, axis=-1, keepdims=True)
-        zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    return x / safe
+    return _normalized(x, lambda y: np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True)))
 
 
 def apply_whitening_batch(t: WhiteningTransform, x: np.ndarray) -> np.ndarray:

@@ -307,13 +307,13 @@ def test_a8_shape_and_degeneracy():
     config = PipelineConfig()
     # Single-region pyramid is bitwise identical to the plain encoder.
     plain = encode(dictionary, fmap, None, config)
-    spm = encode_spm(fmap, dictionary, None, config, PyramidSpec(((1, 1),)))
+    spm = encode_spm([fmap], dictionary, None, config, PyramidSpec(((1, 1),)))[0]
     bitwise = np.array_equal(plain, spm)
     # Output length is words * dim * regions for every preset.
     lengths_ok = True
     for preset, regions in (("a", 8), ("b", 8), ("c", 21), ("3x2,1x1", 7)):
         spec = parse_pyramid(preset)
-        out = encode_spm(fmap, dictionary, None, config, spec)
+        out = encode_spm([fmap], dictionary, None, config, spec)[0]
         lengths_ok &= spec.total_regions == regions
         lengths_ok &= out.size == 4 * 3 * regions
     # Degenerate inputs stay finite and NaN-free in every mode and scheme.

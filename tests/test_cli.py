@@ -11,7 +11,7 @@ import pytest
 
 from vladkit import fileio
 from vladkit.cli import build_parser, main
-from vladkit.pipeline import PipelineConfig
+from vladkit.pipeline import PipelineConfig, cache_dirs, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -507,6 +507,25 @@ def test_preprocess_fit_out_of_range_values_exit_2(flag, value, workspace, tmp_p
     ]) == 2
     assert f"got {value}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("pyramid", ["a", None], ids=["pyramid-a", "flat"])
+def test_encode_writes_the_cached_encoding_of_each_test_image(workspace, tmp_path, pyramid):
+    """The benchmark's encode check: `vladkit encode` of each test image, with
+    the stage's dictionary and transform and the config's encoder flags,
+    writes the bytes of the `.vle` that the pipeline cached for it."""
+    train, test = workspace / "data" / "train.tsv", workspace / "data" / "test.tsv"
+    config = PipelineConfig(mode="lsa", knn=2, words=4, epochs=5, pyramid=pyramid)
+    run_pipeline(config, train, test, tmp_path / "work")
+    stage, cache = cache_dirs(config, train, test, tmp_path / "work")
+    encoder = [
+        "--dict", str(stage / "dictionary.vld"), "--transform", str(stage / "transform.vlw"),
+        "--mode", "lsa", "--knn", "2", *(["--pyramid", pyramid] if pyramid else []),
+    ]
+    for idx, image in enumerate(fileio.load_manifest(test).paths()):
+        out = tmp_path / f"{idx}.vle"
+        assert main(["encode", *encoder, "--in", str(image), "--out", str(out)]) == 0
+        assert out.read_bytes() == (cache / "enc_test" / f"{idx:06d}.vle").read_bytes()
 
 
 @pytest.fixture(scope="module")

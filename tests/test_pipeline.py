@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from memtrace import traced_peak
 
 from vladkit import fileio, pipeline
 from vladkit.errors import VladkitError
@@ -232,7 +233,7 @@ def test_pipeline_cached_encoding_of_another_length_detected(dataset, tmp_path):
         run_pipeline(config, train_path, test_path, tmp_path)
 
 
-@pytest.mark.parametrize("pyramid", [None, "a"])
+@pytest.mark.parametrize("pyramid", [None, "a", "c"])
 def test_encode_manifest_fills_one_float32_matrix_with_each_rounded_encoding(
     pyramid, dataset, tmp_path
 ):
@@ -250,6 +251,63 @@ def test_encode_manifest_fills_one_float32_matrix_with_each_rounded_encoding(
     for row, path in zip(encodings, manifest.paths()):
         one = pipeline.encode_entry(read_feature_map(path), dictionary, transform, config)
         assert np.array_equal(row, one.astype(np.float32))
+
+
+def _maps_manifest(root, shapes, dim, seed=0):
+    """A manifest of random maps, one per (height, width) in shapes, in order."""
+    rng = np.random.default_rng(seed)
+    root.mkdir(exist_ok=True)
+    entries = []
+    for i, (h, w) in enumerate(shapes):
+        data = rng.standard_normal((h, w, dim)).astype(np.float32)
+        fileio.write_feature_map(fileio.FeatureMap(data), root / f"{i:03d}.vlf")
+        entries.append((f"{i:03d}.vlf", i % 2))
+    return DatasetManifest(tuple(entries), root)
+
+
+@pytest.mark.parametrize("pyramid", ["a", "c"])
+def test_encode_manifest_chunks_runs_of_one_grid_size(pyramid, tmp_path, monkeypatch):
+    """Interleaved 4x4 and 5x3 maps, in chunks of at most three images: each
+    run of one shape is cut at the chunk size, and every row is the rounded
+    encoding of its map alone."""
+    a, b = (4, 4), (5, 3)
+    manifest = _maps_manifest(tmp_path, [a] * 5 + [b] * 2 + [a] + [b] * 4 + [a], dim=3)
+    rng = np.random.default_rng(1)
+    transform = pipeline.fit_whitening(rng.standard_normal((50, 3)))
+    dictionary = pipeline.Dictionary(centers=rng.standard_normal((4, 3)) * 0.5)
+    config = small_config(mode="lsa", knn=2, words=4, pyramid=pyramid)
+    length = config.pyramid_spec().encoding_length(dictionary)
+    monkeypatch.setattr(pipeline, "_CHUNK", 3 * length + 1)
+    calls = []
+    original = pipeline.encode_spm
+
+    def encode_spm(fmaps, *args):
+        calls.append([fmap.data.shape[:2] for fmap in fmaps])
+        return original(fmaps, *args)
+
+    monkeypatch.setattr(pipeline, "encode_spm", encode_spm)
+    encodings, _ = pipeline.encode_manifest(manifest, dictionary, transform, config)
+    assert calls == [[a] * 3, [a] * 2, [b] * 2, [a], [b] * 3, [b], [a]]
+    for row, path in zip(encodings, manifest.paths()):
+        one = pipeline.encode_entry(read_feature_map(path), dictionary, transform, config)
+        assert np.array_equal(row, one.astype(np.float32))
+
+
+def test_encode_manifest_peak_does_not_grow_with_the_split(tmp_path):
+    """A pyramid split is encoded a chunk at a time: beyond its float32
+    output, encoding 40 images takes no more memory than encoding 10."""
+    rng = np.random.default_rng(2)
+    dictionary = pipeline.Dictionary(centers=rng.standard_normal((32, 32)))
+    config = small_config(mode="sa", words=32, pyramid="c")
+    length = config.pyramid_spec().encoding_length(dictionary)
+    assert pipeline._CHUNK // length == 1  # one image per chunk at this length
+    extra = []
+    for n in (10, 40):
+        manifest = _maps_manifest(tmp_path / str(n), [(4, 4)] * n, dim=32, seed=n)
+        peak = traced_peak(lambda: pipeline.encode_manifest(manifest, dictionary, None, config))
+        extra.append(peak - n * length * 4)
+    # A buffer for the whole split would add 30 float64 encodings, 5 MB.
+    assert abs(extra[1] - extra[0]) < 16 * 1024, extra
 
 
 def test_bench_cross_product(dataset, tmp_path):

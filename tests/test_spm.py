@@ -81,7 +81,7 @@ def test_single_level_pyramid_equals_plain_encode_bitwise():
     fmap = grid_map(rng, 5, 4, 3)
     config = PipelineConfig()
     plain = encode(d, fmap, None, config)
-    spm = encode_spm(fmap, d, None, config, PyramidSpec(((1, 1),)))
+    spm = encode_spm([fmap], d, None, config, PyramidSpec(((1, 1),)))[0]
     assert np.array_equal(plain, spm)
 
 
@@ -90,7 +90,7 @@ def test_output_length_contract():
     d = Dictionary(centers=rng.standard_normal((4, 3)))
     fmap = grid_map(rng, 6, 6, 3)
     spec = parse_pyramid("a")
-    out = encode_spm(fmap, d, None, PipelineConfig(), spec)
+    out = encode_spm([fmap], d, None, PipelineConfig(), spec)[0]
     assert spec.total_regions == 8
     assert out.size == 8 * 4 * 3
 
@@ -99,7 +99,7 @@ def test_empty_region_contributes_zero_segment():
     rng = np.random.default_rng(6)
     d = Dictionary(centers=rng.standard_normal((2, 2)))
     fmap = grid_map(rng, 1, 1, 2)
-    out = encode_spm(fmap, d, None, PipelineConfig(), PyramidSpec(((2, 2),)))
+    out = encode_spm([fmap], d, None, PipelineConfig(), PyramidSpec(((2, 2),)))[0]
     segments = out.reshape(4, 4)
     # With a 1x1 grid only the last region (floor boundaries) holds the cell.
     occupied = [i for i in range(4) if np.any(segments[i])]
@@ -115,7 +115,7 @@ def test_encode_spm_fills_one_encoding():
     fmap = grid_map(rng, 8, 8, 64)
     spec = parse_pyramid("c")
     encoding_bytes = spec.total_regions * 64 * 64 * 8
-    peak = traced_peak(lambda: encode_spm(fmap, d, None, PipelineConfig(), spec))
+    peak = traced_peak(lambda: encode_spm([fmap], d, None, PipelineConfig(), spec)[0])
     assert peak < 3 * encoding_bytes
 
 
@@ -123,7 +123,7 @@ def test_global_norm_is_one():
     rng = np.random.default_rng(7)
     d = Dictionary(centers=rng.standard_normal((3, 2)))
     fmap = grid_map(rng, 4, 4, 2)
-    out = encode_spm(fmap, d, None, PipelineConfig(), parse_pyramid("b"))
+    out = encode_spm([fmap], d, None, PipelineConfig(), parse_pyramid("b"))[0]
     assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
 
@@ -138,10 +138,10 @@ def test_spatial_signal_pair_distinguished_only_by_fine_levels(tmp_path):
     dictionary, _ = kmeans_train(descriptors, 4, seed=0)
     config = PipelineConfig()
     coarse = [
-        encode_spm(m, dictionary, None, config, PyramidSpec(((1, 1),))) for m in maps
+        encode_spm([m], dictionary, None, config, PyramidSpec(((1, 1),)))[0] for m in maps
     ]
     fine = [
-        encode_spm(m, dictionary, None, config, PyramidSpec(((2, 2),))) for m in maps
+        encode_spm([m], dictionary, None, config, PyramidSpec(((2, 2),)))[0] for m in maps
     ]
     assert np.abs(coarse[0] - coarse[1]).max() < 1e-9
     assert np.linalg.norm(fine[0] - fine[1]) > 1e-3
@@ -178,23 +178,31 @@ def encode_spm_by_region(fmap, dictionary, transform, config, spec):
 @pytest.mark.parametrize("whiten", [False, True], ids=["raw", "whitened"])
 @pytest.mark.parametrize("mode", list(MODE_CONFIGS))
 def test_encode_spm_matches_region_by_region_encoding(mode, whiten):
+    """A call over several maps gives each map the oracle's encoding, and the
+    row that map gets from a call of its own, bit for bit."""
     rng = np.random.default_rng(8)
     transform = fit_whitening(rng.standard_normal((50, 3))) if whiten else None
     d = Dictionary(centers=rng.standard_normal((4, 3)) * (0.5 if whiten else 1.0))
     config = MODE_CONFIGS[mode]
     for h, w in ((2, 3), (5, 7), (0, 4)):
-        fmap = grid_map(rng, h, w, 3)
+        fmaps = [grid_map(rng, h, w, 3) for _ in range(3)]
         for name in ("a", "b", "c", "4x4"):
             spec = parse_pyramid(name)
-            got = encode_spm(fmap, d, transform, config, spec)
-            expected = encode_spm_by_region(fmap, d, transform, config, spec)
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=f"{h}x{w} {name}")
+            got = encode_spm(fmaps, d, transform, config, spec)
+            assert got.shape == (3, spec.encoding_length(d))
+            for i, (row, fmap) in enumerate(zip(got, fmaps)):
+                expected = encode_spm_by_region(fmap, d, transform, config, spec)
+                message = f"{h}x{w} {name} map {i}"
+                np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12, err_msg=message)
+                alone = encode_spm([fmap], d, transform, config, spec)
+                assert np.array_equal(row, alone[0]), message
 
 
 def test_encode_spm_whitens_and_assigns_once_per_image(monkeypatch):
     """The per-image work runs through the module attributes a caller can
-    wrap: one whitening and one weight matrix over all H*W descriptors, and
-    one encode_descriptors per non-empty region."""
+    wrap: per call, one whitening and one weight matrix over each image's H*W
+    descriptors, and one encode_descriptors per non-empty region over all the
+    images."""
     rows = {"weight_matrix": [], "apply_whitening_batch": []}
     regions = []
 
@@ -206,7 +214,7 @@ def test_encode_spm_whitens_and_assigns_once_per_image(monkeypatch):
         return wrapper
 
     def encode_region(*args, **kwargs):
-        regions.append(args[1].shape[0])
+        regions.append(args[1].shape[:2])
         return encode_descriptors(*args, **kwargs)
 
     monkeypatch.setattr(
@@ -224,11 +232,12 @@ def test_encode_spm_whitens_and_assigns_once_per_image(monkeypatch):
     config = PipelineConfig(mode="sa")
     spec = parse_pyramid("c")
     for h, w in ((8, 8), (2, 3)):
-        for counts in (*rows.values(), regions):
-            counts.clear()
-        fmap = grid_map(rng, h, w, 3)
-        encode_spm(fmap, d, transform, config, spec)
-        assert rows == {"weight_matrix": [h * w], "apply_whitening_batch": [h * w]}
-        sizes = [fmap.data[s][..., 0].size for s in region_slices(h, w, spec)]
-        assert regions == [n for n in sizes if n]
+        for n in (1, 3):
+            for counts in (*rows.values(), regions):
+                counts.clear()
+            fmaps = [grid_map(rng, h, w, 3) for _ in range(n)]
+            encode_spm(fmaps, d, transform, config, spec)
+            assert rows == {"weight_matrix": [h * w] * n, "apply_whitening_batch": [h * w] * n}
+            sizes = [fmaps[0].data[s][..., 0].size for s in region_slices(h, w, spec)]
+            assert regions == [(n, size) for size in sizes if size]
     assert len(regions) == 11  # 2x3 grid: 1 + 4 + the 6 non-empty cells of the 4x4 level

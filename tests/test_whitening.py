@@ -30,6 +30,20 @@ def test_l2_normalize_tiny_nonzero_vector():
     assert np.allclose(rows, [expected, [0.0, 0.0], [0.6, 0.8]], rtol=1e-12, atol=0)
 
 
+def test_l2_normalize_rows_of_a_batch_equal_each_vector_alone():
+    """Along the last axis, in place or not: each row, tiny and zero rows too,
+    is that vector's own 1-D normalization, whose norm is np.linalg.norm's."""
+    rng = np.random.default_rng(3)
+    batch = np.stack([[1e-170, -5e-171, 0.0], np.zeros(3), *rng.standard_normal((4, 3))])
+    batch = batch.reshape(2, 3, 3)
+    alone = np.array([l2_normalize(v) for v in batch.reshape(-1, 3)]).reshape(batch.shape)
+    assert np.array_equal(l2_normalize(batch), alone)
+    v = batch[1, 2]
+    assert np.array_equal(l2_normalize(v), v / np.linalg.norm(v))
+    assert l2_normalize(batch, out=batch) is batch
+    assert np.array_equal(batch, alone)
+
+
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=16))
 @example([2.526717253313682e-161])  # its square is subnormal: the norm came out 1.00085
 def test_l2_normalize_norm_and_idempotence(values):
