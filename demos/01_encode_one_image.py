@@ -45,7 +45,7 @@ print(f"dictionary: {dictionary.num_words} words, k-means converged in "
 
 fmap = fileio.read_feature_map(manifest.paths()[0])
 for mode in ("hard", "sa", "lsa", "llc", "llc-approx"):
-    vector = encode(dictionary, fmap, transform, PipelineConfig(mode=mode, words=8))
+    vector = encode([fmap], dictionary, transform, PipelineConfig(mode=mode, words=8))[0]
     print(f"  mode={mode:10s} encoding length={vector.size} "
           f"L2 norm={np.linalg.norm(vector):.6f} "
           f"nonzero blocks={int((np.abs(vector.reshape(8, -1)).sum(axis=1) > 0).sum())}/8")

@@ -96,18 +96,18 @@ def weight_matrix(
         if not np.isfinite(penalty).all():
             raise VladkitError(f"llc: exp(distance / sigma) overflows at sigma {config.sigma}")
         return _solve_affine_ls(centers[None, :, :] - x[:, None, :], penalty)
-    w = np.zeros_like(d2)
+    rows = np.arange(x.shape[0])[:, None]
     if config.mode == "hard":
-        np.put_along_axis(w, np.argmin(d2, axis=1)[:, None], 1.0, axis=1)
+        near, near_w = np.argmin(d2, axis=1)[:, None], 1.0
     else:
         # Stable sort keeps the lowest index first on distance ties.
         near = np.argsort(d2, axis=1, kind="stable")[:, : config.knn]
         if config.mode == "lsa":
-            near_w = _softmax_rows(np.take_along_axis(d2, near, axis=1), config.beta)
+            near_w = _softmax_rows(d2[rows, near], config.beta)
         elif config.knn == 1:
-            near_w = np.ones((x.shape[0], 1))
+            near_w = 1.0
         else:
             near_w = _solve_affine_ls(centers[near] - x[:, None, :], None)
-        np.put_along_axis(w, near, near_w, axis=1)
+    w = np.zeros_like(d2)
+    w[rows, near] = near_w
     return w
-

@@ -196,11 +196,13 @@ def encode_entry(
 ) -> np.ndarray:
     spec = config.pyramid_spec()
     if spec is None:
-        return encode(dictionary, fmap, transform, config)
+        return encode([fmap], dictionary, transform, config)[0]
     return encode_spm([fmap], dictionary, transform, config, spec)[0]
 
 
-_CHUNK = 2**15  # encode_manifest's float64 encoding values per encode_spm call
+# encode_manifest's float64 values per encode call, where an image counts the
+# larger of its encoding and its working set (whitened descriptors and weights).
+_CHUNK = 2**15
 
 
 def encode_manifest(
@@ -210,23 +212,20 @@ def encode_manifest(
     config: PipelineConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's encoding, rounded to the float32 that a `.vle` stores,
-    as one (N, dim) float32 array, and the entries' labels. A flat config
-    fills it row by row; a pyramid config in chunks of consecutive maps of
-    one shape, each chunk read when it is encoded."""
+    as one (N, dim) float32 array, and the entries' labels. Runs of maps of one
+    shape are encoded in chunks, each read when it is encoded, as _CHUNK bounds."""
     spec = config.pyramid_spec()
     paths = manifest.paths()
     length = (spec or PyramidSpec(((1, 1),))).encoding_length(dictionary, len(paths))
     encodings = np.empty((len(paths), length), np.float32)
     maps = (read_feature_map(path) for path in paths)
-    if spec is None:
-        for row, fmap in zip(encodings, maps):
-            row[:] = encode_entry(fmap, dictionary, transform, config)
-        return encodings, manifest.labels()
     start = 0
-    for _, run in itertools.groupby(maps, key=lambda fmap: fmap.data.shape):
-        while chunk := list(itertools.islice(run, max(1, _CHUNK // length))):
+    for (height, width, _), run in itertools.groupby(maps, key=lambda fmap: fmap.data.shape):
+        working_set = height * width * (dictionary.dim + dictionary.num_words)
+        while chunk := list(itertools.islice(run, max(1, _CHUNK // max(length, working_set)))):
             stop = start + len(chunk)
-            encodings[start:stop] = encode_spm(chunk, dictionary, transform, config, spec)
+            args = (chunk, dictionary, transform, config)
+            encodings[start:stop] = encode(*args) if spec is None else encode_spm(*args, spec)
             start = stop
     return encodings, manifest.labels()
 
@@ -386,22 +385,24 @@ def run_bench(
     after every pair has run, so a failing pair leaves no file. Returns the
     row count."""
     out_path = Path(fileio.nonempty(out_path))  # checked before the first pair runs
+    pairs = [(m, p, replace(config, mode=m, pyramid=_parse_value(_FIELDS["pyramid"], p)))
+             for m, p in itertools.product(modes, pyramids)]
+    for *_, combo in pairs:  # every pair is checked before any pair runs
+        assignment.validate(combo, combo.words)
     rows = []
     sample = read_feature_map(fileio.load_manifest(test_path).paths()[0])
     stage, _ = cache_dirs(config, train_path, test_path, work_dir)  # shared by every pair
-    for mode in modes:
-        for pyramid in pyramids:
-            combo = replace(config, mode=mode, pyramid=_parse_value(_FIELDS["pyramid"], pyramid))
-            report = run_pipeline(combo, train_path, test_path, work_dir)
-            dictionary, transform = _load_stage(stage, combo)
-            times = []
-            for _ in range(5):
-                start = time.perf_counter()
-                values = encode_entry(sample, dictionary, transform, combo)
-                times.append((time.perf_counter() - start) * 1e6)
-            rows.append(
-                [mode, pyramid, f"{report.accuracy:.6f}", f"{np.median(times):.1f}", values.size]
-            )
+    for mode, pyramid, combo in pairs:
+        report = run_pipeline(combo, train_path, test_path, work_dir)
+        dictionary, transform = _load_stage(stage, combo)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            values = encode_entry(sample, dictionary, transform, combo)
+            times.append((time.perf_counter() - start) * 1e6)
+        rows.append(
+            [mode, pyramid, f"{report.accuracy:.6f}", f"{np.median(times):.1f}", values.size]
+        )
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["mode", "pyramid", "accuracy", "encode_us", "encoding_len"])

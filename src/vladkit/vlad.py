@@ -8,6 +8,7 @@ consecutively, word 0 first.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,16 +69,21 @@ def encode_descriptors(
 
 
 def encode(
+    fmaps: Sequence[FeatureMap],
     dictionary: Dictionary,
-    feature_map: FeatureMap,
     transform: WhiteningTransform | None,
     config: PipelineConfig,
 ) -> np.ndarray:
-    """Full single-image path: flatten, optionally whiten, assign, aggregate,
-    normalize. Ends with a global L2 so that the result is bit-identical to a
-    single-region spatial pyramid."""
-    descriptors = feature_map.descriptors().astype(np.float64)
-    if transform is not None:
-        descriptors = apply_whitening_batch(transform, descriptors)
-    weights = weight_matrix(dictionary, descriptors, config)
-    return l2_normalize(encode_descriptors(dictionary, descriptors, weights, config.norm_scheme))
+    """The (N, M*D) encodings of N maps of one H x W x D shape, each whitened and
+    assigned on its own, then aggregated and normalized as one batch. A global L2
+    per row ends it, so that a row is bit-identical to a single-region pyramid."""
+    n, cells = len(fmaps), fmaps[0].height * fmaps[0].width
+    x, w = np.empty((n, cells, dictionary.dim)), np.empty((n, cells, dictionary.num_words))
+    for fmap, x_i, w_i in zip(fmaps, x, w):
+        descriptors = fmap.descriptors().astype(np.float64)
+        if transform is not None:
+            descriptors = apply_whitening_batch(transform, descriptors)
+        w_i[:] = weight_matrix(dictionary, descriptors, config)
+        x_i[:] = descriptors
+    encodings = encode_descriptors(dictionary, x, w, config.norm_scheme)
+    return l2_normalize(encodings, out=encodings)

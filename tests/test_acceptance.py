@@ -306,7 +306,7 @@ def test_a8_shape_and_degeneracy():
     fmap = FeatureMap(rng.standard_normal((5, 4, 3)).astype(np.float32))
     config = PipelineConfig()
     # Single-region pyramid is bitwise identical to the plain encoder.
-    plain = encode(dictionary, fmap, None, config)
+    plain = encode([fmap], dictionary, None, config)[0]
     spm = encode_spm([fmap], dictionary, None, config, PyramidSpec(((1, 1),)))[0]
     bitwise = np.array_equal(plain, spm)
     # Output length is words * dim * regions for every preset.
@@ -324,7 +324,7 @@ def test_a8_shape_and_degeneracy():
         for scheme in ("intra-then-global", "global-only", "signed-sqrt-then-global"):
             enc_cfg = PipelineConfig(mode=mode, knn=2, norm_scheme=scheme)
             for fm in (zero_map, single):
-                out = encode(dictionary, fm, None, enc_cfg)
+                out = encode([fm], dictionary, None, enc_cfg)[0]
                 finite_ok &= bool(np.isfinite(out).all())
     # Descriptors exactly on a center: residual block is zero, output finite.
     on_center_x = np.repeat(dictionary.centers[:1], 3, axis=0)

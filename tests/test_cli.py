@@ -148,16 +148,25 @@ def test_bench_writes_csv(workspace, tmp_path):
 
 
 def test_bench_failing_pair_writes_no_csv(workspace, tmp_path, capsys):
+    """Every pair is checked before the first one runs, so a bad mode or
+    pyramid in a later pair leaves no CSV, dictionary stage or config
+    directory."""
     out = tmp_path / "bench.csv"
-    assert main([
-        "bench", "--train-manifest", str(workspace / "data" / "train.tsv"),
-        "--test-manifest", str(workspace / "data" / "test.tsv"),
-        "--modes", "hard,nosuch", "--pyramids", "none",
-        "--words", "4", "--work-dir", str(tmp_path / "work"),
-        "--out", str(out),
-    ]) == 2
-    assert "unknown mode 'nosuch'" in capsys.readouterr().err
-    assert not out.exists()
+    work = tmp_path / "work"
+    for modes, pyramids, message in (
+        ("hard,nosuch", "none", "unknown mode 'nosuch'"),
+        ("hard", "none,1x0", "bad pyramid level (1, 0)"),
+    ):
+        assert main([
+            "bench", "--train-manifest", str(workspace / "data" / "train.tsv"),
+            "--test-manifest", str(workspace / "data" / "test.tsv"),
+            "--modes", modes, "--pyramids", pyramids,
+            "--words", "4", "--work-dir", str(work),
+            "--out", str(out),
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert list(work.glob("dict_*")) + list(work.glob("cache_*")) == []
 
 
 def test_pipeline_from_config_file(workspace, tmp_path, capsys):

@@ -265,49 +265,72 @@ def _maps_manifest(root, shapes, dim, seed=0):
     return DatasetManifest(tuple(entries), root)
 
 
-@pytest.mark.parametrize("pyramid", ["a", "c"])
+@pytest.mark.parametrize("pyramid", ["a", "c", None])
 def test_encode_manifest_chunks_runs_of_one_grid_size(pyramid, tmp_path, monkeypatch):
     """Interleaved 4x4 and 5x3 maps, in chunks of at most three images: each
     run of one shape is cut at the chunk size, and every row is the rounded
-    encoding of its map alone."""
+    encoding of its map alone. A flat config goes through the flat encoder
+    and a pyramid config through encode_spm, never the other."""
     a, b = (4, 4), (5, 3)
     manifest = _maps_manifest(tmp_path, [a] * 5 + [b] * 2 + [a] + [b] * 4 + [a], dim=3)
     rng = np.random.default_rng(1)
     transform = pipeline.fit_whitening(rng.standard_normal((50, 3)))
     dictionary = pipeline.Dictionary(centers=rng.standard_normal((4, 3)) * 0.5)
     config = small_config(mode="lsa", knn=2, words=4, pyramid=pyramid)
-    length = config.pyramid_spec().encoding_length(dictionary)
-    monkeypatch.setattr(pipeline, "_CHUNK", 3 * length + 1)
-    calls = []
-    original = pipeline.encode_spm
+    length = (config.pyramid_spec() or pipeline.PyramidSpec(((1, 1),))).encoding_length(dictionary)
+    # An image's size is the larger of its encoding and its working set, which
+    # is 4*4*(3 + 4) values for a 4x4 map and 5*3*(3 + 4) for a 5x3 map.
+    monkeypatch.setattr(pipeline, "_CHUNK", 3 * max(length, 4 * 4 * (3 + 4)) + 1)
+    calls = {"encode": [], "encode_spm": []}
 
-    def encode_spm(fmaps, *args):
-        calls.append([fmap.data.shape[:2] for fmap in fmaps])
-        return original(fmaps, *args)
+    def recorded(name):
+        original = getattr(pipeline, name)
 
-    monkeypatch.setattr(pipeline, "encode_spm", encode_spm)
+        def wrapper(fmaps, *args):
+            calls[name].append([fmap.data.shape[:2] for fmap in fmaps])
+            return original(fmaps, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, recorded(name))
     encodings, _ = pipeline.encode_manifest(manifest, dictionary, transform, config)
-    assert calls == [[a] * 3, [a] * 2, [b] * 2, [a], [b] * 3, [b], [a]]
+    used, unused = ("encode", "encode_spm") if pyramid is None else ("encode_spm", "encode")
+    assert calls[used] == [[a] * 3, [a] * 2, [b] * 2, [a], [b] * 3, [b], [a]]
+    assert calls[unused] == []
     for row, path in zip(encodings, manifest.paths()):
         one = pipeline.encode_entry(read_feature_map(path), dictionary, transform, config)
         assert np.array_equal(row, one.astype(np.float32))
 
 
 def test_encode_manifest_peak_does_not_grow_with_the_split(tmp_path):
-    """A pyramid split is encoded a chunk at a time: beyond its float32
-    output, encoding 40 images takes no more memory than encoding 10."""
-    rng = np.random.default_rng(2)
-    dictionary = pipeline.Dictionary(centers=rng.standard_normal((32, 32)))
-    config = small_config(mode="sa", words=32, pyramid="c")
-    length = config.pyramid_spec().encoding_length(dictionary)
-    assert pipeline._CHUNK // length == 1  # one image per chunk at this length
-    extra = []
-    for n in (10, 40):
-        manifest = _maps_manifest(tmp_path / str(n), [(4, 4)] * n, dim=32, seed=n)
-        peak = traced_peak(lambda: pipeline.encode_manifest(manifest, dictionary, None, config))
-        extra.append(peak - n * length * 4)
-    # A buffer for the whole split would add 30 float64 encodings, 5 MB.
-    assert abs(extra[1] - extra[0]) < 16 * 1024, extra
+    """A split is encoded a chunk at a time: beyond its float32 output,
+    encoding four times the images takes no more memory. A chunk is bounded
+    by the larger of an image's encoding and its working set, so this holds
+    for a pyramid whose encoding is long, a flat config of many images per
+    chunk, and a large grid whose whitened descriptors and weights outweigh
+    its encoding."""
+    cases = [  # words, dim, grid, pyramid, the split sizes, images per chunk
+        (32, 32, (4, 4), "c", (10, 40), 1),
+        (64, 128, (2, 2), None, (10, 40), 4),
+        (8, 64, (64, 64), "a", (2, 8), 1),
+    ]
+    for words, dim, (h, w), pyramid, sizes, per_chunk in cases:
+        rng = np.random.default_rng(2)
+        dictionary = pipeline.Dictionary(centers=rng.standard_normal((words, dim)))
+        config = small_config(mode="sa", words=words, pyramid=pyramid)
+        spec = config.pyramid_spec() or pipeline.PyramidSpec(((1, 1),))
+        length = spec.encoding_length(dictionary)
+        assert max(1, pipeline._CHUNK // max(length, h * w * (dim + words))) == per_chunk
+        extra = []
+        for n in sizes:
+            root = tmp_path / f"{pyramid}-{h}x{w}-{n}"
+            manifest = _maps_manifest(root, [(h, w)] * n, dim=dim, seed=n)
+            peak = traced_peak(lambda: pipeline.encode_manifest(manifest, dictionary, None, config))
+            extra.append(peak - n * length * 4)
+        # Holding the whole split at once would add 30 float64 encodings (5 MB)
+        # in the first case, 30 encodings and working sets (2 MB) in the second
+        # and 6 working sets (14 MB) in the last.
+        assert abs(extra[1] - extra[0]) < 16 * 1024, (pyramid, h, w, extra)
 
 
 def test_bench_cross_product(dataset, tmp_path):

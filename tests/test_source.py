@@ -34,6 +34,28 @@ def test_every_private_module_level_name_is_loaded_in_src():
     assert unused == []
 
 
+def test_every_imported_name_is_loaded_in_its_module():
+    """No src/vladkit module keeps an import that it does not use, e.g. one
+    kept only so that a caller can patch it; __init__.py re-exports its
+    imports and is exempt."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
 def test_vladkit_error_is_the_only_exception_class():
     """Every failure is a VladkitError told apart by its message: no code
     catches a narrower class, so src/vladkit defines none."""

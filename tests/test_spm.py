@@ -80,7 +80,7 @@ def test_single_level_pyramid_equals_plain_encode_bitwise():
     d = Dictionary(centers=rng.standard_normal((4, 3)))
     fmap = grid_map(rng, 5, 4, 3)
     config = PipelineConfig()
-    plain = encode(d, fmap, None, config)
+    plain = encode([fmap], d, None, config)[0]
     spm = encode_spm([fmap], d, None, config, PyramidSpec(((1, 1),)))[0]
     assert np.array_equal(plain, spm)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vladkit.vlad
 from oracles import naive_hard_weights, naive_soft_weights, naive_vlad
 from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary
@@ -8,7 +9,7 @@ from vladkit.errors import VladkitError
 from vladkit.fileio import FeatureMap
 from vladkit.pipeline import PipelineConfig
 from vladkit.vlad import encode, vlad_aggregate, vlad_normalize
-from vladkit.whitening import WhiteningTransform
+from vladkit.whitening import WhiteningTransform, fit_whitening
 
 MODES = [
     PipelineConfig(mode="hard"),
@@ -147,7 +148,7 @@ def test_signed_sqrt_values():
 def test_encode_centroid_map_is_zero():
     d = Dictionary(centers=np.array([[1.0, 2.0], [5.0, 5.0]]))
     fmap = FeatureMap(np.array([[[1.0, 2.0]]], dtype=np.float32))
-    out = encode(d, fmap, None, PipelineConfig())
+    out = encode([fmap], d, None, PipelineConfig())[0]
     assert np.allclose(out, np.zeros(4))
     assert np.isfinite(out).all()
 
@@ -156,7 +157,7 @@ def test_encode_length_contract():
     rng = np.random.default_rng(6)
     d = Dictionary(centers=rng.standard_normal((5, 3)))
     fmap = FeatureMap(rng.standard_normal((4, 6, 3)).astype(np.float32))
-    assert encode(d, fmap, None, PipelineConfig()).size == 15
+    assert encode([fmap], d, None, PipelineConfig())[0].size == 15
 
 
 def test_encode_permutation_of_cells():
@@ -166,8 +167,8 @@ def test_encode_permutation_of_cells():
     flat = data.reshape(-1, 2)
     perm = rng.permutation(len(flat))
     permuted = flat[perm].reshape(3, 4, 2)
-    a = encode(d, FeatureMap(data), None, PipelineConfig())
-    b = encode(d, FeatureMap(permuted), None, PipelineConfig())
+    a = encode([FeatureMap(data)], d, None, PipelineConfig())[0]
+    b = encode([FeatureMap(permuted)], d, None, PipelineConfig())[0]
     assert np.abs(a - b).max() < 1e-9
 
 
@@ -176,6 +177,44 @@ def test_encode_with_whitening_transform():
     transform = WhiteningTransform(mean=np.zeros(4), projection=np.eye(3, 4))
     d = Dictionary(centers=rng.standard_normal((4, 3)))
     fmap = FeatureMap(rng.standard_normal((2, 2, 4)).astype(np.float32))
-    out = encode(d, fmap, transform, PipelineConfig())
+    out = encode([fmap], d, transform, PipelineConfig())[0]
     assert out.size == 12
     assert abs(np.linalg.norm(out) - 1.0) < 1e-6
+
+
+def test_encode_whitens_and_assigns_once_per_image(monkeypatch):
+    """The flat counterpart of test_encode_spm_whitens_and_assigns_once_per_image:
+    per call, one whitening and one weight matrix over each image's H*W
+    descriptors, and one encode_descriptors over all the images. Each row
+    equals the encoding of its map alone."""
+    calls = {"weight_matrix": [], "apply_whitening_batch": [], "encode_descriptors": []}
+
+    def counted(name):
+        fn = getattr(vladkit.vlad, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[1].shape)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(vladkit.vlad, name, counted(name))
+    rng = np.random.default_rng(10)
+    transform = fit_whitening(rng.standard_normal((50, 3)))
+    d = Dictionary(centers=rng.standard_normal((4, 3)))
+    config = PipelineConfig(mode="sa")
+    for h, w in ((8, 8), (2, 3)):
+        for n in (1, 3):
+            fmaps = [FeatureMap(rng.standard_normal((h, w, 3)).astype(np.float32))
+                     for _ in range(n)]
+            for counts in calls.values():
+                counts.clear()
+            got = encode(fmaps, d, transform, config)
+            assert calls == {
+                "weight_matrix": [(h * w, 3)] * n,
+                "apply_whitening_batch": [(h * w, 3)] * n,
+                "encode_descriptors": [(n, h * w, 3)],
+            }
+            assert got.shape == (n, 12)
+            for row, fmap in zip(got, fmaps):
+                assert np.array_equal(row, encode([fmap], d, transform, config)[0])
