@@ -53,10 +53,11 @@ def _softmax_rows(d2: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _solve_affine_ls(b: np.ndarray, penalty_diag: np.ndarray | None) -> np.ndarray:
+def _solve_affine_ls(b: np.ndarray, penalty_diag: np.ndarray | None, mode: str) -> np.ndarray:
     """Per row n, minimize ||B_n^T a||^2 (+ a^T diag(p_n) a) s.t. sum(a) = 1,
     where row m of B_n is (d_m - x_n). Solved via C a~ = 1 then normalization,
-    with a trace-scaled ridge added for conditioning."""
+    with a trace-scaled ridge added for conditioning. `mode` names the caller
+    in an error."""
     c = b @ b.transpose(0, 2, 1)
     k = c.shape[-1]
     diag = np.arange(k)
@@ -66,10 +67,10 @@ def _solve_affine_ls(b: np.ndarray, penalty_diag: np.ndarray | None) -> np.ndarr
     try:
         a = np.linalg.solve(c, np.ones((c.shape[0], k, 1)))[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise VladkitError(str(exc)) from None
+        raise VladkitError(f"{mode}: {exc} in its constrained least squares") from None
     total = a.sum(axis=1, keepdims=True)
     if not np.isfinite(a).all() or (total == 0.0).any():
-        raise VladkitError("constrained least squares produced no usable solution")
+        raise VladkitError(f"{mode}: constrained least squares produced no usable solution")
     return a / total
 
 
@@ -95,7 +96,7 @@ def weight_matrix(
             penalty = config.lam * s * s
         if not np.isfinite(penalty).all():
             raise VladkitError(f"llc: exp(distance / sigma) overflows at sigma {config.sigma}")
-        return _solve_affine_ls(centers[None, :, :] - x[:, None, :], penalty)
+        return _solve_affine_ls(centers[None, :, :] - x[:, None, :], penalty, "llc")
     rows = np.arange(x.shape[0])[:, None]
     if config.mode == "hard":
         near, near_w = np.argmin(d2, axis=1)[:, None], 1.0
@@ -107,7 +108,9 @@ def weight_matrix(
         elif config.knn == 1:
             near_w = 1.0
         else:
-            near_w = _solve_affine_ls(centers[near] - x[:, None, :], None)
+            near_w = _solve_affine_ls(
+                centers[near] - x[:, None, :], None, f"llc-approx with knn {config.knn}"
+            )
     w = np.zeros_like(d2)
     w[rows, near] = near_w
     return w

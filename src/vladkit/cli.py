@@ -27,8 +27,8 @@ from .pipeline import (
     evaluate,
     load_config,
     load_descriptor_stack,
-    load_dictionary,
     load_model,
+    load_stage,
     load_transform,
     run_bench,
     run_pipeline,
@@ -105,15 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out-train", required=True)
-    p.add_argument("--out-test", required=True)
+    p.add_argument("--out-train", type=fileio.nonempty, required=True)
+    p.add_argument("--out-test", type=fileio.nonempty, required=True)
 
     p = sub.add_parser("preprocess", help="fit or apply a whitening transform")
     pp = p.add_subparsers(dest="preprocess_command", required=True)
     fit = pp.add_parser("fit")
     fit.set_defaults(run=_cmd_preprocess_fit)
     fit.add_argument("--manifest", required=True)
-    fit.add_argument("--out", required=True)
+    fit.add_argument("--out", type=fileio.nonempty, required=True)
     fit.add_argument("--dim", type=int, default=None)
     fit.add_argument("--epsilon", type=float, default=None)
     fit.add_argument("--subsample", type=int, default=None)
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     apply_p.set_defaults(run=_cmd_preprocess_apply)
     apply_p.add_argument("--transform", required=True)
     apply_p.add_argument("--in", dest="input", required=True)
-    apply_p.add_argument("--out", required=True)
+    apply_p.add_argument("--out", type=fileio.nonempty, required=True)
 
     p = sub.add_parser("codebook", help="learn a visual-word dictionary")
     cb = p.add_subparsers(dest="codebook_command", required=True)
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.set_defaults(run=_cmd_codebook)
     train_p.add_argument("--manifest", required=True)
     train_p.add_argument("--transform", default=None)
-    train_p.add_argument("--out", required=True)
+    train_p.add_argument("--out", type=fileio.nonempty, required=True)
     _add_config_flags(train_p, ("words", "seed", "max_iters", "tol", "subsample"))
 
     p = sub.add_parser("encode", help="encode one feature map")
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=fileio.nonempty, required=True)
     _add_config_flags(p, _ENCODER_KEYS)
 
     p = sub.add_parser("train", help="train a one-vs-rest linear model")
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=fileio.nonempty, required=True)
     _add_config_flags(p, ("reg", "epochs", "seed") + _ENCODER_KEYS)
 
     p = sub.add_parser("evaluate", help="evaluate a model on a manifest")
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
-    p.add_argument("--confusion-out", default=None)
+    p.add_argument("--confusion-out", type=fileio.nonempty, default=None)
     _add_config_flags(p, _ENCODER_KEYS)
 
     p = sub.add_parser("bench", help="cross-product benchmark of modes x pyramids")
@@ -195,7 +195,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    out_train, out_test = (Path(fileio.nonempty(p)) for p in (args.out_train, args.out_test))
+    out_train, out_test = Path(args.out_train), Path(args.out_test)
     if out_train.resolve() == out_test.resolve():  # the test side would overwrite the train side
         raise VladkitError(f"--out-train and --out-test name the same file {str(out_train)!r}")
     manifest = fileio.load_manifest(args.manifest)
@@ -211,7 +211,6 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_preprocess_fit(args) -> int:
-    fileio.nonempty(args.out)  # checked before any work: "" names no file
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
     if args.subsample is not None:
         descriptors = subsample(descriptors, args.subsample, args.seed)
@@ -222,7 +221,6 @@ def _cmd_preprocess_fit(args) -> int:
 
 
 def _cmd_preprocess_apply(args) -> int:
-    fileio.nonempty(args.out)
     transform = load_transform(args.transform)
     fmap = read_feature_map(args.input)
     whitened = apply_whitening_batch(transform, fmap.descriptors().astype(np.float64))
@@ -232,7 +230,6 @@ def _cmd_preprocess_apply(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    fileio.nonempty(args.out)
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
     transform = load_transform(args.transform) if args.transform is not None else None
     dictionary, report = train_dictionary(descriptors, transform, _config(args))
@@ -245,9 +242,7 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    fileio.nonempty(args.out)
-    dictionary = load_dictionary(args.dictionary)
-    transform = load_transform(args.transform) if args.transform is not None else None
+    dictionary, transform = load_stage(args.dictionary, args.transform)
     fmap = read_feature_map(args.input)
     values = encode_entry(fmap, dictionary, transform, _config(args))
     fileio.write_encoding(values, args.out)
@@ -255,14 +250,11 @@ def _cmd_encode(args) -> int:
 
 
 def _encode_manifest(args, config: PipelineConfig):
-    manifest = fileio.load_manifest(args.manifest)
-    dictionary = load_dictionary(args.dictionary)
-    transform = load_transform(args.transform) if args.transform is not None else None
-    return encode_manifest(manifest, dictionary, transform, config)
+    dictionary, transform = load_stage(args.dictionary, args.transform)
+    return encode_manifest(fileio.load_manifest(args.manifest), dictionary, transform, config)
 
 
 def _cmd_train(args) -> int:
-    fileio.nonempty(args.out)
     config = _config(args)
     x, y = _encode_manifest(args, config)
     model = train_ovr(x, y, config)
@@ -272,16 +264,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    # Checked before any work: an empty path is not stdout.
-    out = None if args.confusion_out is None else Path(fileio.nonempty(args.confusion_out))
     model = load_model(args.model)
     report = evaluate(model, *_encode_manifest(args, _config(args)))
     print(f"accuracy={report.accuracy}")
     lines = "\n".join(",".join(str(v) for v in row) for row in report.confusion)
-    if out is None:
+    if args.confusion_out is None:
         print(lines)
     else:
-        out.write_text(lines + "\n")
+        Path(args.confusion_out).write_text(lines + "\n")
     return 0
 
 
@@ -309,10 +299,9 @@ def _cmd_pipeline(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # argparse exits 2 on a usage error, documented here as 1
         return exc.code if isinstance(exc.code, int) and exc.code != 2 else 1
-    try:
-        return args.run(args)
     except (VladkitError, OSError, MemoryError) as exc:  # MemoryError: more than the host can allocate
         print(f"vladkit: error: {exc or 'out of memory'}", file=sys.stderr)
         return 2

@@ -168,9 +168,17 @@ def load_transform(path) -> WhiteningTransform:
     return WhiteningTransform(mean.astype(np.float64), projection.astype(np.float64))
 
 
-def load_dictionary(path) -> Dictionary:
-    """A stored dictionary, widened to float64."""
-    return Dictionary(centers=fileio.read_dictionary(path).astype(np.float64))
+def load_stage(dictionary_path, transform_path=None) -> tuple[Dictionary, WhiteningTransform | None]:
+    """A stored dictionary and the transform it was trained behind (None
+    without whitening), widened to float64 and checked against each other."""
+    dictionary = Dictionary(centers=fileio.read_dictionary(dictionary_path).astype(np.float64))
+    transform = None if transform_path is None else load_transform(transform_path)
+    if transform is not None and dictionary.dim != transform.output_dim:
+        raise VladkitError(
+            f"dictionary {str(dictionary_path)!r} has dim {dictionary.dim}, but transform"
+            f" {str(transform_path)!r} outputs {transform.output_dim}"
+        )
+    return dictionary, transform
 
 
 def load_model(path) -> LinearModel:
@@ -313,20 +321,14 @@ def _build_stage(stage: Path, config: PipelineConfig, train_manifest) -> None:
     fileio.write_dictionary(trained.centers, stage / "dictionary.vld")
 
 
-def _load_stage(
-    stage: Path, config: PipelineConfig
-) -> tuple[Dictionary, WhiteningTransform | None]:
-    """The stage's dictionary and transform (None without whitening),
-    checked against the config and each other."""
-    transform = load_transform(stage / "transform.vlw") if config.whiten else None
-    dictionary = load_dictionary(stage / "dictionary.vld")
+def _load_stage(stage: Path, config: PipelineConfig):
+    """load_stage of a stage directory, checked against the config too."""
+    dictionary, transform = load_stage(
+        stage / "dictionary.vld", stage / "transform.vlw" if config.whiten else None
+    )
     if dictionary.num_words != config.words:
         raise VladkitError(
             f"cached dictionary has {dictionary.num_words} words, config wants {config.words}"
-        )
-    if transform is not None and dictionary.dim != transform.output_dim:
-        raise VladkitError(
-            f"dictionary dim {dictionary.dim} != whitening output {transform.output_dim}"
         )
     return dictionary, transform
 

@@ -65,7 +65,16 @@ def fit_whitening(
     # Deterministic sign: largest-magnitude entry of each axis is positive.
     peaks = axes[np.arange(len(axes)), np.argmax(np.abs(axes), axis=1)]
     axes[peaks < 0] *= -1.0
-    projection = axes / np.sqrt(eigvals + epsilon)[:, None]
+    scale = np.sqrt(eigvals + epsilon)
+    if not scale.all():  # an axis of no variance and no epsilon: refused before 1 / 0
+        kept = np.count_nonzero(scale)  # scale descends, so the first `kept` axes are usable
+        if not kept:
+            raise VladkitError("descriptors have no variance to whiten")
+        raise VladkitError(
+            f"{output_dim - kept} of {output_dim} whitening axes have no variance at epsilon 0:"
+            f" set epsilon above 0 or pca_dim to at most {kept}"
+        )
+    projection = axes / scale[:, None]
     return WhiteningTransform(mean=mean, projection=projection)
 
 

@@ -273,8 +273,13 @@ ALL_CONFIGS = [
 def test_llc_approx_duplicate_words_raise_singular_system():
     # Two copies of the descriptor's own word make its 2-NN system all zero.
     d = Dictionary(centers=np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]]))
-    with pytest.raises(VladkitError, match="Singular matrix"):
+    with pytest.raises(VladkitError, match="^llc-approx with knn 2: Singular matrix"):
         weight_matrix(d, np.array([[1.0, 2.0]]), PipelineConfig(mode="llc-approx", knn=2))
+    # Full llc over the two copies alone, with no locality penalty: the same system.
+    with pytest.raises(VladkitError, match="^llc: Singular matrix"):
+        weight_matrix(Dictionary(centers=d.centers[:2]), np.array([[1.0, 2.0]]),
+                      PipelineConfig(mode="llc", lam=0.0))
+
 
 def test_weights_sum_to_one_all_modes():
     rng = np.random.default_rng(13)

@@ -1,11 +1,11 @@
 import os
 import shutil
 import subprocess
-import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import childproc
 import numpy as np
 import pytest
 
@@ -652,11 +652,9 @@ def test_main_calls_in_one_process_share_no_state(workspace, stage_files, tmp_pa
 
     assert main(encode("pyramid.vle") + ["--pyramid", "a"]) == 0
     assert main(encode("flat.vle")) == 0
-    src = Path(__file__).resolve().parent.parent / "src"
-    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, "-m", "vladkit.cli", *encode("fresh.vle")],
-        env=dict(os.environ, PYTHONPATH=pythonpath), check=True, timeout=120,
+        childproc.argv("-m", "vladkit.cli", *encode("fresh.vle")),
+        env=childproc.env(), check=True, timeout=120,
     )
     flat = (tmp_path / "flat.vle").read_bytes()
     assert flat == (tmp_path / "fresh.vle").read_bytes()
@@ -677,6 +675,23 @@ def test_empty_transform_path_exits_2(command, workspace, stage_files, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["encode", "train", "evaluate"])
+def test_a_transform_that_does_not_fit_the_dictionary_exits_2_before_any_input_is_read(
+    command, workspace, stage_files, tmp_path, capsys
+):
+    """The dictionary's dim must be the transform's output dim. Both files are
+    named, and neither --in nor --manifest is read: here neither exists."""
+    t4 = tmp_path / "t4.vlw"
+    fileio.write_whitening(np.zeros(6), np.eye(4, 6), t4)  # the dictionary's dim is 6
+    args = _required_args(command, workspace, stage_files, tmp_path / "out")
+    args[args.index("--transform") + 1] = str(t4)
+    args[args.index("--in" if command == "encode" else "--manifest") + 1] = str(tmp_path / "no")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"dictionary {str(stage_files / 'd.vld')!r} has dim 6, but transform {str(t4)!r}" in err
+    assert list(tmp_path.iterdir()) == [t4]
+
+
 def test_encode_singular_llc_approx_system_exits_2(tmp_path, capsys):
     fileio.write_dictionary(np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]]), tmp_path / "d.vld")
     fileio.write_feature_map(
@@ -686,7 +701,10 @@ def test_encode_singular_llc_approx_system_exits_2(tmp_path, capsys):
         "encode", "--dict", str(tmp_path / "d.vld"), "--in", str(tmp_path / "x.vlf"),
         "--out", str(tmp_path / "x.vle"), "--mode", "llc-approx", "--knn", "2",
     ]) == 2
-    assert "error" in capsys.readouterr().err
+    # The mode and its knn are named, and NumPy's own text is kept.
+    assert capsys.readouterr().err.startswith(
+        "vladkit: error: llc-approx with knn 2: Singular matrix"
+    )
     assert not (tmp_path / "x.vle").exists()
 
 
@@ -711,12 +729,9 @@ def test_a_pyramid_too_large_to_allocate_exits_2_at_once(workspace, stage_files,
         f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}));"
         " from vladkit.cli import main; sys.exit(main(sys.argv[1:]))"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code, *args, "--pyramid", "100000000x100000000"],
-        env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1"),
-        capture_output=True, text=True, timeout=60,
+        childproc.argv("-c", code, *args, "--pyramid", "100000000x100000000"),
+        env=childproc.env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 2
     assert result.stderr.startswith("vladkit: error: Unable to allocate")
@@ -823,6 +838,28 @@ def test_manifest_of_mixed_descriptor_dims_exits_2(tmp_path, capsys):
     ]) == 2
     assert "descriptor dims [2, 3]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_maps_of_no_variance_exit_2_before_whitening_divides(tmp_path, capsys):
+    """No NumPy divide warning, and no message about a non-finite transform
+    in the pipeline's `.tmp-*` directory: the data is named as the fault."""
+    fmap = fileio.FeatureMap(np.ones((2, 2, 3), dtype=np.float32))
+    for i in range(4):
+        fileio.write_feature_map(fmap, tmp_path / f"{i}.vlf")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("".join(f"{i}.vlf\t{i % 2}\n" for i in range(4)))
+    (tmp_path / "c.cfg").write_text("words = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([
+            "preprocess", "fit", "--manifest", str(manifest), "--out", str(tmp_path / "t.vlw"),
+        ]) == 2
+        assert main([
+            "pipeline", "--config", str(tmp_path / "c.cfg"), "--train-manifest", str(manifest),
+            "--test-manifest", str(manifest), "--work-dir", str(tmp_path / "work"),
+        ]) == 2
+    assert capsys.readouterr().err == "vladkit: error: descriptors have no variance to whiten\n" * 2
+    assert not (tmp_path / "t.vlw").exists() and not list((tmp_path / "work").iterdir())
 
 
 def test_split_written_elsewhere_names_the_same_files(stage_files, tmp_path, monkeypatch, capsys):

@@ -1,13 +1,12 @@
 import csv
 import json
-import os
 import re
 import shutil
 import subprocess
-import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import childproc
 import numpy as np
 import pytest
 from memtrace import traced_peak
@@ -220,6 +219,23 @@ def test_pipeline_cache_mismatch_detected(dataset, tmp_path):
     fileio.write_dictionary(wrong, stage / "dictionary.vld")
     with pytest.raises(VladkitError, match="cached dictionary has 3 words, config wants 6"):
         run_pipeline(config, train_path, test_path, tmp_path)
+
+
+def test_pipeline_cached_transform_that_does_not_fit_its_dictionary_detected(dataset, tmp_path):
+    train_path, test_path = dataset
+    config = small_config(mode="hard")
+    run_pipeline(config, train_path, test_path, tmp_path)
+    (stage,) = tmp_path.glob("dict_*")
+    shutil.rmtree(next(tmp_path.glob("cache_*")))
+    # Whitening to 4 dims in front of the stage's dictionary of dim 6.
+    fileio.write_whitening(np.zeros(6), np.eye(4, 6), stage / "transform.vlw")
+    message = (
+        f"dictionary {str(stage / 'dictionary.vld')!r} has dim 6, but transform"
+        f" {str(stage / 'transform.vlw')!r} outputs 4"
+    )
+    with pytest.raises(VladkitError, match=re.escape(message)):
+        run_pipeline(config, train_path, test_path, tmp_path)
+    assert not list(tmp_path.glob("cache_*"))  # no config is built on a bad stage
 
 
 def test_pipeline_cached_encoding_of_another_length_detected(dataset, tmp_path):
@@ -506,12 +522,10 @@ def tiny_dataset(tmp_path_factory):
 
 
 def _child(dataset, work, kill_at=0, barrier=""):
-    src = Path(__file__).resolve().parent.parent / "src"
-    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     args = [*map(str, dataset), str(work), CHILD_CONFIG, str(kill_at), str(barrier)]
     return subprocess.Popen(
-        [sys.executable, "-c", _CHILD, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1"),
+        childproc.argv("-c", _CHILD, *args), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=childproc.env(OPENBLAS_NUM_THREADS="1"),
     )
 
 

@@ -88,6 +88,26 @@ def test_degenerate_input():
         fit_whitening(np.ones((1, 3)))
 
 
+def test_an_axis_of_no_variance_at_epsilon_0_is_refused_before_dividing():
+    # Empirical covariance exactly diag(0.5, 0.5, 0): the third dim never varies.
+    x = np.array([[1.0, 0.0, 5.0], [-1.0, 0.0, 5.0], [0.0, 1.0, 5.0], [0.0, -1.0, 5.0]])
+    with np.errstate(all="raise"):  # no 1 / 0 is computed on the way to the error
+        with pytest.raises(VladkitError, match=r"1 of 3 .* epsilon above 0 or pca_dim .* 2$"):
+            fit_whitening(x, epsilon=0.0)
+        # The axes that vary, or an epsilon, whiten as before.
+        kept = fit_whitening(x, 2, 0.0).projection
+        assert np.allclose(np.linalg.norm(kept, axis=1), np.sqrt(2.0)) and not kept[:, 2].any()
+        assert np.isfinite(fit_whitening(x).projection).all()
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.0])
+def test_descriptors_of_no_variance_are_refused(epsilon):
+    # Auto epsilon scales with the variance, so it is 0 here as well.
+    with np.errstate(all="raise"):
+        with pytest.raises(VladkitError, match="^descriptors have no variance to whiten$"):
+            fit_whitening(np.ones((4, 3)), epsilon=epsilon)
+
+
 def test_dim_too_large():
     with pytest.raises(VladkitError, match=r"output_dim must be between 1 and .* = 4, got 5"):
         fit_whitening(np.random.default_rng(0).standard_normal((10, 4)), output_dim=5)
