@@ -13,7 +13,6 @@ A single descriptor is a one-row call.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,19 +27,6 @@ MODES = ("hard", "sa", "lsa", "llc", "llc-approx")
 
 # Soft weights below this are flushed to exact zero and dropped from support.
 _FLUSH = 1e-30
-
-
-def validate(config: PipelineConfig, num_words: int) -> None:
-    """Range checks of the parameters config.mode uses, for a dictionary of
-    num_words words. Written as `not lo < x < inf` so that NaN fails them."""
-    if config.mode in ("sa", "lsa") and not 0 < config.beta < math.inf:
-        raise VladkitError(f"beta must be finite and positive, got {config.beta}")
-    if config.mode in ("lsa", "llc-approx") and not 1 <= config.knn <= num_words:
-        raise VladkitError(f"knn {config.knn} outside [1, {num_words}]")
-    if config.mode == "llc" and not 0 < config.sigma < math.inf:
-        raise VladkitError(f"sigma must be finite and positive, got {config.sigma}")
-    if config.mode == "llc" and not 0 <= config.lam < math.inf:
-        raise VladkitError(f"lambda must be finite and non-negative, got {config.lam}")
 
 
 def _softmax_rows(d2: np.ndarray, beta: float) -> np.ndarray:
@@ -83,7 +69,8 @@ def weight_matrix(
     m = dictionary.num_words
     if x.ndim != 2 or x.shape[1] != dictionary.dim:
         raise VladkitError(f"descriptors shape {x.shape} != (N, {dictionary.dim})")
-    validate(config, m)
+    if config.mode in ("lsa", "llc-approx") and config.knn > m:  # the config checks the rest
+        raise VladkitError(f"knn {config.knn} outside [1, {m}]")
     centers = np.asarray(dictionary.centers, dtype=np.float64)
     d2 = squared_distances(x, centers)
     if config.mode == "sa":

@@ -22,6 +22,7 @@ from .errors import VladkitError
 from .fileio import FeatureMap, read_feature_map
 from .pipeline import (
     PipelineConfig,
+    check_map,
     encode_entry,
     encode_manifest,
     evaluate,
@@ -62,10 +63,10 @@ def _add_config_flags(p: argparse.ArgumentParser, keys):
         )
 
 
-def _config(args) -> PipelineConfig:
-    """The config set by a subcommand's config flags; other fields default."""
+def _config(args, **given) -> PipelineConfig:
+    """The config of a subcommand's config flags and `given`; other fields default."""
     names = {f.name for f in pipeline._FIELDS.values()}
-    return PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
+    return PipelineConfig(**{k: v for k, v in vars(args).items() if k in names}, **given)
 
 
 def _seed(text):
@@ -222,7 +223,7 @@ def _cmd_preprocess_fit(args) -> int:
 
 def _cmd_preprocess_apply(args) -> int:
     transform = load_transform(args.transform)
-    fmap = read_feature_map(args.input)
+    fmap = check_map(args.input, read_feature_map(args.input), None, transform)
     whitened = apply_whitening_batch(transform, fmap.descriptors().astype(np.float64))
     whitened = whitened.reshape(fmap.height, fmap.width, transform.output_dim)
     fileio.write_feature_map(FeatureMap(whitened.astype(np.float32)), args.out)
@@ -230,9 +231,10 @@ def _cmd_preprocess_apply(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
+    config = _config(args)
     transform = load_transform(args.transform) if args.transform is not None else None
-    dictionary, report = train_dictionary(descriptors, transform, _config(args))
+    descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest), transform)
+    dictionary, report = train_dictionary(descriptors, transform, config)
     fileio.write_dictionary(dictionary.centers, args.out)
     print(
         f"trained {dictionary.num_words} words in {report.iterations} iterations"
@@ -241,22 +243,24 @@ def _cmd_codebook(args) -> int:
     return 0
 
 
-def _cmd_encode(args) -> int:
+def _stage(args):
+    """`--dict` and `--transform` through load_stage, and the flags' config for
+    that many words: all checked before any input is read."""
     dictionary, transform = load_stage(args.dictionary, args.transform)
-    fmap = read_feature_map(args.input)
-    values = encode_entry(fmap, dictionary, transform, _config(args))
+    return dictionary, transform, _config(args, words=dictionary.num_words)
+
+
+def _cmd_encode(args) -> int:
+    dictionary, transform, config = _stage(args)
+    fmap = check_map(args.input, read_feature_map(args.input), dictionary, transform)
+    values = encode_entry(fmap, dictionary, transform, config)
     fileio.write_encoding(values, args.out)
     return 0
 
 
-def _encode_manifest(args, config: PipelineConfig):
-    dictionary, transform = load_stage(args.dictionary, args.transform)
-    return encode_manifest(fileio.load_manifest(args.manifest), dictionary, transform, config)
-
-
 def _cmd_train(args) -> int:
-    config = _config(args)
-    x, y = _encode_manifest(args, config)
+    dictionary, transform, config = _stage(args)
+    x, y = encode_manifest(fileio.load_manifest(args.manifest), dictionary, transform, config)
     model = train_ovr(x, y, config)
     fileio.write_model(model.weights, model.biases, args.out)
     print(f"trained model: {model.num_classes} classes, dim {model.dim}")
@@ -265,7 +269,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    report = evaluate(model, *_encode_manifest(args, _config(args)))
+    dictionary, transform, config = _stage(args)
+    manifest = fileio.load_manifest(args.manifest)
+    report = evaluate(model, *encode_manifest(manifest, dictionary, transform, config))
     print(f"accuracy={report.accuracy}")
     lines = "\n".join(",".join(str(v) for v in row) for row in report.confusion)
     if args.confusion_out is None:

@@ -24,7 +24,7 @@ from . import assignment, fileio, whitening
 from .classifier import EvalReport, LinearModel, predict, tabulate, train_ovr
 from .codebook import Dictionary, KmeansReport, kmeans_train, subsample
 from .errors import VladkitError
-from .fileio import DatasetManifest, read_feature_map
+from .fileio import DatasetManifest, FeatureMap, read_feature_map
 from .spm import PyramidSpec, encode_spm, parse_pyramid
 from .vlad import NORM_SCHEMES, encode
 from .whitening import WhiteningTransform, fit_whitening
@@ -71,6 +71,14 @@ class PipelineConfig:
                 raise VladkitError(f"{name} must be finite and at least {low}, got {value}")
         if self.subsample is not None and self.subsample < self.words:
             raise VladkitError(f"subsample {self.subsample} is below words {self.words}")
+        if self.mode in ("sa", "lsa") and not 0 < self.beta < math.inf:
+            raise VladkitError(f"beta must be finite and positive, got {self.beta}")
+        if self.mode in ("lsa", "llc-approx") and not 1 <= self.knn <= self.words:
+            raise VladkitError(f"knn {self.knn} outside [1, {self.words}]")
+        if self.mode == "llc" and not 0 < self.sigma < math.inf:
+            raise VladkitError(f"sigma must be finite and positive, got {self.sigma}")
+        if self.mode == "llc" and not 0 <= self.lam < math.inf:
+            raise VladkitError(f"lambda must be finite and non-negative, got {self.lam}")
         self.pyramid_spec()  # a bad pyramid text fails here, before any stage runs
 
     def pyramid_spec(self) -> PyramidSpec | None:
@@ -187,9 +195,27 @@ def load_model(path) -> LinearModel:
     return LinearModel(weights.astype(np.float64), biases.astype(np.float64))
 
 
-def load_descriptor_stack(manifest: DatasetManifest) -> np.ndarray:
-    """All descriptors from every manifest entry, stacked row-wise."""
-    blocks = [read_feature_map(path).descriptors() for path in manifest.paths()]
+def check_map(
+    path, fmap: FeatureMap, dictionary: Dictionary | None, transform: WhiteningTransform | None
+) -> FeatureMap:
+    """fmap, read from path; refused, naming path, when its descriptor dim is
+    not the transform's input dim, or without a transform the dictionary's
+    dim. With neither given, every dim passes."""
+    if transform is not None:
+        if fmap.dim != transform.input_dim:
+            raise VladkitError(
+                f"{path}: descriptor dim {fmap.dim} != transform input {transform.input_dim}"
+            )
+    elif dictionary is not None and fmap.dim != dictionary.dim:
+        raise VladkitError(f"{path}: descriptor dim {fmap.dim} != dictionary dim {dictionary.dim}")
+    return fmap
+
+
+def load_descriptor_stack(manifest: DatasetManifest, transform=None) -> np.ndarray:
+    """All descriptors from every manifest entry, stacked row-wise; each map
+    is checked against transform's input dim when one is given."""
+    blocks = [check_map(path, read_feature_map(path), None, transform).descriptors()
+              for path in manifest.paths()]
     dims = sorted({block.shape[1] for block in blocks})
     if len(dims) > 1:
         raise VladkitError(f"feature maps of one manifest have descriptor dims {dims}")
@@ -226,7 +252,7 @@ def encode_manifest(
     paths = manifest.paths()
     length = (spec or PyramidSpec(((1, 1),))).encoding_length(dictionary, len(paths))
     encodings = np.empty((len(paths), length), np.float32)
-    maps = (read_feature_map(path) for path in paths)
+    maps = (check_map(path, read_feature_map(path), dictionary, transform) for path in paths)
     start = 0
     for (height, width, _), run in itertools.groupby(maps, key=lambda fmap: fmap.data.shape):
         working_set = height * width * (dictionary.dim + dictionary.num_words)
@@ -351,8 +377,6 @@ def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> Eva
     config's own directory, each renamed from a `.tmp-*` directory when whole,
     so runs may share a work_dir. A failed run keeps what it renamed; a killed
     one leaves its `.tmp-*`, which is safe to delete when no run is active."""
-    # Checked before any stage runs, so a bad config leaves no artifact behind.
-    assignment.validate(config, config.words)
     train_manifest = fileio.load_manifest(train_path)
     test_manifest = fileio.load_manifest(test_path)
     stage, cache = cache_dirs(config, train_path, test_path, work_dir)
@@ -387,10 +411,9 @@ def run_bench(
     after every pair has run, so a failing pair leaves no file. Returns the
     row count."""
     out_path = Path(fileio.nonempty(out_path))  # checked before the first pair runs
+    # Each replace() checks its config, so a bad pair fails before any pair runs.
     pairs = [(m, p, replace(config, mode=m, pyramid=_parse_value(_FIELDS["pyramid"], p)))
              for m, p in itertools.product(modes, pyramids)]
-    for *_, combo in pairs:  # every pair is checked before any pair runs
-        assignment.validate(combo, combo.words)
     rows = []
     sample = read_feature_map(fileio.load_manifest(test_path).paths()[0])
     stage, _ = cache_dirs(config, train_path, test_path, work_dir)  # shared by every pair

@@ -66,13 +66,17 @@ def fit_whitening(
     peaks = axes[np.arange(len(axes)), np.argmax(np.abs(axes), axis=1)]
     axes[peaks < 0] *= -1.0
     scale = np.sqrt(eigvals + epsilon)
-    if not scale.all():  # an axis of no variance and no epsilon: refused before 1 / 0
-        kept = np.count_nonzero(scale)  # scale descends, so the first `kept` axes are usable
+    # An axis whose projection a float32 `.vlw` cannot hold (scale 0 included:
+    # no variance and no epsilon) is refused before the division.
+    fits = np.abs(peaks) <= float(np.finfo(np.float32).max) * scale
+    if not fits.all():
+        kept = int(np.argmin(fits))  # the axes before the first misfit are usable
         if not kept:
             raise VladkitError("descriptors have no variance to whiten")
         raise VladkitError(
-            f"{output_dim - kept} of {output_dim} whitening axes have no variance at epsilon 0:"
-            f" set epsilon above 0 or pca_dim to at most {kept}"
+            f"{output_dim - kept} of {output_dim} whitening axes have too little variance for a"
+            f" float32 projection at epsilon {epsilon}: set epsilon above 0 or pca_dim to at"
+            f" most {kept}"
         )
     projection = axes / scale[:, None]
     return WhiteningTransform(mean=mean, projection=projection)

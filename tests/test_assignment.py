@@ -10,7 +10,7 @@ from oracles import (
     naive_soft_weights,
     random_feasible,
 )
-from vladkit.assignment import validate, weight_matrix
+from vladkit.assignment import weight_matrix
 from vladkit.codebook import Dictionary
 from vladkit.errors import VladkitError
 from vladkit.pipeline import PipelineConfig
@@ -104,27 +104,33 @@ def test_soft_rejects_bad_beta():
 
 
 def test_validate_rejects_nan_and_out_of_range_parameters():
-    d = Dictionary(centers=np.zeros((2, 1)))
     nan = float("nan")
     cases = [
-        (PipelineConfig(mode="sa", beta=nan), "beta must be finite and positive"),
-        (PipelineConfig(mode="lsa", beta=nan), "beta must be finite and positive"),
-        (PipelineConfig(mode="lsa", knn=0), r"knn 0 outside \[1, 2\]"),
-        (PipelineConfig(mode="llc-approx", knn=3), r"knn 3 outside \[1, 2\]"),
-        (PipelineConfig(mode="llc", sigma=nan), "sigma must be finite and positive"),
-        (PipelineConfig(mode="sa", beta=math.inf), "beta must be finite and positive"),
-        (PipelineConfig(mode="llc", sigma=math.inf), "sigma must be finite and positive"),
-        (PipelineConfig(mode="llc", lam=-1.0), "lambda must be finite and non-negative"),
-        (PipelineConfig(mode="llc", lam=nan), "lambda must be finite and non-negative"),
-        (PipelineConfig(mode="llc", lam=math.inf), "lambda must be finite and non-negative"),
+        (dict(mode="sa", beta=nan), "beta must be finite and positive"),
+        (dict(mode="lsa", beta=nan), "beta must be finite and positive"),
+        (dict(mode="lsa", knn=0), r"knn 0 outside \[1, 2\]"),
+        (dict(mode="llc-approx", knn=3), r"knn 3 outside \[1, 2\]"),
+        (dict(mode="llc", sigma=nan), "sigma must be finite and positive"),
+        (dict(mode="sa", beta=math.inf), "beta must be finite and positive"),
+        (dict(mode="llc", sigma=math.inf), "sigma must be finite and positive"),
+        (dict(mode="llc", lam=-1.0), "lambda must be finite and non-negative"),
+        (dict(mode="llc", lam=nan), "lambda must be finite and non-negative"),
+        (dict(mode="llc", lam=math.inf), "lambda must be finite and non-negative"),
     ]
-    for config, message in cases:
+    for fields, message in cases:  # a config is checked when it is built
         with pytest.raises(VladkitError, match=message):
-            validate(config, 2)
-        with pytest.raises(VladkitError, match=message):
-            weight_matrix(d, np.zeros((1, 1)), config)
+            PipelineConfig(words=2, **fields)
     # Parameters a mode does not use are not checked.
-    validate(PipelineConfig(mode="hard", beta=nan, knn=0, lam=nan, sigma=nan), 2)
+    PipelineConfig(mode="hard", beta=nan, knn=0, lam=nan, sigma=nan, words=2)
+
+
+def test_weight_matrix_rejects_knn_above_the_dictionary_words():
+    # A config of 64 words is valid; a 2-word dictionary cannot give it 3 neighbors.
+    d = Dictionary(centers=np.array([[0.0], [1.0]]))
+    for mode in ("lsa", "llc-approx"):
+        with pytest.raises(VladkitError, match=r"^knn 3 outside \[1, 2\]$"):
+            weight_matrix(d, np.zeros((1, 1)), PipelineConfig(mode=mode, knn=3))
+        assert weight_matrix(d, np.zeros((1, 1)), PipelineConfig(mode=mode, knn=2)).shape == (1, 2)
 
 
 def test_soft_huge_finite_beta_keeps_weights_finite():

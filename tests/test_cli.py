@@ -156,6 +156,7 @@ def test_bench_failing_pair_writes_no_csv(workspace, tmp_path, capsys):
     for modes, pyramids, message in (
         ("hard,nosuch", "none", "unknown mode 'nosuch'"),
         ("hard", "none,1x0", "bad pyramid level (1, 0)"),
+        ("hard,lsa", "none", "knn 5 outside [1, 4]"),  # the default knn above --words
     ):
         assert main([
             "bench", "--train-manifest", str(workspace / "data" / "train.tsv"),
@@ -582,6 +583,10 @@ def _required_args(command, workspace, stages, out):
             "codebook", "train", "--manifest", str(data / "train.tsv"),
             "--transform", str(stages / "t.vlw"), "--out", str(out),
         ],
+        "preprocess_apply": [
+            "preprocess", "apply", "--transform", str(stages / "t.vlw"), "--in", str(image),
+            "--out", str(out),
+        ],
         "bench": [
             "bench", "--train-manifest", str(data / "train.tsv"),
             "--test-manifest", str(data / "test.tsv"), "--modes", "hard", "--pyramids", "none",
@@ -690,6 +695,66 @@ def test_a_transform_that_does_not_fit_the_dictionary_exits_2_before_any_input_i
     err = capsys.readouterr().err
     assert f"dictionary {str(stage_files / 'd.vld')!r} has dim 6, but transform {str(t4)!r}" in err
     assert list(tmp_path.iterdir()) == [t4]
+
+
+@pytest.mark.parametrize("command", ["encode", "train", "evaluate"])
+def test_a_knn_above_the_dictionary_words_exits_2_before_any_input_is_read(
+    command, workspace, stage_files, tmp_path, capsys
+):
+    """knn is checked against the 4 words of --dict before --in or --manifest
+    is read: here neither exists."""
+    args = _required_args(command, workspace, stage_files, tmp_path / "out")
+    args[args.index("--in" if command == "encode" else "--manifest") + 1] = str(tmp_path / "no")
+    assert main(args + ["--mode", "lsa", "--knn", "5"]) == 2
+    assert capsys.readouterr().err == "vladkit: error: knn 5 outside [1, 4]\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_knn_above_64_fits_a_dictionary_of_more_words(workspace, tmp_path, capsys):
+    """encode, train and evaluate check knn against the dictionary's word
+    count, not against the config's default of 64 words."""
+    data = workspace / "data"
+    dictionary = tmp_path / "d70.vld"
+    assert main([
+        "codebook", "train", "--manifest", str(data / "train.tsv"), "--words", "70",
+        "--out", str(dictionary),
+    ]) == 0
+    lsa = ["--dict", str(dictionary), "--mode", "lsa", "--knn", "65"]
+    image = fileio.load_manifest(data / "test.tsv").paths()[0]
+    assert main(["encode", *lsa, "--in", str(image), "--out", str(tmp_path / "x.vle")]) == 0
+    assert fileio.read_encoding(tmp_path / "x.vle").size == 70 * 6
+    model = tmp_path / "m.vlm"
+    assert main(["train", "--manifest", str(data / "train.tsv"), *lsa, "--out", str(model)]) == 0
+    assert main([
+        "evaluate", "--manifest", str(data / "test.tsv"), "--model", str(model), *lsa,
+    ]) == 0
+    assert "accuracy=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, whiten", [
+    ("encode", True), ("train", True), ("evaluate", True), ("codebook_train", True),
+    ("preprocess_apply", True), ("encode", False), ("train", False), ("evaluate", False),
+])
+def test_a_map_whose_dim_does_not_fit_the_stage_exits_2_naming_it(
+    command, whiten, workspace, stage_files, tmp_path, capsys
+):
+    """Checked against the transform's input dim, or without --transform the
+    dictionary's dim, before the map is whitened or assigned."""
+    fmap = tmp_path / "x5.vlf"
+    fileio.write_feature_map(fileio.FeatureMap(np.ones((2, 2, 5), dtype=np.float32)), fmap)
+    (tmp_path / "m5.tsv").write_text("x5.vlf\t0\n")
+    args = _required_args(command, workspace, stage_files, tmp_path / "out")
+    if "--in" in args:
+        args[args.index("--in") + 1] = str(fmap)
+    else:
+        args[args.index("--manifest") + 1] = str(tmp_path / "m5.tsv")
+    if not whiten:
+        at = args.index("--transform")
+        del args[at:at + 2]
+    assert main(args) == 2
+    stage = "transform input 6" if whiten else "dictionary dim 6"
+    assert capsys.readouterr().err == f"vladkit: error: {fmap}: descriptor dim 5 != {stage}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_encode_singular_llc_approx_system_exits_2(tmp_path, capsys):
@@ -860,6 +925,27 @@ def test_maps_of_no_variance_exit_2_before_whitening_divides(tmp_path, capsys):
         ]) == 2
     assert capsys.readouterr().err == "vladkit: error: descriptors have no variance to whiten\n" * 2
     assert not (tmp_path / "t.vlw").exists() and not list((tmp_path / "work").iterdir())
+
+
+def test_an_axis_too_small_for_a_float32_transform_exits_2_before_writing_it(tmp_path, capsys):
+    """A third dim of 0 and the float32 subnormal 1e-40 has a variance near 1e-81:
+    at epsilon 0, its projection would overflow the `.vlw`'s float32 cast."""
+    rng = np.random.default_rng(0)
+    for i in range(4):
+        data = rng.standard_normal((2, 2, 3)).astype(np.float32)
+        data[..., 2] = [[0.0, 1e-40], [0.0, 1e-40]]
+        fileio.write_feature_map(fileio.FeatureMap(data), tmp_path / f"{i}.vlf")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("".join(f"{i}.vlf\t{i % 2}\n" for i in range(4)))
+    (tmp_path / "c.cfg").write_text("words = 2\nepsilon = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from the cast first
+        assert main([
+            "pipeline", "--config", str(tmp_path / "c.cfg"), "--train-manifest", str(manifest),
+            "--test-manifest", str(manifest), "--work-dir", str(tmp_path / "work"),
+        ]) == 2
+    assert "float32 projection at epsilon 0.0: set epsilon" in capsys.readouterr().err
+    assert not list((tmp_path / "work").iterdir())
 
 
 def test_split_written_elsewhere_names_the_same_files(stage_files, tmp_path, monkeypatch, capsys):

@@ -100,6 +100,20 @@ def test_an_axis_of_no_variance_at_epsilon_0_is_refused_before_dividing():
         assert np.isfinite(fit_whitening(x).projection).all()
 
 
+def test_an_axis_too_small_for_a_float32_projection_is_refused():
+    # Covariance exactly diag(0.5, 0.5, 2.5e-81): the third dim holds 0 and the
+    # float32 subnormal 1e-40, so at epsilon 0 its projection entry would be 2e40.
+    x = np.array([[1.0, 0.0, 1e-40], [-1.0, 0.0, 1e-40], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+    with np.errstate(all="raise"):
+        with pytest.raises(
+            VladkitError, match=r"^1 of 3 .* float32 .* epsilon 0.0: .* pca_dim to at most 2$"
+        ):
+            fit_whitening(x, epsilon=0.0)
+        # What is left is within float32: the projection is written without overflow.
+        for kept in (fit_whitening(x, 2, 0.0), fit_whitening(x)):
+            assert np.isfinite(kept.projection.astype(np.float32)).all()
+
+
 @pytest.mark.parametrize("epsilon", [None, 0.0])
 def test_descriptors_of_no_variance_are_refused(epsilon):
     # Auto epsilon scales with the variance, so it is 0 here as well.
