@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from vladkit import fileio
-from vladkit.pipeline import STAGE_FIELDS, config_to_text, load_config, run_pipeline
+from vladkit.pipeline import STAGE_FIELDS, config_to_text, load_config, run_pipeline, stage_keys
 from vladkit.synth import SynthSpec, split_manifest, synth_dataset
 
 root = Path(tempfile.mkdtemp(prefix="vladkit_demo_"))
@@ -37,7 +37,11 @@ config_path.write_text("mode = lsa\nwords = 8\nknn = 3\nepochs = 30\n")
 config = load_config(config_path)
 print("canonical config text (with the manifests, the cache-key input):")
 print("  " + config_to_text(config).replace("\n", "\n  ").rstrip())
-print(f"fields that build the dictionary stage: {', '.join(STAGE_FIELDS)}")
+print("config keys by the stage that reads them; `codebook train` takes the dictionary's as flags,")
+print("`encode` and `evaluate` the encoder's, `train` the encoder's and the classifier's:")
+for stage in ("whitening", "dictionary", "encoder", "classifier"):
+    print(f"  {stage + ':':12} {', '.join(stage_keys(stage))}")
+print(f"fields that build the dictionary stage (whitening + dictionary): {', '.join(STAGE_FIELDS)}")
 
 work = root / "work"
 t0 = time.perf_counter()

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, pipeline
-from .assignment import MODES
 from .classifier import train_ovr
 from .codebook import subsample
 from .errors import VladkitError
@@ -36,12 +35,7 @@ from .pipeline import (
     train_dictionary,
 )
 from .synth import SynthSpec, split_manifest, synth_dataset
-from .vlad import NORM_SCHEMES
 from .whitening import apply_whitening_batch, fit_whitening
-
-
-_ENCODER_KEYS = ("mode", "beta", "knn", "lambda", "sigma", "norm_scheme", "pyramid")
-_CHOICES = {"mode": MODES, "norm_scheme": NORM_SCHEMES}
 
 
 def _flag_type(f):
@@ -53,13 +47,13 @@ def _flag_type(f):
 
 
 def _add_config_flags(p: argparse.ArgumentParser, keys):
-    """One flag per config-file key, `_` spelled `-`, with the field's default
-    and the config file's parsing (so `auto` and `none` work as there)."""
+    """One flag per config-file key, `_` spelled `-`, with the field's default,
+    choices and config-file parsing (so `auto` and `none` work as there)."""
     for key in keys:
         f = pipeline._FIELDS[key]
         p.add_argument(
             f"--{key.replace('_', '-')}", dest=f.name, type=_flag_type(f), default=f.default,
-            choices=_CHOICES.get(key), help=f"default {pipeline._value_text(f.name, f.default)}",
+            choices=f.metadata["choices"], help=f"default {pipeline._value_text(f, f.default)}",
         )
 
 
@@ -132,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--manifest", required=True)
     train_p.add_argument("--transform", default=None)
     train_p.add_argument("--out", type=fileio.nonempty, required=True)
-    _add_config_flags(train_p, ("words", "seed", "max_iters", "tol", "subsample"))
+    _add_config_flags(train_p, pipeline.stage_keys("dictionary"))
 
     p = sub.add_parser("encode", help="encode one feature map")
     p.set_defaults(run=_cmd_encode)
@@ -140,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", default=None)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", type=fileio.nonempty, required=True)
-    _add_config_flags(p, _ENCODER_KEYS)
+    _add_config_flags(p, pipeline.stage_keys("encoder"))
 
     p = sub.add_parser("train", help="train a one-vs-rest linear model")
     p.set_defaults(run=_cmd_train)
@@ -148,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
     p.add_argument("--out", type=fileio.nonempty, required=True)
-    _add_config_flags(p, ("reg", "epochs", "seed") + _ENCODER_KEYS)
+    _add_config_flags(p, pipeline.stage_keys("encoder", "classifier"))
 
     p = sub.add_parser("evaluate", help="evaluate a model on a manifest")
     p.set_defaults(run=_cmd_evaluate)
@@ -157,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", dest="dictionary", required=True)
     p.add_argument("--transform", default=None)
     p.add_argument("--confusion-out", type=fileio.nonempty, default=None)
-    _add_config_flags(p, _ENCODER_KEYS)
+    _add_config_flags(p, pipeline.stage_keys("encoder"))
 
     p = sub.add_parser("bench", help="cross-product benchmark of modes x pyramids")
     p.set_defaults(run=_cmd_bench)
@@ -270,6 +264,10 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     dictionary, transform, config = _stage(args)
+    length = config.encoding_length(dictionary)
+    if model.dim != length:  # checked before --manifest is read
+        raise VladkitError(f"model {args.model!r} has dim {model.dim}, but --dict and"
+                           f" --pyramid give encodings of length {length}")
     manifest = fileio.load_manifest(args.manifest)
     report = evaluate(model, *encode_manifest(manifest, dictionary, transform, config))
     print(f"accuracy={report.accuracy}")

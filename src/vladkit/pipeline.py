@@ -15,7 +15,7 @@ import math
 import shutil
 import tempfile
 import time
-from dataclasses import Field, dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,44 +30,43 @@ from .vlad import NORM_SCHEMES, encode
 from .whitening import WhiteningTransform, fit_whitening
 
 
-# Lowest valid value of each numeric field that has one; None (auto) passes.
-# Written as `not low <= x < inf` so that NaN and inf fail. Pegasos keeps each
-# weight within 1/reg (unit-norm encodings, bias input 1), so reg's floor keeps
-# the model inside its float32 file.
-_MINIMUM = {
-    "words": 1, "epochs": 1, "max_iters": 1, "subsample": 1, "pca_dim": 1,
-    "seed": 0, "tol": 0, "epsilon": 0, "reg": 1 / float(np.finfo(np.float32).max),
-}
+def _field(default, *stages, low=None, choices=None, key=None, none="auto"):
+    """A field's default and its facts: the stages that read it (whitening,
+    dictionary, encoder, classifier), its lowest valid value (None passes; NaN
+    and inf fail) or its choices, and its config-text key and spelling of None."""
+    return field(default=default, metadata=dict(
+        stages=stages, low=low, choices=choices, key=key, none=none))
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    mode: str = "hard"
-    beta: float = 1.0
-    knn: int = 5
-    lam: float = 1e-4
-    sigma: float = 1.0
-    norm_scheme: str = "intra-then-global"
-    pyramid: str | None = None  # preset name or RxC,... ; None = no pyramid
-    whiten: bool = True
-    pca_dim: int | None = None
-    epsilon: float | None = None
-    words: int = 64
-    max_iters: int = 100
-    tol: float = 1e-4
-    subsample: int | None = None  # descriptor cap for k-means; None = 256*words
-    reg: float = 1e-4
-    epochs: int = 50
-    seed: int = 0
+    mode: str = _field("hard", "encoder", choices=assignment.MODES)
+    beta: float = _field(1.0, "encoder")
+    knn: int = _field(5, "encoder")
+    lam: float = _field(1e-4, "encoder", key="lambda")
+    sigma: float = _field(1.0, "encoder")
+    norm_scheme: str = _field("intra-then-global", "encoder", choices=NORM_SCHEMES)
+    pyramid: str | None = _field(None, "encoder", none="none")  # preset or RxC,...; None = flat
+    whiten: bool = _field(True, "whitening")
+    pca_dim: int | None = _field(None, "whitening", low=1)
+    epsilon: float | None = _field(None, "whitening", low=0)
+    words: int = _field(64, "dictionary", low=1)
+    max_iters: int = _field(100, "dictionary", low=1)
+    tol: float = _field(1e-4, "dictionary", low=0)
+    subsample: int | None = _field(None, "dictionary", low=1)  # k-means cap; None = 256*words
+    # Pegasos keeps each weight within 1/reg (unit-norm encodings, bias input
+    # 1), so reg's floor keeps the model inside its float32 file.
+    reg: float = _field(1e-4, "classifier", low=1 / float(np.finfo(np.float32).max))
+    epochs: int = _field(50, "classifier", low=1)
+    seed: int = _field(0, "dictionary", "classifier", low=0)
 
     def __post_init__(self):
-        if self.mode not in assignment.MODES:
-            raise VladkitError(f"unknown mode {self.mode!r}")
-        if self.norm_scheme not in NORM_SCHEMES:
-            raise VladkitError(f"unknown norm_scheme {self.norm_scheme!r}")
-        for name, low in _MINIMUM.items():
+        for name, choices, low in _CHECKS:
             value = getattr(self, name)
-            if value is not None and not low <= value < math.inf:
+            if choices is not None:
+                if value not in choices:
+                    raise VladkitError(f"unknown {name} {value!r}")
+            elif value is not None and not low <= value < math.inf:
                 raise VladkitError(f"{name} must be finite and at least {low}, got {value}")
         if self.subsample is not None and self.subsample < self.words:
             raise VladkitError(f"subsample {self.subsample} is below words {self.words}")
@@ -86,25 +85,35 @@ class PipelineConfig:
             return None
         return parse_pyramid(self.pyramid)
 
+    def encoding_length(self, dictionary: Dictionary, images: int = 1) -> int:
+        """The length of this config's encodings over dictionary, checked for `images` of them."""
+        return (self.pyramid_spec() or PyramidSpec(((1, 1),))).encoding_length(dictionary, images)
+
+
+# (name, choices, lowest value) of each field that declares either, for __post_init__.
+_CHECKS = [(f.name, f.metadata["choices"], f.metadata["low"]) for f in fields(PipelineConfig)
+           if f.metadata["choices"] is not None or f.metadata["low"] is not None]
+# Each field by its config-text key. Field types are read from the annotation
+# strings, e.g. "int | None".
+_FIELDS = {f.metadata["key"] or f.name: f for f in fields(PipelineConfig)}
+_BOOL_TEXT = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def stage_keys(*stages: str) -> tuple[str, ...]:
+    """The config-text keys of the fields that any of the named stages reads,
+    in field order."""
+    return tuple(k for k, f in _FIELDS.items() if not set(stages).isdisjoint(f.metadata["stages"]))
+
 
 # The fields that build the whitening transform and the dictionary: the
 # dictionary stage's key covers these and the training manifest, so configs
 # that differ only in other fields share one transform and dictionary.
-STAGE_FIELDS = ("whiten", "pca_dim", "epsilon", "words", "max_iters", "tol", "subsample", "seed")
+STAGE_FIELDS = tuple(_FIELDS[key].name for key in stage_keys("whitening", "dictionary"))
 
 
-# Config-text spelling of a field name, and of None, where they differ from
-# the default (the field name itself, and "auto"). Field types are read from
-# the annotation strings, e.g. "int | None".
-_KEY_TEXT = {"lam": "lambda"}
-_NONE_TEXT = {"pyramid": "none"}
-_FIELDS = {_KEY_TEXT.get(f.name, f.name): f for f in fields(PipelineConfig)}
-_BOOL_TEXT = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _value_text(name: str, value) -> str:
+def _value_text(f: Field, value) -> str:
     if value is None:
-        return _NONE_TEXT.get(name, "auto")
+        return f.metadata["none"]
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -112,7 +121,7 @@ def _value_text(name: str, value) -> str:
 
 def _parse_value(f: Field, text: str):
     kind, _, optional = f.type.partition(" | ")
-    if optional and text == _NONE_TEXT.get(f.name, "auto"):
+    if optional and text == f.metadata["none"]:
         return None
     if kind == "bool":
         if text.lower() not in _BOOL_TEXT:
@@ -123,8 +132,8 @@ def _parse_value(f: Field, text: str):
 
 def _fields_text(config: PipelineConfig, names) -> str:
     """The named fields' config-text lines, sorted by key."""
-    values = {_KEY_TEXT.get(n, n): _value_text(n, getattr(config, n)) for n in names}
-    return "".join(f"{k} = {values[k]}\n" for k in sorted(values))
+    return "".join(f"{k} = {_value_text(f, getattr(config, f.name))}\n"
+                   for k, f in sorted(_FIELDS.items()) if f.name in names)
 
 
 def config_to_text(config: PipelineConfig) -> str:
@@ -250,7 +259,7 @@ def encode_manifest(
     shape are encoded in chunks, each read when it is encoded, as _CHUNK bounds."""
     spec = config.pyramid_spec()
     paths = manifest.paths()
-    length = (spec or PyramidSpec(((1, 1),))).encoding_length(dictionary, len(paths))
+    length = config.encoding_length(dictionary, len(paths))
     encodings = np.empty((len(paths), length), np.float32)
     maps = (check_map(path, read_feature_map(path), dictionary, transform) for path in paths)
     start = 0

@@ -8,7 +8,7 @@ from oracles import naive_pegasos_ovr
 from vladkit import classifier, fileio
 from vladkit.classifier import LinearModel, predict, tabulate, train_ovr
 from vladkit.errors import VladkitError
-from vladkit.pipeline import _MINIMUM, PipelineConfig
+from vladkit.pipeline import _FIELDS, PipelineConfig
 
 # The dual trainer's largest weight or bias difference from the primal
 # oracle, relative to the oracle's largest entry. Never loosened.
@@ -161,7 +161,7 @@ def test_training_memory_does_not_grow_with_epochs():
         (18, 30, 6, 20, 1e-4, False),
         (10, 20, 3, 1, 1e-4, False),  # one epoch
         (20, 16, 4, 30, 1e-4, True),  # an all-zero row
-        (20, 16, 4, 30, _MINIMUM["reg"], False),  # the reg floor
+        (20, 16, 4, 30, _FIELDS["reg"].metadata["low"], False),  # the reg floor
     ],
 )
 def test_train_ovr_matches_primal_oracle(n, dim, classes, epochs, reg, zero_row):

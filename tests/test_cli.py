@@ -710,6 +710,23 @@ def test_a_knn_above_the_dictionary_words_exits_2_before_any_input_is_read(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("pyramid, length", [("a", 192), ("1x3", 72)])
+def test_evaluate_a_model_of_another_length_exits_2_before_the_manifest_is_read(
+    pyramid, length, workspace, stage_files, tmp_path, capsys
+):
+    """The flat model has dim 4 words x 6; a pyramid's encodings are longer.
+    The model and both lengths are named, and --manifest, which does not
+    exist here, is never read."""
+    args = _required_args("evaluate", workspace, stage_files, tmp_path / "out")
+    args[args.index("--manifest") + 1] = str(tmp_path / "no")
+    assert main(args + ["--pyramid", pyramid]) == 2
+    assert capsys.readouterr().err == (
+        f"vladkit: error: model {str(stage_files / 'm.vlm')!r} has dim 24, but --dict and"
+        f" --pyramid give encodings of length {length}\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
 def test_a_knn_above_64_fits_a_dictionary_of_more_words(workspace, tmp_path, capsys):
     """encode, train and evaluate check knn against the dictionary's word
     count, not against the config's default of 64 words."""

@@ -437,6 +437,54 @@ def test_stage_key_covers_exactly_the_declared_stage_fields(dataset, tmp_path):
         assert {n: (varied / n).read_bytes() for n in expected} == expected, name
 
 
+def test_cache_keys_hash_golden_text(monkeypatch, tmp_path):
+    """The text each key of the default config hashes, and the directory
+    names it gives: a change here renames every directory of every existing
+    work dir. Each manifest's key is stood in for by its name."""
+    hashed = []
+    fnv = pipeline.fnv1a64
+    monkeypatch.setattr(pipeline, "_manifest_key", lambda path: f"<{Path(path).name}>")
+    monkeypatch.setattr(pipeline, "fnv1a64", lambda data: hashed.append(data.decode()) or fnv(data))
+    stage, cache = cache_dirs(PipelineConfig(), "train.tsv", "test.tsv", tmp_path)
+    assert hashed == [
+        "layout = 2\n"
+        "epsilon = auto\n"
+        "max_iters = 100\n"
+        "pca_dim = auto\n"
+        "seed = 0\n"
+        "subsample = auto\n"
+        "tol = 0.0001\n"
+        "whiten = true\n"
+        "words = 64\n"
+        "<train.tsv>",
+        "edf2ac591b2ac34f"
+        "beta = 1.0\n"
+        "epochs = 50\n"
+        "knn = 5\n"
+        "lambda = 0.0001\n"
+        "mode = hard\n"
+        "norm_scheme = intra-then-global\n"
+        "pyramid = none\n"
+        "reg = 0.0001\n"
+        "sigma = 1.0\n"
+        "<test.tsv>",
+    ]
+    assert (stage.name, cache.name) == ("dict_edf2ac591b2ac34f", "cache_59b4d80ac15ad9fb")
+
+
+STAGES = ("whitening", "dictionary", "encoder", "classifier")
+
+
+def test_every_field_names_a_stage_and_the_stages_cover_every_key():
+    """A field without a stage would have no flag and, outside STAGE_FIELDS,
+    no say in the stage key."""
+    for f in fields(PipelineConfig):
+        assert f.metadata["stages"], f.name
+        assert set(f.metadata["stages"]) <= set(STAGES), f.name
+    keys = {key for stage in STAGES for key in pipeline.stage_keys(stage)}
+    assert keys == {line.split(" = ")[0] for line in config_to_text(PipelineConfig()).splitlines()}
+
+
 def test_leftover_tmp_dir_is_ignored_and_a_deleted_stage_rebuilt(dataset, tmp_path):
     train_path, test_path = dataset
     config = small_config(mode="sa")
