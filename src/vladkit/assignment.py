@@ -81,8 +81,14 @@ def weight_matrix(
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             s = np.exp(np.sqrt(d2) / config.sigma)
             penalty = config.lam * s * s
-        if not np.isfinite(penalty).all():
-            raise VladkitError(f"llc: exp(distance / sigma) overflows at sigma {config.sigma}")
+            if not np.isfinite(penalty).all():  # sigma if s * s overflows by itself, else lambda
+                if not np.isfinite(s * s).all():
+                    raise VladkitError(
+                        f"llc: exp(distance / sigma) overflows at sigma {config.sigma}"
+                    )
+                raise VladkitError(
+                    f"llc: lambda * exp(distance / sigma)^2 overflows at lambda {config.lam}"
+                )
         return _solve_affine_ls(centers[None, :, :] - x[:, None, :], penalty, "llc")
     rows = np.arange(x.shape[0])[:, None]
     if config.mode == "hard":

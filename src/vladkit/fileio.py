@@ -43,7 +43,7 @@ class FeatureMap:
 
     def __post_init__(self):
         if self.data.ndim != 3:
-            raise ValueError("feature map data must be H x W x D")
+            raise VladkitError("feature map data must be H x W x D")
         if not np.isfinite(self.data).all():
             raise VladkitError("feature map contains NaN/Inf")
 
@@ -78,9 +78,10 @@ class DatasetManifest:
         return np.array([label for _, label in self.entries], dtype=int)
 
 
-def _read_container(path, magic: bytes, n_header: int):
-    """Return (header ints, float32 payload). Payload length is validated by
-    the caller, but trailing garbage is rejected here."""
+def _read_container(path, magic: bytes, n_header: int, size):
+    """Return (header ints, float32 payload) once every container rule holds:
+    the magic, a whole header, whole floats, every header field at least 1,
+    and a payload of exactly size(*header) floats, each finite."""
     with open(path, "rb") as f:  # not Path(path): Path("") is "." and hides the name given
         data = f.read()
     if data[:4] != magic:
@@ -90,18 +91,15 @@ def _read_container(path, magic: bytes, n_header: int):
         raise VladkitError(f"{path}: header needs {start} bytes, file has {len(data)}")
     if (len(data) - start) % 4 != 0:
         raise VladkitError(f"{path}: payload not a whole number of floats")
-    header = list(struct.unpack_from(f"<{n_header}I", data, 4))
-    return header, np.frombuffer(data, dtype="<f4", offset=start)
-
-
-def _check_payload(path, floats: np.ndarray, expected: int) -> np.ndarray:
-    if floats.size != expected:
-        raise VladkitError(
-            f"{path}: expected {expected} floats, found {floats.size}"
-        )
+    header = struct.unpack_from(f"<{n_header}I", data, 4)
+    if min(header) < 1:
+        raise VladkitError(f"{path}: non-positive header {'x'.join(map(str, header))}")
+    floats = np.frombuffer(data, dtype="<f4", offset=start)
+    if floats.size != size(*header):
+        raise VladkitError(f"{path}: expected {size(*header)} floats, found {floats.size}")
     if not np.isfinite(floats).all():
         raise VladkitError(f"{path}: payload contains NaN/Inf")
-    return floats
+    return header, floats
 
 
 def _write_container(path, magic: bytes, header: list[int], *parts: np.ndarray):
@@ -121,10 +119,8 @@ def _write_container(path, magic: bytes, header: list[int], *parts: np.ndarray):
 # -- feature maps ------------------------------------------------------------
 
 def read_feature_map(path) -> FeatureMap:
-    (h, w, d), floats = _read_container(path, b"VLF1", 3)
-    if h < 1 or w < 1 or d < 1:
-        raise VladkitError(f"{path}: non-positive dimensions {h}x{w}x{d}")
-    return FeatureMap(_check_payload(path, floats, h * w * d).reshape(h, w, d))
+    (h, w, d), floats = _read_container(path, b"VLF1", 3, lambda h, w, d: h * w * d)
+    return FeatureMap(floats.reshape(h, w, d))
 
 
 def write_feature_map(fmap: FeatureMap, path) -> None:
@@ -135,10 +131,8 @@ def write_feature_map(fmap: FeatureMap, path) -> None:
 
 def read_dictionary(path) -> np.ndarray:
     """Returns the (M, D) centers matrix."""
-    (m, d), floats = _read_container(path, b"VLD1", 2)
-    if m < 1 or d < 1:
-        raise VladkitError(f"{path}: non-positive dictionary shape {m}x{d}")
-    return _check_payload(path, floats, m * d).reshape(m, d)
+    (m, d), floats = _read_container(path, b"VLD1", 2, lambda m, d: m * d)
+    return floats.reshape(m, d)
 
 
 def write_dictionary(centers: np.ndarray, path) -> None:
@@ -150,10 +144,9 @@ def write_dictionary(centers: np.ndarray, path) -> None:
 
 def read_whitening(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (mean, projection) with projection shaped (D_out, D_in)."""
-    (d_in, d_out), floats = _read_container(path, b"VLW1", 2)
-    if d_in < 1 or d_out < 1 or d_out > d_in:
+    (d_in, d_out), floats = _read_container(path, b"VLW1", 2, lambda i, o: i + o * i)
+    if d_out > d_in:
         raise VladkitError(f"{path}: bad whitening dims {d_in}->{d_out}")
-    floats = _check_payload(path, floats, d_in + d_out * d_in)
     return floats[:d_in], floats[d_in:].reshape(d_out, d_in)
 
 
@@ -171,8 +164,7 @@ def write_whitening(mean: np.ndarray, projection: np.ndarray, path) -> None:
 # -- encodings ---------------------------------------------------------------
 
 def read_encoding(path) -> np.ndarray:
-    (n,), floats = _read_container(path, b"VLE1", 1)
-    return _check_payload(path, floats, n)
+    return _read_container(path, b"VLE1", 1, lambda n: n)[1]
 
 
 def write_encoding(values: np.ndarray, path) -> None:
@@ -184,10 +176,8 @@ def write_encoding(values: np.ndarray, path) -> None:
 
 def read_model(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (weights, biases) with weights shaped (C, dim)."""
-    (c, dim), floats = _read_container(path, b"VLM1", 2)
-    if c < 1 or dim < 1:
-        raise VladkitError(f"{path}: bad model shape C={c}, dim={dim}")
-    rows = _check_payload(path, floats, c * (dim + 1)).reshape(c, dim + 1)
+    (c, dim), floats = _read_container(path, b"VLM1", 2, lambda c, dim: c * (dim + 1))
+    rows = floats.reshape(c, dim + 1)
     return rows[:, :dim], rows[:, dim]
 
 

@@ -54,7 +54,7 @@ def vlad_normalize(
     elif scheme == "signed-sqrt-then-global":
         raw = np.sign(raw) * np.sqrt(np.abs(raw))
     elif scheme != "global-only":
-        raise ValueError(f"unknown normalization scheme {scheme!r}")
+        raise VladkitError(f"unknown normalization scheme {scheme!r}")
     return l2_normalize(raw, out=out)
 
 

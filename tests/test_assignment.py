@@ -214,6 +214,12 @@ def test_llc_1d_affine_hand():
     assert np.allclose(a, [0.75, 0.25], atol=1e-6)
 
 
+def test_llc_one_word_weights_every_descriptor_one():
+    d = Dictionary(centers=np.array([[0.5, -1.0]]))
+    x = np.random.default_rng(0).standard_normal((5, 2))
+    assert weight_matrix(d, x, PipelineConfig(mode="llc")).tolist() == [[1.0]] * 5
+
+
 def test_llc_beats_random_feasible_points():
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -45,6 +45,11 @@ def test_too_few_classes():
         train_ovr(np.zeros((5, 2)), np.zeros(5, dtype=int), PipelineConfig())
 
 
+def test_encodings_and_labels_of_different_lengths():
+    with pytest.raises(VladkitError, match="encodings and labels disagree in length"):
+        train_ovr(np.zeros((5, 2)), np.array([0, 1, 0, 1]), PipelineConfig())
+
+
 def test_predict_hand_scores():
     model = LinearModel(weights=np.eye(2), biases=np.zeros(2))
     labels, scores = predict(model, np.array([[2.0, 1.0], [0.5, 3.0]]))

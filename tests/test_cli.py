@@ -907,6 +907,17 @@ def test_encode_llc_with_a_sigma_too_small_blames_sigma(workspace, stage_files, 
     assert not out.exists()
 
 
+def test_encode_llc_with_a_lambda_too_large_blames_lambda(workspace, stage_files, tmp_path, capsys):
+    out = tmp_path / "e.vle"
+    args = _required_args("encode", workspace, stage_files, out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning first
+        assert main(args + ["--mode", "llc", "--lambda", "1e308"]) == 2
+    assert "overflows at lambda 1e+308" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--mode", "llc", "--lambda", "1e300"]) == 0
+
+
 def test_manifest_of_mixed_descriptor_dims_exits_2(tmp_path, capsys):
     for name, dim in (("a.vlf", 2), ("b.vlf", 3)):
         fmap = fileio.FeatureMap(np.ones((2, 2, dim), dtype=np.float32))

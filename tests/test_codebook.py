@@ -34,6 +34,15 @@ def test_init_too_few_points():
         kmeans_init_plusplus(np.zeros((2, 2)), 3, seed=0)
 
 
+def test_init_takes_the_lowest_unchosen_point_once_every_point_coincides():
+    # Four coincident points, every distance 0, told apart by the signs of their zeros.
+    data = np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+    for seed in range(8):
+        centers = kmeans_init_plusplus(data, 3, seed=seed)
+        chosen = [int(np.signbit(row) @ [2, 1]) for row in centers]
+        assert chosen[1:] == [i for i in range(4) if i != chosen[0]][:2]
+
+
 def test_init_separated_clusters_monte_carlo():
     # Two tight, far-apart clusters: k-means++ should pick one center from
     # each with overwhelming probability.

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -68,6 +69,59 @@ def test_nan_refused_on_read(tmp_path):
     path.write_bytes(b"VLF1" + struct.pack("<III", 1, 1, 1) + struct.pack("<f", float("nan")))
     with pytest.raises(VladkitError, match="m.vlf: payload contains NaN/Inf"):
         fileio.read_feature_map(path)
+
+
+# Each container kind: its magic, a valid header, its float count given a header, and its reader.
+KINDS = {
+    "vlf": (b"VLF1", (2, 1, 3), lambda h, w, d: h * w * d, fileio.read_feature_map),
+    "vld": (b"VLD1", (2, 3), lambda m, d: m * d, fileio.read_dictionary),
+    "vlw": (b"VLW1", (3, 2), lambda d_in, d_out: d_in + d_out * d_in, fileio.read_whitening),
+    "vle": (b"VLE1", (6,), lambda n: n, fileio.read_encoding),
+    "vlm": (b"VLM1", (2, 2), lambda c, dim: c * (dim + 1), fileio.read_model),
+}
+
+
+def container(magic, header, floats):
+    return magic + struct.pack(f"<{len(header)}I", *header) + np.array(floats, "<f4").tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_reader_refuses_a_zero_header_a_short_payload_and_a_nan(kind, tmp_path):
+    magic, header, size, read = KINDS[kind]
+    path = tmp_path / f"c.{kind}"
+    n = size(*header)
+    path.write_bytes(container(magic, header, [0.5] * n))
+    read(path)
+    bad = [(container(magic, header, [0.5] * (n - 1)), f"expected {n} floats, found {n - 1}"),
+           (container(magic, header, [0.5] * (n - 1) + [float("nan")]), "payload contains NaN/Inf")]
+    # A zero in each field in turn, with as many floats as that header counts:
+    # for the encoding, a zero-length .vle.
+    for i in range(len(header)):
+        zero = header[:i] + (0,) + header[i + 1:]
+        bad.append((container(magic, zero, [0.5] * size(*zero)), "non-positive header"))
+    for data, message in bad:
+        path.write_bytes(data)
+        with pytest.raises(VladkitError, match=re.escape(f"{path}: {message}")):
+            read(path)
+
+
+def test_whitening_with_more_outputs_than_inputs_is_refused(tmp_path):
+    path = tmp_path / "t.vlw"
+    path.write_bytes(container(b"VLW1", (2, 3), [0.5] * 8))
+    with pytest.raises(VladkitError, match="t.vlw: bad whitening dims 2->3"):
+        fileio.read_whitening(path)
+
+
+def test_feature_map_of_other_than_three_axes_is_refused():
+    with pytest.raises(VladkitError, match="feature map data must be H x W x D"):
+        FeatureMap(np.zeros((2, 2), dtype=np.float32))
+
+
+def test_write_whitening_refuses_a_mean_of_another_length(tmp_path):
+    path = tmp_path / "t.vlw"
+    with pytest.raises(VladkitError, match="mean length 3 does not match projection D_in 4"):
+        fileio.write_whitening(np.zeros(3), np.eye(2, 4), path)
+    assert not path.exists()
 
 
 def test_feature_map_roundtrip_bytes(tmp_path):

@@ -136,6 +136,11 @@ def test_normalize_unit_norm_all_schemes():
         assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
 
+def test_normalize_unknown_scheme_is_refused():
+    with pytest.raises(VladkitError, match="unknown normalization scheme 'l1'"):
+        vlad_normalize(np.ones(4), 2, 2, "l1")
+
+
 def test_signed_sqrt_values():
     raw = np.array([4.0, -9.0])
     out = vlad_normalize(raw, 1, 2, "signed-sqrt-then-global")
