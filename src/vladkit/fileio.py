@@ -10,8 +10,11 @@ file. The five magics are
     VLE1  encoding         (length, then floats)
     VLM1  linear model     (C, dim, then C*(dim+1) floats, weights then bias)
 
-A reader returns read-only float32 views of the bytes it read, and a writer
-writes from the caller's arrays; `pipeline`'s `load_*` helpers widen to
+A reader reads the header, then the payload straight into a float32 array,
+with no file object or bytes buffer in between: a new array, made read-only,
+or the caller's own (`read_encoding(path, out)`). A writer writes from the
+caller's arrays. Readers and writers apply one rule set, so no writer writes
+a container that a reader refuses. `pipeline`'s `load_*` helpers widen to
 float64.
 
 Manifests are UTF-8 text, one "path<TAB>label" per line, LF endings. A
@@ -20,8 +23,10 @@ relative path is read from the directory of the manifest file.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,27 +83,46 @@ class DatasetManifest:
         return np.array([label for _, label in self.entries], dtype=int)
 
 
-def _read_container(path, magic: bytes, n_header: int, size):
+def _read_container(path, magic: bytes, n_header: int, size, out=None):
     """Return (header ints, float32 payload) once every container rule holds:
     the magic, a whole header, whole floats, every header field at least 1,
-    and a payload of exactly size(*header) floats, each finite."""
-    with open(path, "rb") as f:  # not Path(path): Path("") is "." and hides the name given
-        data = f.read()
-    if data[:4] != magic:
-        raise VladkitError(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+    and a payload of exactly size(*header) floats, each finite. The payload
+    is read straight into out when out is a float32 array of that many
+    floats, and into a new read-only array otherwise."""
     start = 4 + 4 * n_header
-    if len(data) < start:
-        raise VladkitError(f"{path}: header needs {start} bytes, file has {len(data)}")
-    if (len(data) - start) % 4 != 0:
-        raise VladkitError(f"{path}: payload not a whole number of floats")
-    header = struct.unpack_from(f"<{n_header}I", data, 4)
-    if min(header) < 1:
-        raise VladkitError(f"{path}: non-positive header {'x'.join(map(str, header))}")
-    floats = np.frombuffer(data, dtype="<f4", offset=start)
-    if floats.size != size(*header):
-        raise VladkitError(f"{path}: expected {size(*header)} floats, found {floats.size}")
+    fd = os.open(path, os.O_RDONLY)  # not Path(path): Path("") is "." and hides the name given
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):  # which open() refuses by name, and os.open opens
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        # A pipe or device has no size, and one read stops at 2 GiB: such a file is read whole.
+        whole = not stat.S_ISREG(info.st_mode) or info.st_size > 1 << 30
+        data = b"".join(iter(lambda: os.read(fd, 1 << 20), b"")) if whole else os.read(fd, start)
+        length = len(data) if whole else info.st_size
+        if data[:4] != magic:
+            raise VladkitError(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+        if len(data) < start:
+            raise VladkitError(f"{path}: header needs {start} bytes, file has {length}")
+        if (length - start) % 4 != 0:
+            raise VladkitError(f"{path}: payload not a whole number of floats")
+        header = struct.unpack_from(f"<{n_header}I", data, 4)
+        if min(header) < 1:
+            raise VladkitError(f"{path}: non-positive header {'x'.join(map(str, header))}")
+        n = size(*header)
+        if (length - start) // 4 != n:
+            raise VladkitError(f"{path}: expected {n} floats, found {(length - start) // 4}")
+        fits = out is not None and out.dtype == "<f4" and out.size == n
+        floats = out if fits else np.empty(n, "<f4")
+        if whole:
+            floats[:] = np.frombuffer(data, "<f4", offset=start)
+        elif os.readv(fd, [floats]) != floats.nbytes:
+            raise VladkitError(f"{path}: file shrank while read")
+    finally:
+        os.close(fd)
     if not np.isfinite(floats).all():
         raise VladkitError(f"{path}: payload contains NaN/Inf")
+    if not fits:
+        floats.flags.writeable = False
     return header, floats
 
 
@@ -106,7 +130,11 @@ def _write_container(path, magic: bytes, header: list[int], *parts: np.ndarray):
     """Write the magic and u32 header, then each part's floats in order. A
     part is written from its own buffer: a little-endian float32 array
     without a copy, anything else after one conversion. Nothing is written
-    if any part holds a NaN or Inf."""
+    if a header field is below 1 or any part holds a NaN or Inf, the
+    containers that _read_container refuses."""
+    if min(header) < 1:
+        raise VladkitError(
+            f"refusing to write non-positive header {'x'.join(map(str, header))} to {path}")
     parts = [np.ascontiguousarray(part, dtype="<f4") for part in parts]
     if not all(np.isfinite(part).all() for part in parts):
         raise VladkitError(f"refusing to write non-finite payload to {path}")
@@ -163,8 +191,9 @@ def write_whitening(mean: np.ndarray, projection: np.ndarray, path) -> None:
 
 # -- encodings ---------------------------------------------------------------
 
-def read_encoding(path) -> np.ndarray:
-    return _read_container(path, b"VLE1", 1, lambda n: n)[1]
+def read_encoding(path, out=None) -> np.ndarray:
+    """The encoding's floats: in out when out fits them, else in a new array."""
+    return _read_container(path, b"VLE1", 1, lambda n: n, out)[1]
 
 
 def write_encoding(values: np.ndarray, path) -> None:

@@ -300,11 +300,12 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(PipelineConfig) if f.name not in S
 
 
 def _manifest_key(path) -> str:
-    """16 hex digits over a manifest's bytes and the directory its relative
-    entries are read from."""
+    """16 hex digits, a BLAKE2b digest, over a manifest's bytes and the
+    directory its relative entries are read from."""
+    import hashlib  # not at the top: it loads OpenSSL, about 5 ms on every `import vladkit`
     path = Path(path)
     payload = path.read_bytes() + b"\0" + bytes(path.parent.resolve()) + b"\0"
-    return f"{fnv1a64(payload):016x}"
+    return hashlib.blake2b(payload, digest_size=8).hexdigest()
 
 
 def cache_dirs(config: PipelineConfig, train_path, test_path, work_dir) -> tuple[Path, Path]:
@@ -320,9 +321,10 @@ def cache_dirs(config: PipelineConfig, train_path, test_path, work_dir) -> tuple
     return work_dir / f"dict_{stage_key}", work_dir / f"cache_{fnv1a64(payload.encode()):016x}"
 
 
-def _test_encoding_paths(cache: Path, manifest: DatasetManifest) -> list[Path]:
-    """One `.vle` per test image, in manifest order."""
-    return [cache / "enc_test" / f"{idx:06d}.vle" for idx in range(len(manifest.entries))]
+def _test_encoding_paths(cache: Path, manifest: DatasetManifest) -> list[str]:
+    """One `.vle` per test image, in manifest order, joined as text: a warm
+    run reads each one, and two Path joins cost nearly as much as that read."""
+    return [f"{cache}/enc_test/{idx:06d}.vle" for idx in range(len(manifest.entries))]
 
 
 def _published(directory: Path, build, *args) -> None:
@@ -397,10 +399,10 @@ def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> Eva
     paths = _test_encoding_paths(cache, test_manifest)
     test_x = np.empty((len(paths), model.dim), np.float32)
     for row, path in zip(test_x, paths):
-        values = fileio.read_encoding(path)
+        values = fileio.read_encoding(path, row)  # a file of another length is not read into row
         if values.size != model.dim:
-            raise VladkitError(f"cached model dim {model.dim} != {path.name} length {values.size}")
-        row[:] = values
+            raise VladkitError(
+                f"cached model dim {model.dim} != {path.rpartition('/')[2]} length {values.size}")
     return evaluate(model, test_x, test_manifest.labels())
 
 

@@ -1071,3 +1071,16 @@ def test_empty_manifest_or_config_path_exits_2(args, workspace, tmp_path, monkey
     err = capsys.readouterr().err
     assert "empty path ''" in err and "Is a directory" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config"]
+
+
+@pytest.mark.parametrize("flag", ["--in", "--dict", "--transform"])
+def test_a_directory_given_as_an_encode_input_exits_2_naming_it(
+    flag, workspace, stage_files, tmp_path, capsys
+):
+    """A reader opens its file with os.open, which opens a directory too; the
+    directory is refused as open() refuses it, by name."""
+    args = _required_args("encode", workspace, stage_files, tmp_path / "out")
+    args[args.index(flag) + 1] = str(stage_files)
+    assert main(args) == 2
+    assert f"Is a directory: {str(stage_files)!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1,5 +1,7 @@
+import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -180,6 +182,57 @@ def test_read_encoding_returns_a_view_of_the_bytes_read(tmp_path):
     assert traced_peak(lambda: fileio.read_encoding(path)) < 1.5 * values.nbytes
     read = fileio.read_encoding(path)
     assert read.dtype == np.float32 and not read.flags.writeable
+
+
+def test_read_encoding_fills_a_buffer_that_fits_and_only_that(tmp_path):
+    path = tmp_path / "e.vle"
+    fileio.write_encoding(np.arange(6, dtype=np.float32), path)
+    rows = np.zeros((2, 6), np.float32)
+    assert fileio.read_encoding(path, rows[1]) is not None
+    assert rows.tolist() == [[0.0] * 6, list(range(6))]
+    # A buffer of another length, or of another dtype, is left alone: the
+    # floats come back in a new read-only array.
+    for out in (np.zeros(5, np.float32), np.zeros(6, np.float64)):
+        values = fileio.read_encoding(path, out)
+        assert values is not out and not out.any()
+        assert values.tolist() == list(range(6)) and not values.flags.writeable
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_container_is_read_from_a_pipe_to_its_end(tmp_path):
+    """A pipe has no size to read the payload by, unlike a regular file."""
+    values = np.arange(3000, dtype=np.float32)  # more bytes than one pipe buffer holds
+    fileio.write_encoding(values, tmp_path / "e.vle")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    data = (tmp_path / "e.vle").read_bytes()
+    # A daemon: a writer whose pipe no reader opens must not hold the test run open.
+    writer = threading.Thread(target=lambda: pipe.write_bytes(data), daemon=True)
+    writer.start()
+    try:
+        read = fileio.read_encoding(pipe)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert np.array_equal(read, values) and not read.flags.writeable
+
+
+# Each writer given a zero-sized array, whose container a reader refuses.
+ZERO_SIZED = {
+    "feature_map": lambda p: fileio.write_feature_map(FeatureMap(np.zeros((0, 2, 3), "f4")), p),
+    "dictionary": lambda p: fileio.write_dictionary(np.zeros((0, 3)), p),
+    "whitening": lambda p: fileio.write_whitening(np.zeros(0), np.zeros((0, 0)), p),
+    "encoding": lambda p: fileio.write_encoding(np.array([]), p),
+    "model": lambda p: fileio.write_model(np.zeros((0, 3)), np.zeros(0), p),
+}
+
+
+@pytest.mark.parametrize("write", ZERO_SIZED.values(), ids=ZERO_SIZED.keys())
+def test_writers_refuse_a_zero_sized_array_and_leave_no_file(write, tmp_path):
+    path = tmp_path / "c"
+    with pytest.raises(VladkitError, match="refusing to write non-positive header"):
+        write(path)
+    assert not path.exists()
 
 
 def test_writers_write_from_the_callers_array(tmp_path):

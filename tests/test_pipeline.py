@@ -249,6 +249,22 @@ def test_pipeline_cached_encoding_of_another_length_detected(dataset, tmp_path):
         run_pipeline(config, train_path, test_path, tmp_path)
 
 
+def test_a_warm_run_reads_each_test_encoding_once(dataset, tmp_path, monkeypatch):
+    """One read_encoding call per test image, straight into its row, so a
+    tracer that counts the calls counts the reads."""
+    train_path, test_path = dataset
+    config = small_config(mode="sa")
+    cold = run_pipeline(config, train_path, test_path, tmp_path)
+    calls = []
+    read = fileio.read_encoding
+    monkeypatch.setattr(fileio, "read_encoding", lambda *a: calls.append(a) or read(*a))
+    warm = run_pipeline(config, train_path, test_path, tmp_path)
+    assert warm.accuracy == cold.accuracy and np.array_equal(warm.confusion, cold.confusion)
+    names = [Path(path).name for path, _ in calls]
+    assert names == [f"{i:06d}.vle" for i in range(len(fileio.load_manifest(test_path).entries))]
+    assert all(row.base is calls[0][1].base for _, row in calls)
+
+
 @pytest.mark.parametrize("pyramid", [None, "a", "c"])
 def test_encode_manifest_fills_one_float32_matrix_with_each_rounded_encoding(
     pyramid, dataset, tmp_path
