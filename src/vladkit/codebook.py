@@ -38,13 +38,12 @@ def squared_distances(data: np.ndarray, centers: np.ndarray, data_norms=None) ->
     """Pairwise squared Euclidean distances, (N, M). Clamped at zero to guard
     against tiny negative values from the expansion formula. data_norms, the
     rows' np.sum(data * data, axis=1), may be passed in to skip that pass.
-    The expansion runs in place on the one (N, M) product, so no scaled copy
-    of the data is made; scaling by -2 is exact, so the values are those of
+    The -2 scales the (M, D) centers, not the (N, M) product, on which the
+    rest runs in place; scaling by -2 is exact, so the values are those of
     norms - 2 * data @ centers.T + center norms, bit for bit."""
     if data_norms is None:
         data_norms = np.sum(data * data, axis=1)
-    d2 = data @ centers.T
-    d2 *= -2.0
+    d2 = data @ (-2.0 * centers).T
     d2 += data_norms[:, None]
     d2 += np.sum(centers * centers, axis=1)
     return np.maximum(d2, 0.0, out=d2)

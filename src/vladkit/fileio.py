@@ -144,6 +144,16 @@ def _write_container(path, magic: bytes, header: list[int], *parts: np.ndarray):
             f.write(part)
 
 
+def _axes(path, name: str, array, ndim: int) -> np.ndarray:
+    """array as an ndarray, refused unless it has ndim axes: the writers'
+    headers are their arrays' shapes."""
+    array = np.asarray(array)
+    if array.ndim != ndim:
+        raise VladkitError(
+            f"refusing to write {name} of shape {array.shape} to {path}: expected {ndim} axes")
+    return array
+
+
 # -- feature maps ------------------------------------------------------------
 
 def read_feature_map(path) -> FeatureMap:
@@ -164,7 +174,7 @@ def read_dictionary(path) -> np.ndarray:
 
 
 def write_dictionary(centers: np.ndarray, path) -> None:
-    centers = np.asarray(centers)
+    centers = _axes(path, "centers", centers, 2)
     _write_container(path, b"VLD1", list(centers.shape), centers)
 
 
@@ -179,13 +189,12 @@ def read_whitening(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_whitening(mean: np.ndarray, projection: np.ndarray, path) -> None:
-    mean = np.asarray(mean)
-    projection = np.asarray(projection)
+    mean = _axes(path, "mean", mean, 1)
+    projection = _axes(path, "projection", projection, 2)
     d_out, d_in = projection.shape
-    if mean.size != d_in:
-        raise VladkitError(
-            f"mean length {mean.size} does not match projection D_in {d_in}"
-        )
+    if len(mean) != d_in:
+        raise VladkitError(f"refusing to write {path}: mean length {len(mean)} "
+                           f"does not match projection D_in {d_in}")
     _write_container(path, b"VLW1", [d_in, d_out], mean, projection)
 
 
@@ -211,9 +220,12 @@ def read_model(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_model(weights: np.ndarray, biases: np.ndarray, path) -> None:
-    weights = np.asarray(weights)
-    biases = np.asarray(biases).reshape(-1, 1)
-    rows = np.hstack([weights, biases])
+    weights = _axes(path, "weights", weights, 2)
+    biases = _axes(path, "biases", biases, 1)
+    if len(biases) != len(weights):
+        raise VladkitError(
+            f"refusing to write {path}: {len(biases)} biases for {len(weights)} rows of weights")
+    rows = np.hstack([weights, biases[:, None]])
     _write_container(path, b"VLM1", list(weights.shape), rows)
 
 

@@ -7,13 +7,17 @@ preallocated encoding, then it is globally L2-normalized. Empty regions
 keep an all-zero segment.
 encode_spm takes a batch of maps of one shape. A descriptor's whitened form
 and weights do not depend on its region, so each image is whitened and
-assigned once, and each region is aggregated and normalized once for the
-batch: one (N, P, M)^T (N, P, D) product over the region's P cells.
+assigned once. Each run of consecutive non-empty regions of one cell count,
+which may cross levels, is then encoded by one encode_descriptors call over
+the stacked cells of its regions, each region's in the row-major order that
+a call of its own takes, so that every segment is the same bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -114,9 +118,25 @@ def encode_spm(
         w.reshape(-1, dictionary.num_words)[:] = vlad.weight_matrix(dictionary, descriptors, config)
         x.reshape(-1, dictionary.dim)[:] = descriptors
     segments = encodings.reshape(n, spec.total_regions, -1)
-    for r, (rows, cols) in enumerate(region_slices(height, width, spec)):
-        region = x_grid[:, rows, cols].reshape(n, -1, dictionary.dim)
-        if region.shape[1]:
-            weights = w_grid[:, rows, cols].reshape(n, -1, dictionary.num_words)
-            encode_descriptors(dictionary, region, weights, config.norm_scheme, segments[:, r])
+    stop = 0
+    for cells, run in itertools.groupby(region_slices(height, width, spec), _cell_count):
+        start, stop = stop, stop + len(run := list(run))
+        if cells:
+            x, w = (_stack(grid, run, cells) for grid in (x_grid, w_grid))
+            encode_descriptors(dictionary, x, w, config.norm_scheme, segments[:, start:stop])
     return l2_normalize(encodings, out=encodings)
+
+
+def _cell_count(region: tuple[slice, slice]) -> int:
+    return math.prod(part.stop - part.start for part in region)
+
+
+def _stack(grid: np.ndarray, run: list[tuple[slice, slice]], cells: int) -> np.ndarray:
+    """A run's R regions of an (n, H, W, K) grid as one (n, R, cells, K) array."""
+    n, k = grid.shape[0], grid.shape[-1]
+    if len(run) == 1:  # a view where a reshape allows it: a 1x1 level copies nothing
+        return grid[:, run[0][0], run[0][1]].reshape(n, 1, cells, k)
+    stack = np.empty((n, len(run), cells, k))
+    for region, (rows, cols) in zip(stack.swapaxes(0, 1), run):
+        region.reshape(n, rows.stop - rows.start, -1, k)[:] = grid[:, rows, cols]
+    return stack

@@ -235,6 +235,31 @@ def test_writers_refuse_a_zero_sized_array_and_leave_no_file(write, tmp_path):
     assert not path.exists()
 
 
+# Each writer given an array of the wrong number of axes, or a model's biases
+# of another length than its weights' rows: a header that no reader accepts,
+# or no header at all.
+WRONG_AXES = {
+    "dictionary-1d": lambda p: fileio.write_dictionary(np.ones(3), p),
+    "dictionary-3d": lambda p: fileio.write_dictionary(np.ones((2, 2, 2)), p),
+    "dictionary-0d": lambda p: fileio.write_dictionary(np.array(1.0), p),
+    "model-1d-weights": lambda p: fileio.write_model(np.ones(3), np.ones(1), p),
+    "model-3d-weights": lambda p: fileio.write_model(np.ones((2, 2, 2)), np.ones(2), p),
+    "model-short-biases": lambda p: fileio.write_model(np.ones((3, 2)), np.ones(2), p),
+    "model-2d-biases": lambda p: fileio.write_model(np.ones((3, 2)), np.ones((3, 3)), p),
+    "whitening-1d-projection": lambda p: fileio.write_whitening(np.ones(3), np.ones(3), p),
+    "whitening-3d-projection":
+        lambda p: fileio.write_whitening(np.ones(2), np.ones((1, 2, 2)), p),
+}
+
+
+@pytest.mark.parametrize("write", WRONG_AXES.values(), ids=WRONG_AXES.keys())
+def test_writers_refuse_arrays_of_the_wrong_axes_and_leave_no_file(write, tmp_path):
+    path = tmp_path / "c"
+    with pytest.raises(VladkitError, match=f"refusing to write .*{re.escape(str(path))}"):
+        write(path)
+    assert not path.exists()
+
+
 def test_writers_write_from_the_callers_array(tmp_path):
     # tobytes() copied every payload once more, and write_whitening first
     # concatenated its two parts.

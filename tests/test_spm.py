@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,10 +203,10 @@ def test_encode_spm_matches_region_by_region_encoding(mode, whiten):
 def test_encode_spm_whitens_and_assigns_once_per_image(monkeypatch):
     """The per-image work runs through the module attributes a caller can
     wrap: per call, one whitening and one weight matrix over each image's H*W
-    descriptors, and one encode_descriptors per non-empty region over all the
-    images."""
+    descriptors, and one encode_descriptors per run of consecutive non-empty
+    regions of one cell count, over (n, R, P) stacks of all the images."""
     rows = {"weight_matrix": [], "apply_whitening_batch": []}
-    regions = []
+    runs = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -213,9 +215,12 @@ def test_encode_spm_whitens_and_assigns_once_per_image(monkeypatch):
             return result
         return wrapper
 
-    def encode_region(*args, **kwargs):
-        regions.append(args[1].shape[:2])
-        return encode_descriptors(*args, **kwargs)
+    def encode_run(dictionary, x, w, *args, **kwargs):
+        assert w.shape == (*x.shape[:3], dictionary.num_words)
+        # each region's cells a row-major matrix, as a call of its own gets them
+        assert x.strides[2:] == (8 * dictionary.dim, 8) and w.strides[2:] == (8 * w.shape[3], 8)
+        runs.append(x.shape[:3])
+        return encode_descriptors(dictionary, x, w, *args, **kwargs)
 
     monkeypatch.setattr(
         "vladkit.vlad.weight_matrix", counted("weight_matrix", vladkit.vlad.weight_matrix)
@@ -224,20 +229,68 @@ def test_encode_spm_whitens_and_assigns_once_per_image(monkeypatch):
         "vladkit.spm.apply_whitening_batch",
         counted("apply_whitening_batch", vladkit.spm.apply_whitening_batch),
     )
-    monkeypatch.setattr("vladkit.spm.encode_descriptors", encode_region)
+    monkeypatch.setattr("vladkit.spm.encode_descriptors", encode_run)
 
     rng = np.random.default_rng(10)
     transform = fit_whitening(rng.standard_normal((50, 3)))
     d = Dictionary(centers=rng.standard_normal((4, 3)))
     config = PipelineConfig(mode="sa")
     spec = parse_pyramid("c")
-    for h, w in ((8, 8), (2, 3)):
+    # (regions, cells) of each run. 8x8: the levels' 1 x 64, 4 x 16 and 16 x 4
+    # cells. 2x3: 6 cells; the 2x2 level's 1, 2, 1 and 2; then the 4x4 level's
+    # non-empty regions, two runs of three single cells between empty ones.
+    expected_runs = {
+        (8, 8): [(1, 64), (4, 16), (16, 4)],
+        (2, 3): [(1, 6), (1, 1), (1, 2), (1, 1), (1, 2), (3, 1), (3, 1)],
+    }
+    for (h, w), expected in expected_runs.items():
         for n in (1, 3):
-            for counts in (*rows.values(), regions):
+            for counts in (*rows.values(), runs):
                 counts.clear()
             fmaps = [grid_map(rng, h, w, 3) for _ in range(n)]
             encode_spm(fmaps, d, transform, config, spec)
             assert rows == {"weight_matrix": [h * w] * n, "apply_whitening_batch": [h * w] * n}
-            sizes = [fmaps[0].data[s][..., 0].size for s in region_slices(h, w, spec)]
-            assert regions == [(n, size) for size in sizes if size]
-    assert len(regions) == 11  # 2x3 grid: 1 + 4 + the 6 non-empty cells of the 4x4 level
+            assert runs == [(n, *run) for run in expected], (h, w, n)
+
+
+def encode_spm_per_region(fmaps, dictionary, transform, config, spec):
+    """encode_spm with one encode_descriptors call per non-empty region over
+    the batch, each region's cells taken in row-major order."""
+    n, h, w = len(fmaps), fmaps[0].height, fmaps[0].width
+    descriptors = [fmap.descriptors().astype(np.float64) for fmap in fmaps]
+    if transform is not None:
+        descriptors = [apply_whitening_batch(transform, x) for x in descriptors]
+    weights = [weight_matrix(dictionary, x, config) for x in descriptors]
+    x_grid = np.stack(descriptors).reshape(n, h, w, -1)
+    w_grid = np.stack(weights).reshape(n, h, w, -1)
+    encodings = np.zeros((n, spec.encoding_length(dictionary)))
+    segments = encodings.reshape(n, spec.total_regions, -1)
+    for r, (rows, cols) in enumerate(region_slices(h, w, spec)):
+        region = x_grid[:, rows, cols].reshape(n, -1, dictionary.dim)
+        if region.shape[1]:
+            region_weights = w_grid[:, rows, cols].reshape(n, -1, dictionary.num_words)
+            encode_descriptors(
+                dictionary, region, region_weights, config.norm_scheme, segments[:, r])
+    return l2_normalize(encodings, out=encodings)
+
+
+@pytest.mark.parametrize("scheme", vladkit.vlad.NORM_SCHEMES)
+@pytest.mark.parametrize("mode", list(MODE_CONFIGS))
+def test_encode_spm_equals_one_call_per_region_bit_for_bit(mode, scheme):
+    """Encoding a run of regions in one call changes no bit of any segment.
+    8x8 with pyramid a: the 2x2 level's regions and the 3x1 level's first
+    2x8 region (floor rows 0-2, 2-5, 5-8) all have 16 cells, one run across
+    two levels and two region shapes. 5x7 with 3x3: one level's regions of
+    several shapes. 2x3 with 4x4: empty regions between runs."""
+    rng = np.random.default_rng(12)
+    transform = fit_whitening(rng.standard_normal((60, 4)))
+    d = Dictionary(centers=rng.standard_normal((5, 4)) * 0.5)
+    config = dataclasses.replace(MODE_CONFIGS[mode], norm_scheme=scheme)
+    for (h, w), name in (((8, 8), "a"), ((5, 7), "3x3"), ((2, 3), "4x4")):
+        spec = parse_pyramid(name)
+        for n in (1, 3):
+            fmaps = [grid_map(rng, h, w, 4) for _ in range(n)]
+            for t in (None, transform):
+                got = encode_spm(fmaps, d, t, config, spec)
+                expected = encode_spm_per_region(fmaps, d, t, config, spec)
+                assert np.array_equal(got, expected), (h, w, name, n, t is None)
