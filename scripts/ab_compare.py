@@ -19,8 +19,10 @@ speed. The copies are loaded in the order A, B, B, A too, and pairs use them
 two by two: with one copy each, the copy loaded second read up to 3% faster
 on large-grid's encode, whichever checkout it was. For each metric it prints
 the median over pairs of the B/A ratio of times, with a bootstrap 95%
-interval of that median. Both sides share one allocator and one BLAS, so
-memory is not compared.
+interval of that median, and then the same for each config's cold time,
+`cold_s[j]` for the workload's config j (its fastest run in the pair), so that
+a sweep shows which config moved. Both sides share one allocator and one
+BLAS, so memory is not compared.
 
 Exit code 0 after a comparison, 2 when a checkout has no vladkit sources.
 """
@@ -90,6 +92,7 @@ class Side:
         self.train, self.test, self.scratch = train, test, scratch
         self.passes = 0
         self.accuracies = None
+        self.cold_runs = []  # each cold pass's seconds per config
 
     def cold(self) -> float:
         """One pass of every config in a new work dir; finds the first
@@ -98,15 +101,16 @@ class Side:
         after it, by up to 1.3x."""
         self.passes += 1
         self.work = self.scratch / f"work-{self.passes}"
-        elapsed = 0.0
+        seconds = []
         for i, config in enumerate(self.configs):
             start = time.perf_counter()
             self.package.run_pipeline(config, self.train, self.test, self.work)
-            elapsed += time.perf_counter() - start
+            seconds.append(time.perf_counter() - start)
             if i == 0:  # by suffix, so that the cache's layout does not matter
                 files = {p.suffix: p for p in self.work.rglob("*.vl[dw]")}
         self.dictionary, self.transform = files[".vld"], files.get(".vlw")
-        return elapsed
+        self.cold_runs.append(seconds)
+        return sum(seconds)
 
     def warm(self) -> float:
         start = time.perf_counter()
@@ -171,10 +175,14 @@ def main(argv: list[str] | None = None) -> int:
         for side in copies.values():  # untimed: lazy imports and first-call caches settle
             side.cold(), side.warm(), side.encode(images[0])
         times = {m: ([], []) for m in ("cold_s", "warm_s", "encode_ms")}
+        configs = {f"cold_s[{j}]": config for j, config in enumerate(workload.configs)}
+        times |= {metric: ([], []) for metric in configs}
         for pair in range(args.pairs):
             suffix = "2" if pair // 2 % 2 else ""
             sides = [copies[f"vladkit_a{suffix}"], copies[f"vladkit_b{suffix}"]]
             image = images[pair % len(images)]
+            for side in sides:
+                side.cold_runs = []
             steps = (("cold_s", Side.cold, 1), ("warm_s", Side.warm, WARM_REPEATS),
                      ("encode_ms", lambda side: side.encode(image), ENCODE_REPEATS))
             for metric, step, repeats in steps:
@@ -184,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
                         fastest[i] = min(fastest[i], step(sides[i]))
                 for i in (0, 1):
                     times[metric][i].append(fastest[i])
+            for i in (0, 1):  # each config's fastest cold run in the pair
+                for j, seconds in enumerate(np.min(sides[i].cold_runs, axis=0)):
+                    times[f"cold_s[{j}]"][i].append(seconds)
 
     rng = np.random.default_rng(0)  # for the bootstrap: resampled pairs, RESAMPLES times
     print(f"ab_compare: {args.workload} seed {args.seed}, {args.pairs} pairs, A={checkouts[0]} "
@@ -193,8 +204,10 @@ def main(argv: list[str] | None = None) -> int:
         ratios = [y / x for x, y in zip(a, b)]
         medians = np.median(rng.choice(ratios, size=(RESAMPLES, len(ratios))), axis=1)
         low, high = np.percentile(medians, [2.5, 97.5])
+        config = configs.get(metric, {})
         print(f"  {metric:10s} {statistics.median(a):10.4g} {statistics.median(b):10.4g} "
-              f"{statistics.median(ratios):10.3f}  [{low:.3f}, {high:.3f}]")
+              f"{statistics.median(ratios):10.3f}  [{low:.3f}, {high:.3f}]"
+              + "".join(f" {key}={value}" for key, value in config.items()))
     accuracies = {name: side.accuracies for name, side in copies.items()}
     if len({tuple(a) for a in accuracies.values()}) > 1:
         print(f"  accuracies differ: {accuracies}")

@@ -9,6 +9,15 @@ input). With that step size the coefficients after step t are S / (reg*t),
 where S counts each training row's signed violations (Shalev-Shwartz et al.,
 ICML 2007), so training keeps S and scales it once, at the end.
 
+Most steps violate in no class, so they change nothing, and training runs only
+the steps that may violate. A look-ahead updates the margins y (gram @ S) with
+one product over the rows whose counts changed and skips to the epoch's first
+step whose smallest margin is below reg*t + slack, the slack bounding their
+rounding (see train_ovr). Every other step is decided by the exact test
+y_i (gram_i @ S) < reg*t, so S, and every model byte, is that of running each
+step. A look-ahead that skips nothing doubles the exact steps run before the
+next; one that skips more than those, or the rest of an epoch, halves them.
+
 The Gram matrix, the weights and the scores widen float32 encodings, as a
 `.vle` stores them, to float64 one column block of at most _BLOCK values at a
 time (the sums add the blocks' products in column order), so no float64 copy
@@ -86,13 +95,51 @@ def train_ovr(encodings: np.ndarray, labels: np.ndarray, config: PipelineConfig)
     y[np.arange(x.shape[0]), labels] = 1.0
     counts = np.zeros_like(y)
     rng = np.random.default_rng(config.seed)
+    n = x.shape[0]
+    # margins[c, j] = y[j, c] (gram[j] @ synced[:, c]), where synced is counts at
+    # the last look-ahead, so the changes since then wait in one (N, C) array.
+    margins, synced = np.zeros((num_classes, n)), np.zeros_like(y)
+    eps_gram = np.finfo(np.float64).eps * np.abs(gram).max()
     t = 0  # steps taken; coef = counts / (reg * t)
+    wait = ran = 0  # exact steps due between look-aheads, and run since the last
     for _ in range(config.epochs):
-        for i in rng.permutation(x.shape[0]):
-            # y_i (gram_i @ coef) < 1, read on the counts; at t = 0 every class violates.
-            violated = y[i] * (gram[i] @ counts) < (config.reg * t or 1.0)
-            counts[i] += y[i] * violated
-            t += 1
+        order = rng.permutation(n)
+        p = 0
+        while p < n:
+            if t and ran >= wait:
+                delta = counts - synced
+                rows = np.flatnonzero(delta.any(axis=1))
+                margins += (y * (gram[:, rows] @ delta[rows])).T
+                np.copyto(synced, counts)
+                # Both tests sum terms gram[r, j] * k (k an integer) whose magnitudes add
+                # up to at most max|gram| * updates. A term rounds at most n times in the
+                # exact product, and at most updates + 1 times in the margins: r + 1 times
+                # in the look-ahead that added it, r being the rows then changed, each by
+                # an update, and once in each later look-ahead that changed a row. So the
+                # two differ by at most (n + updates + 1) * eps/2 * max|gram| * updates, to
+                # first order; twice that also covers rounding steps + slack.
+                updates = np.vdot(y, counts)  # the sum of |counts|
+                slack = (n + 2 * updates) * eps_gram * updates
+                steps = config.reg * np.arange(t, t + n - p)
+                quiet = margins.min(axis=0)[order[p:]] >= steps + slack
+                k = n - p if quiet.all() else int(quiet.argmin())  # the first that may violate
+                p, t = p + k, t + k
+                if p == n:  # the rest of the epoch is quiet: look ahead again in the next
+                    wait //= 2
+                    break
+                if not k:
+                    wait = 2 * wait + 1
+                elif k > wait:
+                    wait //= 2
+                ran = 0
+            stop = min(n, p + max(1, wait - ran))
+            for i in order[p:stop]:
+                # y_i (gram_i @ coef) < 1, read on the counts; at t = 0 every class violates.
+                violated = y[i] * (gram[i] @ counts) < (config.reg * t or 1.0)
+                counts[i] += y[i] * violated
+                t += 1
+            ran += stop - p
+            p = stop
     coef = counts / (config.reg * t)  # weights = coef.T @ x, biases = coef.sum(0)
     weights = np.empty((num_classes, x.shape[1]))
     _column_blocks(x, lambda cols, block: np.matmul(coef.T, block, out=weights[:, cols]))

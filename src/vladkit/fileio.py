@@ -158,7 +158,10 @@ def _axes(path, name: str, array, ndim: int) -> np.ndarray:
 
 def read_feature_map(path) -> FeatureMap:
     (h, w, d), floats = _read_container(path, b"VLF1", 3, lambda h, w, d: h * w * d)
-    return FeatureMap(floats.reshape(h, w, d))
+    # _read_container has checked every float, so __post_init__'s second scan is skipped.
+    fmap = object.__new__(FeatureMap)
+    object.__setattr__(fmap, "data", floats.reshape(h, w, d))
+    return fmap
 
 
 def write_feature_map(fmap: FeatureMap, path) -> None:

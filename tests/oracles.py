@@ -119,3 +119,29 @@ def naive_pegasos_ovr(x, labels, reg, epochs, seed):
                     w += lr * y[i] * augmented[i]
         weights[c], biases[c] = w[:-1], w[-1]
     return weights, biases
+
+
+def stepwise_dual_ovr(x, labels, reg, epochs, seed):
+    """The dual trainer, one exact step at a time: step t updates row i in
+    every class where y_i (gram_i @ counts) < reg * t (1 at t = 0), with
+    classifier.train_ovr's shuffles and products. For x of at most
+    classifier._BLOCK values those products are unblocked, so train_ovr's
+    model must match this one bit for bit. Returns (weights, biases, ties),
+    ties counting the step-class pairs whose margin equals its threshold."""
+    x = np.asarray(x).astype(np.float64)
+    labels = np.asarray(labels, dtype=int)
+    n, num_classes = x.shape[0], int(labels.max()) + 1
+    gram = x @ x.T + 1.0
+    y = np.full((n, num_classes), -1.0)
+    y[np.arange(n), labels] = 1.0
+    counts = np.zeros_like(y)
+    rng = np.random.default_rng(seed)
+    t = ties = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            margins, threshold = y[i] * (gram[i] @ counts), reg * t or 1.0
+            ties += int((margins == threshold).sum())
+            counts[i] += y[i] * (margins < threshold)
+            t += 1
+    coef = counts / (reg * t)
+    return coef.T @ x, coef.sum(axis=0), ties

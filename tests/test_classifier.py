@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memtrace import traced_peak
-from oracles import naive_pegasos_ovr
+from oracles import naive_pegasos_ovr, stepwise_dual_ovr
 from vladkit import classifier, fileio
 from vladkit.classifier import LinearModel, predict, tabulate, train_ovr
 from vladkit.errors import VladkitError
@@ -154,6 +154,69 @@ def test_training_memory_does_not_grow_with_epochs():
             tracemalloc.stop()
 
     assert peak_bytes(2000) < peak_bytes(20) + 16 * 1024
+
+
+def test_training_memory_does_not_grow_with_epochs_when_every_step_violates():
+    # At reg = 1 every step violates, so the look-ahead's pending count
+    # changes pile up for as long as it backs off; they fit one (N, C) array.
+    x = np.random.default_rng(2).standard_normal((4, 2))
+    y = np.array([0, 1, 0, 1])
+
+    def peak_bytes(epochs):
+        return traced_peak(lambda: train_ovr(x, y, PipelineConfig(reg=1.0, epochs=epochs)))
+
+    assert peak_bytes(2000) < peak_bytes(20) + 16 * 1024
+
+
+REG_FLOOR = _FIELDS["reg"].metadata["low"]
+
+
+@pytest.mark.parametrize(
+    "n, dim, classes, epochs, reg, dtype, layout",
+    [
+        (40, 16, 4, 50, 1e-4, np.float64, "plain"),  # sparse: few steps violate
+        (40, 16, 4, 50, 1e-4, np.float32, "plain"),
+        (30, 8, 3, 20, 1e-2, np.float64, "plain"),  # dense: nearly every step violates
+        (30, 8, 3, 20, 1e-1, np.float32, "plain"),
+        (30, 8, 5, 20, 1.0, np.float64, "plain"),
+        (20, 16, 4, 30, REG_FLOOR, np.float64, "plain"),
+        (20, 16, 4, 30, REG_FLOOR, np.float32, "plain"),
+        (24, 12, 3, 40, 1e-4, np.float64, "duplicates and a zero row"),
+        (24, 12, 3, 40, 1e-2, np.float32, "duplicates and a zero row"),
+        (2, 3, 2, 40, 1e-4, np.float64, "plain"),  # N = 2
+        (2, 3, 2, 40, 1.0, np.float32, "plain"),
+        (25, 10, 2, 30, 1e-3, np.float64, "plain"),
+        (25, 10, 7, 30, 1e-3, np.float32, "plain"),
+        (18, 8, 3, 30, 1e-4, np.float64, "sparse label"),
+        (12, 6, 3, 1, 1e-4, np.float64, "plain"),  # one epoch
+        (16, 6, 3, 30, 2.0**-4, np.float64, "dyadic"),
+        (24, 8, 3, 30, 2.0**-5, np.float32, "dyadic"),
+    ],
+)
+def test_train_ovr_matches_the_stepwise_dual_loop_bit_for_bit(
+        n, dim, classes, epochs, reg, dtype, layout):
+    rng = np.random.default_rng(n * dim + classes)
+    if layout == "dyadic":
+        # Entries in {0, ±1/2} and reg = 2^-k: every margin and threshold is
+        # exact, and some margins equal their thresholds, where the strict `<`
+        # decides.
+        x = 0.5 * rng.integers(-1, 2, (n, dim))
+    else:
+        x = rng.standard_normal((n, dim))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    y = np.arange(n) % classes
+    rng.shuffle(y)
+    if layout == "duplicates and a zero row":
+        x[[5, 9]] = x[2]
+        x[3] = 0.0
+    if layout == "sparse label":
+        y[y == classes - 1] = 6  # classes 2 to 5 have no rows
+    x = x.astype(dtype)
+    model = train_ovr(x, y, PipelineConfig(reg=reg, epochs=epochs, seed=7))
+    weights, biases, ties = stepwise_dual_ovr(x, y, reg, epochs, 7)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.biases, biases)
+    assert ties > 0 or layout != "dyadic"
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,18 @@ def test_nan_refused_on_read(tmp_path):
         fileio.read_feature_map(path)
 
 
+def test_a_map_read_from_disk_is_scanned_for_nan_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.vlf"
+    fileio.write_feature_map(FeatureMap(np.ones((16, 16, 64), dtype=np.float32)), path)
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(a.size) or isfinite(a))
+    fmap = fileio.read_feature_map(path)
+    assert scans == [16 * 16 * 64]
+    assert isinstance(fmap, FeatureMap) and fmap.data.shape == (16, 16, 64)
+    assert (fmap.data == 1.0).all()
+
+
 # Each container kind: its magic, a valid header, its float count given a header, and its reader.
 KINDS = {
     "vlf": (b"VLF1", (2, 1, 3), lambda h, w, d: h * w * d, fileio.read_feature_map),
