@@ -1,14 +1,17 @@
 """Walkthrough: the end-to-end pipeline, its config file, and artifact caching.
 
 Runs the same pipeline twice against one work directory and shows that the
-second run reuses the cached whitening transform, dictionary, model, and
-per-image test encodings, producing the identical result. The training
-encodings are not cached: they are used once, to train the model.
+second run reuses the cached whitening transform, dictionary, per-image test
+encodings and model, producing the identical result. The training encodings
+are not cached: they are used once, to train the model.
 
-The transform and dictionary live in a dictionary stage (`dict_<key>/`) that
-every config with the same stage inputs shares; the model and test encodings
-live in a directory per config (`cache_<key>/`). A third run with another
-`mode` builds its own config directory over the first run's dictionary.
+The cache is a chain of four stages, each in its own `<stage>_<key>/`
+directory: whitening (`transform.vlw`), dictionary (`dictionary.vld`),
+encoder (one `.vle` per test image) and classifier (`model.vlm`). A stage's
+key covers the key before it and the fields that stage reads, so configs that
+agree up to a stage share it. A run with another `mode` builds its own encoder
+and classifier over the first run's dictionary; a run with another `reg`
+builds only a classifier, over the first run's test encodings.
 
 Run: python3 demos/03_pipeline_and_cache.py
 """
@@ -19,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from vladkit import fileio
-from vladkit.pipeline import STAGE_FIELDS, config_to_text, load_config, run_pipeline, stage_keys
+from vladkit.pipeline import config_to_text, load_config, run_pipeline, stage_keys
 from vladkit.synth import SynthSpec, split_manifest, synth_dataset
 
 root = Path(tempfile.mkdtemp(prefix="vladkit_demo_"))
@@ -37,11 +40,12 @@ config_path.write_text("mode = lsa\nwords = 8\nknn = 3\nepochs = 30\n")
 config = load_config(config_path)
 print("canonical config text (with the manifests, the cache-key input):")
 print("  " + config_to_text(config).replace("\n", "\n  ").rstrip())
-print("config keys by the stage that reads them; `codebook train` takes the dictionary's as flags,")
-print("`encode` and `evaluate` the encoder's, `train` the encoder's and the classifier's:")
-for stage in ("whitening", "dictionary", "encoder", "classifier"):
+print("config keys by the stage that reads them, and whose key they enter; `codebook train`")
+print("takes the dictionary's as flags, `encode` and `evaluate` the encoder's, `train` the")
+print("encoder's and the classifier's:")
+STAGES = ("whitening", "dictionary", "encoder", "classifier")
+for stage in STAGES:
     print(f"  {stage + ':':12} {', '.join(stage_keys(stage))}")
-print(f"fields that build the dictionary stage (whitening + dictionary): {', '.join(STAGE_FIELDS)}")
 
 work = root / "work"
 t0 = time.perf_counter()
@@ -65,12 +69,26 @@ print(f"second run: accuracy={second.accuracy:.3f}  ({t2 - t1:.2f}s, cached)")
 assert first.accuracy == second.accuracy
 print("identical results; artifacts on disk were reused byte for byte")
 
-# Another assignment mode: no stage input changes, so the dictionary is reused.
-other = replace(config, mode="sa")
+
+
+def counts() -> dict[str, int]:
+    return {stage: len(list(work.glob(f"{stage}_*"))) for stage in STAGES}
+
+
+# Another assignment mode, an encoder field: whitening and dictionary are reused.
 t3 = time.perf_counter()
-third = run_pipeline(other, root / "train.tsv", root / "test.tsv", work)
+third = run_pipeline(replace(config, mode="sa"), root / "train.tsv", root / "test.tsv", work)
 t4 = time.perf_counter()
-stages, caches = sorted(work.glob("dict_*")), sorted(work.glob("cache_*"))
 print(f"\nmode = sa:  accuracy={third.accuracy:.3f}  ({t4 - t3:.2f}s, dictionary reused)")
-print(f"work directory now holds {len(stages)} dictionary stage and {len(caches)} config directories")
-assert len(stages) == 1 and len(caches) == 2
+print(f"  directories per stage: {counts()}")
+assert counts() == {"whitening": 1, "dictionary": 1, "encoder": 2, "classifier": 2}
+
+# A sweep over reg, a classifier field: each value trains a model on the
+# first run's test encodings, which are neither encoded nor written again.
+for reg in (1e-3, 1e-2):
+    t5 = time.perf_counter()
+    swept = run_pipeline(replace(config, reg=reg), root / "train.tsv", root / "test.tsv", work)
+    t6 = time.perf_counter()
+    print(f"reg = {reg}: accuracy={swept.accuracy:.3f}  ({t6 - t5:.2f}s, test encodings reused)")
+print(f"  directories per stage: {counts()}")
+assert counts() == {"whitening": 1, "dictionary": 1, "encoder": 2, "classifier": 4}

@@ -47,11 +47,12 @@ def _flat(parts) -> np.ndarray:
     return np.concatenate([np.ravel(part) for part in parts], dtype=np.float64)
 
 
-def _scores(cache: Path) -> np.ndarray:
-    """The (N, C) class scores of a config directory's model on its test
-    encodings, in file-name order: the zero-padded manifest indices."""
-    encodings = [fileio.read_encoding(p) for p in sorted((cache / "enc_test").glob("*.vle"))]
-    return predict(load_model(cache / "model.vlm"), np.stack(encodings))[1]
+def _scores(config: Path) -> np.ndarray:
+    """The (N, C) class scores of a config dump's `classifier/model.vlm` on its
+    `encoder/*.vle` test encodings, in file-name order: the zero-padded
+    manifest indices."""
+    encodings = [fileio.read_encoding(p) for p in sorted((config / "encoder").glob("*.vle"))]
+    return predict(load_model(config / "classifier" / "model.vlm"), np.stack(encodings))[1]
 
 
 def _top_two_gap(scores: np.ndarray) -> float:
@@ -92,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     # workload -> [agreeing predictions, predictions, smallest gap in A, in B]
     predictions = defaultdict(lambda: [0, 0, np.inf, np.inf])
     for model in sorted(rel for rel in files_a if rel.suffix == ".vlm"):
-        a, b = _scores(args.a / model.parent), _scores(args.b / model.parent)
+        a, b = _scores(args.a / model.parent.parent), _scores(args.b / model.parent.parent)
         row = predictions[model.parts[0]]
         row[0] += int((a.argmax(axis=1) == b.argmax(axis=1)).sum())
         row[1] += a.shape[0]

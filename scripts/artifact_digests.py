@@ -9,21 +9,24 @@ every artifact byte-identical. Run from anywhere:
 One line per file or accuracy:
 
     <workload> <seed> data <file> <sha256>
-    <workload> <seed> <config #> dict/<path inside the stage directory> <sha256>
-    <workload> <seed> <config #> cache/<path inside the config directory> <sha256>
+    <workload> <seed> <config #> <stage>/<file in the stage's directory> <sha256>
     <workload> <seed> <config #> accuracy <accuracy>
 
-With `--dump DIR`, each config's stage and config directories are also
-copied to DIR/<workload>/<seed>/<config #>/dict and .../cache.
-`scripts/artifact_compare.py` compares two such dumps numerically.
+where <stage> is each of the config's stages that `cache_dirs` names, in
+chain order: `whitening` (`transform.vlw`; none without whitening),
+`dictionary` (`dictionary.vld`), `encoder` (one `.vle` per test image) and
+`classifier` (`model.vlm`). Configs that agree up to a stage share its
+directory, and so its lines. A directory's name hashes the absolute
+directory of the manifests, so the stage stands in for it.
+
+With `--dump DIR`, each config's stage directories are also copied to
+DIR/<workload>/<seed>/<config #>/<stage>. `scripts/artifact_compare.py`
+compares two such dumps numerically.
 
 Each pass runs in a fresh temporary directory, and the script exits non-zero
-if a pass leaves a `.tmp-*` build directory in its work directory: a clean
-run publishes every directory it builds. A config reads the transform
-and dictionary from its stage directory, which configs with the same stage
-inputs share, and its model and test encodings from its own directory. A
-directory's name hashes the absolute directory of the manifests, so the
-directory's kind (`dict`, `cache`) stands in for it.
+if a pass leaves a directory in its work directory that no config's
+`cache_dirs` names: a `.tmp-*` build directory (a clean run publishes every
+directory it builds) or a stage built under a key its config does not give.
 """
 
 from __future__ import annotations
@@ -73,22 +76,25 @@ def main(argv: list[str] | None = None) -> None:
                 train, test = make_dataset(workload.synth, workload.train_per_class, seed, data)
                 for path in _files(data):
                     print(name, seed, "data", path.relative_to(data).as_posix(), _sha256(path))
+                named = set()
                 for i, fields in enumerate(workload.configs):
                     config = PipelineConfig(seed=seed, **fields)
                     report = run_pipeline(config, train, test, work)
-                    for directory in cache_dirs(config, train, test, work):
-                        kind = directory.name.partition("_")[0]
+                    stages = cache_dirs(config, train, test, work)
+                    named.update(directory.name for directory in stages.values())
+                    for stage, directory in stages.items():
                         for path in _files(directory):
                             rel = path.relative_to(directory).as_posix()
-                            print(name, seed, i, f"{kind}/{rel}", _sha256(path))
+                            print(name, seed, i, f"{stage}/{rel}", _sha256(path))
                     print(name, seed, i, "accuracy", repr(report.accuracy), flush=True)
                     if args.dump is not None:
                         kept = args.dump / name / str(seed) / str(i)
-                        for directory in cache_dirs(config, train, test, work):
-                            shutil.copytree(directory, kept / directory.name.partition("_")[0])
-                leftovers = sorted(p.name for p in work.glob(".tmp-*"))
+                        for stage, directory in stages.items():
+                            shutil.copytree(directory, kept / stage)
+                leftovers = sorted(p.name for p in work.iterdir() if p.name not in named)
                 if leftovers:
-                    sys.exit(f"{name} seed {seed}: a clean pass left {leftovers} in its work dir")
+                    sys.exit(f"{name} seed {seed}: a clean pass left {leftovers} in its work dir,"
+                             " which no config's cache_dirs names")
 
 
 if __name__ == "__main__":

@@ -1,17 +1,17 @@
 """End-to-end orchestration: whitening fit, codebook training, encoding of
-every manifest entry, classifier training, and evaluation, with on-disk
-caching of intermediates keyed by a content hash of the configuration and
-the input manifests: the transform and dictionary in a stage directory that
-configs with the same stage inputs share, the model and test encodings in a
-directory per config. Each directory is published by one rename from a
-`.tmp-*` directory, which a killed run leaves behind and which is safe to
-delete when no run is active."""
+every manifest entry, classifier training, and evaluation, each stage cached
+in a directory keyed by the key of the stage before it, the fields it reads
+and the manifest it reads first, so configs that agree up to a stage share it.
+Each directory is published by one rename from a `.tmp-*` directory, which a
+killed run leaves behind and which is safe to delete when no run is active."""
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
+import os
 import shutil
 import tempfile
 import time
@@ -105,12 +105,6 @@ def stage_keys(*stages: str) -> tuple[str, ...]:
     return tuple(k for k, f in _FIELDS.items() if not set(stages).isdisjoint(f.metadata["stages"]))
 
 
-# The fields that build the whitening transform and the dictionary: the
-# dictionary stage's key covers these and the training manifest, so configs
-# that differ only in other fields share one transform and dictionary.
-STAGE_FIELDS = tuple(_FIELDS[key].name for key in stage_keys("whitening", "dictionary"))
-
-
 def _value_text(f: Field, value) -> str:
     if value is None:
         return f.metadata["none"]
@@ -130,15 +124,14 @@ def _parse_value(f: Field, text: str):
     return {"str": str, "int": int, "float": float}[kind](text)
 
 
-def _fields_text(config: PipelineConfig, names) -> str:
-    """The named fields' config-text lines, sorted by key."""
-    return "".join(f"{k} = {_value_text(f, getattr(config, f.name))}\n"
-                   for k, f in sorted(_FIELDS.items()) if f.name in names)
+def _fields_text(config: PipelineConfig, keyed) -> str:
+    """The config-text lines of the (key, field) pairs, in their order."""
+    return "".join(f"{k} = {_value_text(f, getattr(config, f.name))}\n" for k, f in keyed)
 
 
 def config_to_text(config: PipelineConfig) -> str:
     """Canonical flat key=value rendering of every field."""
-    return _fields_text(config, [f.name for f in fields(PipelineConfig)])
+    return _fields_text(config, sorted(_FIELDS.items()))
 
 
 def parse_config_text(text: str) -> PipelineConfig:
@@ -295,36 +288,40 @@ def evaluate(model: LinearModel, encodings: np.ndarray, labels: np.ndarray) -> E
 
 # -- the pipeline ------------------------------------------------------------
 
-# The fields that only the config directory's key covers, beside the stage key.
-_CONFIG_FIELDS = tuple(f.name for f in fields(PipelineConfig) if f.name not in STAGE_FIELDS)
+# The cached stages in chain order, each with its fields' (key, field) pairs in key order.
+_CHAIN = tuple((stage, sorted((k, _FIELDS[k]) for k in stage_keys(stage)))
+               for stage in ("whitening", "dictionary", "encoder", "classifier"))
 
 
 def _manifest_key(path) -> str:
     """16 hex digits, a BLAKE2b digest, over a manifest's bytes and the
     directory its relative entries are read from."""
     import hashlib  # not at the top: it loads OpenSSL, about 5 ms on every `import vladkit`
-    path = Path(path)
-    payload = path.read_bytes() + b"\0" + bytes(path.parent.resolve()) + b"\0"
+    with open(path, "rb") as f:  # os.path rather than Path: half the cost, the same bytes
+        payload = f.read() + b"\0" + os.fsencode(os.path.realpath(os.path.dirname(path))) + b"\0"
     return hashlib.blake2b(payload, digest_size=8).hexdigest()
 
 
-def cache_dirs(config: PipelineConfig, train_path, test_path, work_dir) -> tuple[Path, Path]:
-    """The dictionary stage and the config directory under work_dir for one
-    config and manifest pair. The stage key covers the STAGE_FIELDS and the
-    training manifest; the config key covers the stage key, every other field
-    and the test manifest. Each manifest is hashed once."""
+def cache_dirs(config: PipelineConfig, train_path, test_path, work_dir) -> dict[str, Path]:
+    """Each stage's directory `<stage>_<key>` under work_dir for one config and
+    manifest pair, in chain order, without whitening when config.whiten is
+    false. A key hashes the key before it, the stage's fields and the manifest
+    it reads first: the training one for whitening, the test one for the encoder."""
     work_dir = Path(fileio.nonempty(work_dir))
-    # In every key, so that no half-written directory of the marker layout is read.
-    stage_text = "layout = 2\n" + _fields_text(config, STAGE_FIELDS)
-    stage_key = f"{fnv1a64((stage_text + _manifest_key(train_path)).encode()):016x}"
-    payload = stage_key + _fields_text(config, _CONFIG_FIELDS) + _manifest_key(test_path)
-    return work_dir / f"dict_{stage_key}", work_dir / f"cache_{fnv1a64(payload.encode()):016x}"
+    manifests = {"whitening": _manifest_key(train_path), "encoder": _manifest_key(test_path)}
+    dirs, key = {}, ""
+    for stage, keyed in _CHAIN:
+        text = key + _fields_text(config, keyed) + manifests.get(stage, "")
+        key = f"{fnv1a64(text.encode()):016x}"
+        if config.whiten or stage != "whitening":
+            dirs[stage] = work_dir / f"{stage}_{key}"
+    return dirs
 
 
-def _test_encoding_paths(cache: Path, manifest: DatasetManifest) -> list[str]:
+def _test_encoding_paths(encoder: Path, manifest: DatasetManifest) -> list[str]:
     """One `.vle` per test image, in manifest order, joined as text: a warm
     run reads each one, and two Path joins cost nearly as much as that read."""
-    return [f"{cache}/enc_test/{idx:06d}.vle" for idx in range(len(manifest.entries))]
+    return [f"{encoder}/{idx:06d}.vle" for idx in range(len(manifest.entries))]
 
 
 def _published(directory: Path, build, *args) -> None:
@@ -346,64 +343,67 @@ def _published(directory: Path, build, *args) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _build_stage(stage: Path, config: PipelineConfig, train_manifest) -> None:
-    """The whitening transform and the dictionary, from the training set."""
-    descriptors = load_descriptor_stack(train_manifest)
-    transform = None
-    if config.whiten:
-        fitted = fit_whitening(descriptors, config.pca_dim, config.epsilon)
-        fileio.write_whitening(fitted.mean, fitted.projection, stage / "transform.vlw")
-        transform = load_transform(stage / "transform.vlw")
-    trained, _ = train_dictionary(descriptors, transform, config)
-    fileio.write_dictionary(trained.centers, stage / "dictionary.vld")
+def _fit_transform(tmp: Path, descriptors, config: PipelineConfig) -> None:
+    if len(descriptors()) < config.words:  # k-means could not follow: publish no transform
+        raise VladkitError(f"{len(descriptors())} points < {config.words} requested centers")
+    fitted = fit_whitening(descriptors(), config.pca_dim, config.epsilon)
+    fileio.write_whitening(fitted.mean, fitted.projection, tmp / "transform.vlw")
 
 
-def _load_stage(stage: Path, config: PipelineConfig):
-    """load_stage of a stage directory, checked against the config too."""
-    dictionary, transform = load_stage(
-        stage / "dictionary.vld", stage / "transform.vlw" if config.whiten else None
-    )
-    if dictionary.num_words != config.words:
-        raise VladkitError(
-            f"cached dictionary has {dictionary.num_words} words, config wants {config.words}"
-        )
-    return dictionary, transform
+def _train_words(tmp: Path, descriptors, transform_path, config: PipelineConfig) -> None:
+    transform = None if transform_path is None else load_transform(transform_path)
+    trained, _ = train_dictionary(descriptors(), transform, config)
+    fileio.write_dictionary(trained.centers, tmp / "dictionary.vld")
 
 
-def _build_config(cache: Path, config, dictionary, transform, train_manifest, test_manifest):
-    """The model and one encoding per test image. The training encodings,
-    read by no later run, stay in memory."""
-    model = train_ovr(*encode_manifest(train_manifest, dictionary, transform, config), config)
-    fileio.write_model(model.weights, model.biases, cache / "model.vlm")
-    test_x, _ = encode_manifest(test_manifest, dictionary, transform, config)
-    (cache / "enc_test").mkdir()
-    for values, path in zip(test_x, _test_encoding_paths(cache, test_manifest)):
+def _encode_test(tmp: Path, manifest, dictionary, transform, config: PipelineConfig) -> None:
+    encodings, _ = encode_manifest(manifest, dictionary, transform, config)
+    for values, path in zip(encodings, _test_encoding_paths(tmp, manifest)):
         fileio.write_encoding(values, path)
 
 
-def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> EvalReport:
-    """fit whitening -> train codebook -> encode -> train -> evaluate. The
-    transform and dictionary live in a stage directory that every config with
-    the same stage inputs shares; the model and test encodings live in the
-    config's own directory, each renamed from a `.tmp-*` directory when whole,
-    so runs may share a work_dir. A failed run keeps what it renamed; a killed
-    one leaves its `.tmp-*`, which is safe to delete when no run is active."""
+def _train_model(tmp: Path, manifest, dictionary, transform, config: PipelineConfig) -> None:
+    model = train_ovr(*encode_manifest(manifest, dictionary, transform, config), config)
+    fileio.write_model(model.weights, model.biases, tmp / "model.vlm")
+
+
+def _run(config: PipelineConfig, train_path, test_path, work_dir):
+    """run_pipeline's report, and the dictionary and transform it encoded with."""
     train_manifest = fileio.load_manifest(train_path)
     test_manifest = fileio.load_manifest(test_path)
-    stage, cache = cache_dirs(config, train_path, test_path, work_dir)
-    _published(stage, _build_stage, config, train_manifest)
-    dictionary, transform = _load_stage(stage, config)
-    _published(cache, _build_config, config, dictionary, transform, train_manifest, test_manifest)
+    dirs = cache_dirs(config, train_path, test_path, work_dir)
+    descriptors = functools.cache(lambda: load_descriptor_stack(train_manifest))  # read once
+    transform_path = dirs["whitening"] / "transform.vlw" if config.whiten else None
+    if config.whiten:
+        _published(dirs["whitening"], _fit_transform, descriptors, config)
+    _published(dirs["dictionary"], _train_words, descriptors, transform_path, config)
+    del descriptors  # frees the training descriptors before the encoder stage runs
+    dictionary, transform = load_stage(dirs["dictionary"] / "dictionary.vld", transform_path)
+    if dictionary.num_words != config.words:
+        raise VladkitError(f"cached dictionary has {dictionary.num_words} words,"
+                           f" config wants {config.words}")
+    _published(dirs["encoder"], _encode_test, test_manifest, dictionary, transform, config)
+    _published(dirs["classifier"], _train_model, train_manifest, dictionary, transform, config)
 
-    model = load_model(cache / "model.vlm")
-    paths = _test_encoding_paths(cache, test_manifest)
+    model = load_model(dirs["classifier"] / "model.vlm")
+    paths = _test_encoding_paths(dirs["encoder"], test_manifest)
     test_x = np.empty((len(paths), model.dim), np.float32)
     for row, path in zip(test_x, paths):
         values = fileio.read_encoding(path, row)  # a file of another length is not read into row
         if values.size != model.dim:
             raise VladkitError(
                 f"cached model dim {model.dim} != {path.rpartition('/')[2]} length {values.size}")
-    return evaluate(model, test_x, test_manifest.labels())
+    return evaluate(model, test_x, test_manifest.labels()), dictionary, transform
+
+
+def run_pipeline(config: PipelineConfig, train_path, test_path, work_dir) -> EvalReport:
+    """fit whitening -> train codebook -> encode -> train -> evaluate, each
+    stage cached in its directory of cache_dirs: `transform.vlw`, `dictionary.vld`,
+    a `.vle` per test image (the training encodings stay in memory), `model.vlm`.
+    Each directory is renamed from a `.tmp-*` directory when whole, so runs may
+    share a work_dir. A failed run keeps what it renamed; a killed one leaves
+    its `.tmp-*`, which is safe to delete when no run is active."""
+    return _run(config, train_path, test_path, work_dir)[0]
 
 
 # -- benchmark harness -------------------------------------------------------
@@ -422,15 +422,15 @@ def run_bench(
     after every pair has run, so a failing pair leaves no file. Returns the
     row count."""
     out_path = Path(fileio.nonempty(out_path))  # checked before the first pair runs
+    if out_path.is_dir() or out_path.resolve() == Path(fileio.nonempty(work_dir)).resolve():
+        raise VladkitError(f"bench output {str(out_path)!r} is a directory or the work dir")
     # Each replace() checks its config, so a bad pair fails before any pair runs.
     pairs = [(m, p, replace(config, mode=m, pyramid=_parse_value(_FIELDS["pyramid"], p)))
              for m, p in itertools.product(modes, pyramids)]
     rows = []
     sample = read_feature_map(fileio.load_manifest(test_path).paths()[0])
-    stage, _ = cache_dirs(config, train_path, test_path, work_dir)  # shared by every pair
     for mode, pyramid, combo in pairs:
-        report = run_pipeline(combo, train_path, test_path, work_dir)
-        dictionary, transform = _load_stage(stage, combo)
+        report, dictionary, transform = _run(combo, train_path, test_path, work_dir)
         times = []
         for _ in range(5):
             start = time.perf_counter()

@@ -251,16 +251,18 @@ def test_a7_determinism_and_roundtrip(tmp_path):
             PipelineConfig(words=3, epochs=10, seed=0, mode="sa"),
             root / "train.tsv", root / "test.tsv", root / "work",
         )
-        # The cache keys cover the manifests' directory, so only the stage and
-        # config directories' names may differ between the two roots.
-        stages = list((root / "work").glob("dict_*"))
-        caches = list((root / "work").glob("cache_*"))
-        runs.append({
-            str(p.relative_to(root))
-            .replace(stages[0].name, "dict_<key>")
-            .replace(caches[0].name, "cache_<key>"): p.read_bytes()
-            for p in root.rglob("*") if p.is_file()
-        } if len(stages) == len(caches) == 1 else None)
+        # The cache keys cover the manifests' directory, so only the stage
+        # directories' names may differ between the two roots.
+        names = sorted(p.name for p in (root / "work").iterdir())
+        files = {}
+        for p in root.rglob("*"):
+            if p.is_file():
+                rel = p.relative_to(root).as_posix()
+                for name in names:
+                    rel = rel.replace(name, name.partition("_")[0] + "_<key>")
+                files[rel] = p.read_bytes()
+        stages = [name.partition("_")[0] for name in names]
+        runs.append(files if stages == ["classifier", "dictionary", "encoder", "whitening"] else None)
     deterministic = runs[0] is not None and runs[0] == runs[1]
     # Bit-exact round-trips for every container format, 100 random payloads.
     rng = np.random.default_rng(7)

@@ -13,6 +13,7 @@ from vladkit import fileio
 from vladkit.cli import build_parser, main
 from vladkit.pipeline import PipelineConfig, cache_dirs, run_pipeline
 
+STAGES = ("whitening", "dictionary", "encoder", "classifier")
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -149,8 +150,7 @@ def test_bench_writes_csv(workspace, tmp_path):
 
 def test_bench_failing_pair_writes_no_csv(workspace, tmp_path, capsys):
     """Every pair is checked before the first one runs, so a bad mode or
-    pyramid in a later pair leaves no CSV, dictionary stage or config
-    directory."""
+    pyramid in a later pair leaves no CSV or stage directory."""
     out = tmp_path / "bench.csv"
     work = tmp_path / "work"
     for modes, pyramids, message in (
@@ -167,7 +167,25 @@ def test_bench_failing_pair_writes_no_csv(workspace, tmp_path, capsys):
         ]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
-        assert list(work.glob("dict_*")) + list(work.glob("cache_*")) == []
+        assert [p for stage in STAGES for p in work.glob(f"{stage}_*")] == []
+
+
+@pytest.mark.parametrize("out", ["work", "dir"], ids=["the-work-dir", "a-directory"])
+def test_bench_out_that_is_a_directory_exits_2_before_any_pair_runs(
+    out, workspace, tmp_path, capsys
+):
+    work = tmp_path / "work"
+    (tmp_path / "dir").mkdir()
+    assert main([
+        "bench", "--train-manifest", str(workspace / "data" / "train.tsv"),
+        "--test-manifest", str(workspace / "data" / "test.tsv"),
+        "--modes", "hard", "--pyramids", "none", "--words", "4",
+        "--work-dir", str(work), "--out", str(tmp_path / out),
+    ]) == 2
+    assert f"bench output {str(tmp_path / out)!r} is a directory or the work dir" in (
+        capsys.readouterr().err)
+    assert not work.exists() or list(work.iterdir()) == []
+    assert list((tmp_path / "dir").iterdir()) == []
 
 
 def test_pipeline_from_config_file(workspace, tmp_path, capsys):
@@ -335,25 +353,27 @@ def test_pipeline_failed_write_leaves_no_cache(workspace, tmp_path, monkeypatch,
     monkeypatch.setattr(fileio, "write_encoding", write_half_then_fail)
     assert _pipeline(SMALL_RUN, data, tmp_path / "work", tmp_path) == 2
     assert "disk full" in capsys.readouterr().err
-    # The stage was published before the write failed: it stays, whole. The
-    # config directory was not, and its `.tmp-*` directory is gone.
-    (stage,) = (tmp_path / "work").iterdir()
-    assert stage.name.startswith("dict_")
-    assert _files(stage) == _files(tmp_path / "clean" / stage.name)
+    # The whitening and dictionary stages were published before the write
+    # failed: they stay, whole. The encoder directory was not, and its
+    # `.tmp-*` directory is gone.
+    published = sorted((tmp_path / "work").iterdir())
+    assert [stage.name.partition("_")[0] for stage in published] == ["dictionary", "whitening"]
+    for stage in published:
+        assert _files(stage) == _files(tmp_path / "clean" / stage.name)
     monkeypatch.undo()
     assert _pipeline(SMALL_RUN, data, tmp_path / "work", tmp_path) == 0
     assert _files(tmp_path / "work") == _files(tmp_path / "clean")
 
 
 def test_pipeline_rebuilds_a_cache_beside_a_killed_runs_tmp_dir(workspace, tmp_path, capsys):
-    """A killed run leaves its config directory unpublished, as a `.tmp-*`
+    """A killed run leaves its encoder directory unpublished, as a `.tmp-*`
     directory that may hold a truncated file. No later run reads it."""
     data = workspace / "data"
     assert _pipeline(SMALL_RUN, data, tmp_path / "clean", tmp_path) == 0
     shutil.copytree(tmp_path / "clean", tmp_path / "killed")
-    (cache,) = (tmp_path / "killed").glob("cache_*")
-    leftover = cache.rename(tmp_path / "killed" / ".tmp-killed")
-    encoding = leftover / "enc_test" / "000001.vle"
+    (encoder,) = (tmp_path / "killed").glob("encoder_*")
+    leftover = encoder.rename(tmp_path / "killed" / ".tmp-killed")
+    encoding = leftover / "000001.vle"
     os.truncate(encoding, os.path.getsize(encoding) // 2)
     killed = _files(leftover)
     assert _pipeline(SMALL_RUN, data, tmp_path / "killed", tmp_path) == 0
@@ -385,21 +405,26 @@ def test_train_and_evaluate_reproduce_the_pipeline(settings, workspace, tmp_path
     text = "words = 4\nepochs = 5\n" + "".join(f"{k} = {v}\n" for k, v in settings.items())
     assert _pipeline(text, data, tmp_path / "work", tmp_path) == 0
     accuracy = _accuracy(capsys.readouterr().out)
-    (stage,) = (tmp_path / "work").glob("dict_*")
-    (cache,) = (tmp_path / "work").glob("cache_*")
-    assert len(list((tmp_path / "work").iterdir())) == 2
+    (whitening,) = (tmp_path / "work").glob("whitening_*")
+    (stage,) = (tmp_path / "work").glob("dictionary_*")
+    (encodings,) = (tmp_path / "work").glob("encoder_*")
+    (classifier,) = (tmp_path / "work").glob("classifier_*")
+    assert len(list((tmp_path / "work").iterdir())) == 4
     tests = len(fileio.load_manifest(data / "test.tsv").entries)
-    assert _relative_files(stage) == ["dictionary.vld", "transform.vlw"]
-    assert _relative_files(cache) == [f"enc_test/{i:06d}.vle" for i in range(tests)] + ["model.vlm"]
+    assert _relative_files(whitening) == ["transform.vlw"]
+    assert _relative_files(stage) == ["dictionary.vld"]
+    assert _relative_files(encodings) == [f"{i:06d}.vle" for i in range(tests)]
+    assert _relative_files(classifier) == ["model.vlm"]
 
-    encoder = ["--dict", str(stage / "dictionary.vld"), "--transform", str(stage / "transform.vlw")]
+    encoder = ["--dict", str(stage / "dictionary.vld"),
+               "--transform", str(whitening / "transform.vlw")]
     for key, value in settings.items():
         encoder += [f"--{key}", value]
     assert main(["train", "--manifest", str(data / "train.tsv"), "--epochs", "5",
                  "--out", str(tmp_path / "model.vlm")] + encoder) == 0
-    assert (tmp_path / "model.vlm").read_bytes() == (cache / "model.vlm").read_bytes()
+    assert (tmp_path / "model.vlm").read_bytes() == (classifier / "model.vlm").read_bytes()
     assert main(["evaluate", "--manifest", str(data / "test.tsv"),
-                 "--model", str(cache / "model.vlm")] + encoder) == 0
+                 "--model", str(classifier / "model.vlm")] + encoder) == 0
     assert _accuracy(capsys.readouterr().out) == accuracy
 
 
@@ -423,9 +448,9 @@ def test_pipeline_cache_key_covers_the_manifests_directory(tmp_path, capsys):
     for name in ("train.tsv", "test.tsv"):
         assert (tmp_path / "seed1" / name).read_bytes() == (tmp_path / "seed2" / name).read_bytes()
     assert accuracies["1", "fresh1"] != accuracies["2", "fresh2"]
-    assert len(list((tmp_path / "shared").glob("cache_*"))) == 2
-    assert len(list((tmp_path / "shared").glob("dict_*"))) == 2
-    assert len(list((tmp_path / "shared").iterdir())) == 4
+    for stage in STAGES:
+        assert len(list((tmp_path / "shared").glob(f"{stage}_*"))) == 2, stage
+    assert len(list((tmp_path / "shared").iterdir())) == 8
     for seed in ("1", "2"):
         assert accuracies[seed, "shared"] == accuracies[seed, f"fresh{seed}"]
 
@@ -527,15 +552,16 @@ def test_encode_writes_the_cached_encoding_of_each_test_image(workspace, tmp_pat
     train, test = workspace / "data" / "train.tsv", workspace / "data" / "test.tsv"
     config = PipelineConfig(mode="lsa", knn=2, words=4, epochs=5, pyramid=pyramid)
     run_pipeline(config, train, test, tmp_path / "work")
-    stage, cache = cache_dirs(config, train, test, tmp_path / "work")
+    dirs = cache_dirs(config, train, test, tmp_path / "work")
     encoder = [
-        "--dict", str(stage / "dictionary.vld"), "--transform", str(stage / "transform.vlw"),
+        "--dict", str(dirs["dictionary"] / "dictionary.vld"),
+        "--transform", str(dirs["whitening"] / "transform.vlw"),
         "--mode", "lsa", "--knn", "2", *(["--pyramid", pyramid] if pyramid else []),
     ]
     for idx, image in enumerate(fileio.load_manifest(test).paths()):
         out = tmp_path / f"{idx}.vle"
         assert main(["encode", *encoder, "--in", str(image), "--out", str(out)]) == 0
-        assert out.read_bytes() == (cache / "enc_test" / f"{idx:06d}.vle").read_bytes()
+        assert out.read_bytes() == (dirs["encoder"] / f"{idx:06d}.vle").read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -78,25 +78,27 @@ def test_pipeline_config_values_never_escape_main(key_value, dataset, capsys):
 
 @pytest.fixture(scope="module")
 def artifacts(dataset):
-    """One container of each kind: a training feature map and the stage and
-    config directories of a finished pipeline run."""
+    """One container of each kind: a training feature map and the stage
+    directories of a finished pipeline run."""
     root = dataset / "artifacts"
     root.mkdir()
     config = root / "config"
     config.write_text(BASE_CONFIG + "mode = lsa\nknn = 2\npyramid = 1x2\n")
     assert _pipeline(dataset, config, root / "work") == 0
-    (stage,) = (root / "work").glob("dict_*")
-    (cache,) = (root / "work").glob("cache_*")
+    (whitening,) = (root / "work").glob("whitening_*")
+    (dictionary,) = (root / "work").glob("dictionary_*")
+    (encoder,) = (root / "work").glob("encoder_*")
+    (classifier,) = (root / "work").glob("classifier_*")
     data = dataset / "data"
     first = (data / "train.tsv").read_text().split("\t")[0]
     return {
         "config": config,
         "work": root / "work",
         "vlf": data / first,
-        "vlw": stage / "transform.vlw",
-        "vld": stage / "dictionary.vld",
-        "vlm": cache / "model.vlm",
-        "vle": cache / "enc_test" / "000002.vle",
+        "vlw": whitening / "transform.vlw",
+        "vld": dictionary / "dictionary.vld",
+        "vlm": classifier / "model.vlm",
+        "vle": encoder / "000002.vle",
     }
 
 

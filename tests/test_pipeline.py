@@ -15,7 +15,6 @@ from vladkit import fileio, pipeline
 from vladkit.errors import VladkitError
 from vladkit.fileio import DatasetManifest, read_feature_map
 from vladkit.pipeline import (
-    STAGE_FIELDS,
     PipelineConfig,
     cache_dirs,
     config_to_text,
@@ -42,6 +41,9 @@ def dataset(tmp_path_factory):
     fileio.save_manifest(train, train_path)
     fileio.save_manifest(test, test_path)
     return train_path, test_path
+
+
+STAGES = ("whitening", "dictionary", "encoder", "classifier")
 
 
 def small_config(**overrides):
@@ -182,8 +184,7 @@ def test_pipeline_cache_reuse_byte_identical(dataset, tmp_path):
     train_path, test_path = dataset
     config = small_config(mode="sa")
     run_pipeline(config, train_path, test_path, tmp_path)
-    caches = list(tmp_path.glob("cache_*"))
-    assert len(caches) == 1
+    assert sorted(p.name.partition("_")[0] for p in tmp_path.iterdir()) == sorted(STAGES)
     snapshot = {
         p.relative_to(tmp_path): p.read_bytes()
         for p in tmp_path.rglob("*") if p.is_file()
@@ -213,7 +214,7 @@ def test_pipeline_cache_mismatch_detected(dataset, tmp_path):
     train_path, test_path = dataset
     config = small_config(mode="hard")
     run_pipeline(config, train_path, test_path, tmp_path)
-    (stage,) = tmp_path.glob("dict_*")
+    (stage,) = tmp_path.glob("dictionary_*")
     # Corrupt the stage's dictionary with a different word count.
     wrong = np.zeros((3, 6), dtype=np.float32)
     fileio.write_dictionary(wrong, stage / "dictionary.vld")
@@ -225,26 +226,29 @@ def test_pipeline_cached_transform_that_does_not_fit_its_dictionary_detected(dat
     train_path, test_path = dataset
     config = small_config(mode="hard")
     run_pipeline(config, train_path, test_path, tmp_path)
-    (stage,) = tmp_path.glob("dict_*")
-    shutil.rmtree(next(tmp_path.glob("cache_*")))
+    (whitening,) = tmp_path.glob("whitening_*")
+    (stage,) = tmp_path.glob("dictionary_*")
+    for later in (*tmp_path.glob("encoder_*"), *tmp_path.glob("classifier_*")):
+        shutil.rmtree(later)
     # Whitening to 4 dims in front of the stage's dictionary of dim 6.
-    fileio.write_whitening(np.zeros(6), np.eye(4, 6), stage / "transform.vlw")
+    fileio.write_whitening(np.zeros(6), np.eye(4, 6), whitening / "transform.vlw")
     message = (
         f"dictionary {str(stage / 'dictionary.vld')!r} has dim 6, but transform"
-        f" {str(stage / 'transform.vlw')!r} outputs 4"
+        f" {str(whitening / 'transform.vlw')!r} outputs 4"
     )
     with pytest.raises(VladkitError, match=re.escape(message)):
         run_pipeline(config, train_path, test_path, tmp_path)
-    assert not list(tmp_path.glob("cache_*"))  # no config is built on a bad stage
+    # No later stage is built on a bad stage.
+    assert not list(tmp_path.glob("encoder_*")) + list(tmp_path.glob("classifier_*"))
 
 
 def test_pipeline_cached_encoding_of_another_length_detected(dataset, tmp_path):
     train_path, test_path = dataset
     config = small_config(mode="hard")
     run_pipeline(config, train_path, test_path, tmp_path)
-    cache = next(tmp_path.glob("cache_*"))
+    encoder = next(tmp_path.glob("encoder_*"))
     # A well-formed container, one float short of the model's dim.
-    fileio.write_encoding(np.ones(6 * 6 - 1), cache / "enc_test" / "000001.vle")
+    fileio.write_encoding(np.ones(6 * 6 - 1), encoder / "000001.vle")
     with pytest.raises(VladkitError, match="cached model dim 36 != 000001.vle length 35"):
         run_pipeline(config, train_path, test_path, tmp_path)
 
@@ -271,11 +275,8 @@ def test_encode_manifest_fills_one_float32_matrix_with_each_rounded_encoding(
 ):
     train_path, _ = dataset
     config = small_config(mode="sa", pyramid=pyramid)
-    stage = tmp_path / "stage"
-    stage.mkdir()
     manifest = fileio.load_manifest(train_path)
-    pipeline._build_stage(stage, config, manifest)
-    dictionary, transform = pipeline._load_stage(stage, config)
+    _, dictionary, transform = pipeline._run(config, train_path, train_path, tmp_path)
     encodings, labels = pipeline.encode_manifest(manifest, dictionary, transform, config)
     assert encodings.dtype == np.float32 and encodings.flags.c_contiguous
     assert np.array_equal(labels, manifest.labels())
@@ -388,9 +389,10 @@ def test_bench_cross_product(dataset, tmp_path):
         assert int(encoding_len) == 6 * 6 * regions
         assert float(encode_us) > 0
         assert re.fullmatch(r"[01]\.\d{6}", accuracy)
-    # Mode and pyramid are no stage inputs: one dictionary serves every pair.
-    assert len(list(tmp_path.glob("dict_*"))) == 1
-    assert len(list(tmp_path.glob("cache_*"))) == 4
+    # Mode and pyramid are no whitening or dictionary inputs: one dictionary
+    # serves every pair.
+    assert len(list(tmp_path.glob("whitening_*"))) == len(list(tmp_path.glob("dictionary_*"))) == 1
+    assert len(list(tmp_path.glob("encoder_*"))) == len(list(tmp_path.glob("classifier_*"))) == 4
 
 
 def _files(root: Path) -> dict[Path, bytes]:
@@ -403,7 +405,8 @@ def _same_report(a, b) -> bool:
 
 def test_configs_that_differ_in_encoder_or_epochs_share_one_stage(dataset, tmp_path, monkeypatch):
     """Five modes and one changed `epochs`, as the mode-sweep benchmark runs
-    them: whitening is fitted and k-means run once for all six."""
+    them: whitening is fitted and k-means run once for all six, and the
+    changed `epochs` reuses the first config's test encodings."""
     calls = {"fit_whitening": 0, "kmeans_train": 0}
     for name in calls:
         def counted(*args, _real=getattr(pipeline, name), _name=name, **kwargs):
@@ -416,8 +419,9 @@ def test_configs_that_differ_in_encoder_or_epochs_share_one_stage(dataset, tmp_p
     for config in configs:
         run_pipeline(config, train_path, test_path, tmp_path)
     assert calls == {"fit_whitening": 1, "kmeans_train": 1}
-    assert len(list(tmp_path.glob("dict_*"))) == 1
-    assert len(list(tmp_path.glob("cache_*"))) == 6
+    assert len(list(tmp_path.glob("whitening_*"))) == len(list(tmp_path.glob("dictionary_*"))) == 1
+    assert len(list(tmp_path.glob("encoder_*"))) == 5
+    assert len(list(tmp_path.glob("classifier_*"))) == 6
 
 
 # A valid value other than small_config's for every PipelineConfig field.
@@ -429,71 +433,121 @@ OTHER_VALUE = {
 }
 
 
-def test_stage_key_covers_exactly_the_declared_stage_fields(dataset, tmp_path):
-    """A field left out of STAGE_FIELDS that builds the stage changes its
-    bytes under a shared name; a declared field must change the name."""
+def test_each_stage_key_covers_exactly_its_declared_fields(dataset, tmp_path):
+    """A field renames the directory of the first stage that reads it and of
+    every later stage, and of no earlier one. A field left out of a stage
+    that builds it changes that stage's bytes under a shared name, so each
+    earlier stage's bytes must stay those of the base config."""
     assert set(OTHER_VALUE) == {f.name for f in fields(PipelineConfig)}
-    assert set(STAGE_FIELDS) < set(OTHER_VALUE)
     train_path, test_path = dataset
     base = small_config(epochs=5)
     run_pipeline(base, train_path, test_path, tmp_path / "base")
-    stage, cache = cache_dirs(base, train_path, test_path, tmp_path / "base")
-    expected = {name: (stage / name).read_bytes() for name in ("transform.vlw", "dictionary.vld")}
+    dirs = cache_dirs(base, train_path, test_path, tmp_path / "base")
+    assert tuple(dirs) == STAGES
+    declared = {f.name: f.metadata["stages"] for f in fields(PipelineConfig)}
     for name, value in OTHER_VALUE.items():
         config = replace(base, **{name: value})
         assert getattr(config, name) != getattr(base, name)
         work = tmp_path / name
-        varied, varied_cache = cache_dirs(config, train_path, test_path, work)
-        assert varied_cache.name != cache.name, name
-        if name in STAGE_FIELDS:
-            assert varied.name != stage.name, name
+        varied = cache_dirs(config, train_path, test_path, work)
+        first = min(STAGES.index(stage) for stage in declared[name])
+        for stage in STAGES[first:]:  # whiten = false drops the whitening directory
+            assert stage not in varied or varied[stage].name != dirs[stage].name, (name, stage)
+        if first == 0:
             continue
-        assert varied.name == stage.name, name
         run_pipeline(config, train_path, test_path, work)  # in a fresh work dir
-        assert {n: (varied / n).read_bytes() for n in expected} == expected, name
+        for stage in STAGES[:first]:
+            assert varied[stage].name == dirs[stage].name, (name, stage)
+            assert _files(varied[stage]) == _files(dirs[stage]), (name, stage)
 
 
-def test_cache_keys_hash_golden_text(monkeypatch, tmp_path):
-    """The text each key of the default config hashes, and the directory
-    names it gives: a change here renames every directory of every existing
-    work dir. Each manifest's key is stood in for by its name."""
+def test_stage_keys_hash_golden_text(monkeypatch, tmp_path):
+    """The text each stage's key of the default config hashes, and the
+    directory names it gives: a change here renames every directory of every
+    existing work dir. Each manifest's key is stood in for by its name."""
     hashed = []
     fnv = pipeline.fnv1a64
     monkeypatch.setattr(pipeline, "_manifest_key", lambda path: f"<{Path(path).name}>")
     monkeypatch.setattr(pipeline, "fnv1a64", lambda data: hashed.append(data.decode()) or fnv(data))
-    stage, cache = cache_dirs(PipelineConfig(), "train.tsv", "test.tsv", tmp_path)
+    dirs = cache_dirs(PipelineConfig(), "train.tsv", "test.tsv", tmp_path)
     assert hashed == [
-        "layout = 2\n"
         "epsilon = auto\n"
-        "max_iters = 100\n"
         "pca_dim = auto\n"
+        "whiten = true\n"
+        "<train.tsv>",
+        "38ae0c406812a3db"
+        "max_iters = 100\n"
         "seed = 0\n"
         "subsample = auto\n"
         "tol = 0.0001\n"
-        "whiten = true\n"
-        "words = 64\n"
-        "<train.tsv>",
-        "edf2ac591b2ac34f"
+        "words = 64\n",
+        "49bac3309b0de357"
         "beta = 1.0\n"
-        "epochs = 50\n"
         "knn = 5\n"
         "lambda = 0.0001\n"
         "mode = hard\n"
         "norm_scheme = intra-then-global\n"
         "pyramid = none\n"
-        "reg = 0.0001\n"
         "sigma = 1.0\n"
         "<test.tsv>",
+        "9a723bff4ae34f00"
+        "epochs = 50\n"
+        "reg = 0.0001\n"
+        "seed = 0\n",
     ]
-    assert (stage.name, cache.name) == ("dict_edf2ac591b2ac34f", "cache_59b4d80ac15ad9fb")
+    assert {stage: path.name for stage, path in dirs.items()} == {
+        "whitening": "whitening_38ae0c406812a3db",
+        "dictionary": "dictionary_49bac3309b0de357",
+        "encoder": "encoder_9a723bff4ae34f00",
+        "classifier": "classifier_e21b6450d0855c22",
+    }
+    assert all(path.parent == tmp_path for path in dirs.values())
 
 
-STAGES = ("whitening", "dictionary", "encoder", "classifier")
+def test_a_words_sweep_fits_whitening_once(dataset, tmp_path, monkeypatch):
+    calls = []
+    fit = pipeline.fit_whitening
+    monkeypatch.setattr(pipeline, "fit_whitening", lambda *args: calls.append(args) or fit(*args))
+    train_path, test_path = dataset
+    for words in (3, 4, 6):
+        run_pipeline(small_config(words=words), train_path, test_path, tmp_path)
+    assert len(calls) == 1
+    assert len(list(tmp_path.glob("whitening_*"))) == 1
+    assert len(list(tmp_path.glob("dictionary_*"))) == 3
+
+
+def test_a_reg_and_epochs_sweep_writes_each_test_encoding_once(dataset, tmp_path, monkeypatch):
+    written = []
+    write = fileio.write_encoding
+    monkeypatch.setattr(fileio, "write_encoding",
+                        lambda values, path: written.append(Path(path).name) or write(values, path))
+    train_path, test_path = dataset
+    reports = [run_pipeline(small_config(reg=reg, epochs=epochs), train_path, test_path, tmp_path)
+               for reg, epochs in ((1e-4, 30), (1e-2, 30), (1e-4, 3))]
+    tests = len(fileio.load_manifest(test_path).entries)
+    assert written == [f"{i:06d}.vle" for i in range(tests)]
+    assert len(list(tmp_path.glob("encoder_*"))) == 1
+    assert len(list(tmp_path.glob("classifier_*"))) == 3
+    # Each config's own model scores the shared encodings, as in a fresh work dir.
+    for (reg, epochs), report in zip(((1e-2, 30), (1e-4, 3)), reports[1:]):
+        fresh = run_pipeline(small_config(reg=reg, epochs=epochs), train_path, test_path,
+                             tmp_path / f"fresh-{reg}-{epochs}")
+        assert _same_report(report, fresh)
+
+
+def test_without_whitening_no_whitening_directory_is_made(dataset, tmp_path):
+    train_path, test_path = dataset
+    config = small_config(whiten=False)
+    run_pipeline(config, train_path, test_path, tmp_path)
+    assert tuple(cache_dirs(config, train_path, test_path, tmp_path)) == STAGES[1:]
+    assert sorted(p.name.partition("_")[0] for p in tmp_path.iterdir()) == sorted(STAGES[1:])
+    (dictionary,) = tmp_path.glob("dictionary_*")
+    assert _files(dictionary).keys() == {Path("dictionary.vld")}
 
 
 def test_every_field_names_a_stage_and_the_stages_cover_every_key():
-    """A field without a stage would have no flag and, outside STAGE_FIELDS,
-    no say in the stage key."""
+    """A field without a stage would have no flag and no say in any stage's
+    key."""
     for f in fields(PipelineConfig):
         assert f.metadata["stages"], f.name
         assert set(f.metadata["stages"]) <= set(STAGES), f.name
@@ -505,14 +559,14 @@ def test_leftover_tmp_dir_is_ignored_and_a_deleted_stage_rebuilt(dataset, tmp_pa
     train_path, test_path = dataset
     config = small_config(mode="sa")
     first = run_pipeline(config, train_path, test_path, tmp_path)
-    stage, _ = cache_dirs(config, train_path, test_path, tmp_path)
+    stage = cache_dirs(config, train_path, test_path, tmp_path)["dictionary"]
     # A killed build of the stage: a `.tmp-*` directory, a truncated dictionary.
     shutil.copytree(stage, tmp_path / ".tmp-killed")
     (tmp_path / ".tmp-killed" / "dictionary.vld").write_bytes(b"VLD1")
     snapshot = _files(tmp_path)
     assert _same_report(run_pipeline(config, train_path, test_path, tmp_path), first)
     assert _files(tmp_path) == snapshot
-    # The config directory stays; its stage comes back byte for byte.
+    # The later stages stay; the dictionary comes back byte for byte.
     shutil.rmtree(stage)
     assert _same_report(run_pipeline(config, train_path, test_path, tmp_path), first)
     assert _files(tmp_path) == snapshot
@@ -534,9 +588,9 @@ def test_failed_run_keeps_the_stage_it_did_not_create(dataset, tmp_path, monkeyp
 
 # A child process that runs one pipeline and prints its report and its count
 # of artifact writes. It exits at once after write number `kill_at` (0:
-# never). With a barrier directory, each dictionary and model write waits
-# there until the other child has made the same write, so both children
-# build both directories at once.
+# never). With a barrier directory, each transform, dictionary, encoding and
+# model write waits there until the other child has made the same kind of
+# write, so both children build all four stage directories at once.
 _CHILD = """
 import json, os, sys, time
 from pathlib import Path
@@ -552,7 +606,7 @@ def counted(name, real):
         writes += 1
         if writes == int(kill_at):
             os._exit(3)
-        if barrier and name in ("write_dictionary", "write_model"):
+        if barrier:
             Path(barrier, f"{name}-{os.getpid()}").touch()
             deadline = time.monotonic() + 30
             while len(list(Path(barrier).glob(name + "-*"))) < 2:
@@ -604,9 +658,9 @@ def test_two_runs_building_one_config_at_once_both_succeed(tiny_dataset, tmp_pat
     assert [child.returncode for child in children] == [0, 0], [err for _, err in results]
     reports = [json.loads(out) for out, _ in results]
     assert reports[0] == reports[1]
-    # Both children built both directories; each kept its rename or the winner's.
-    assert len(list((tmp_path / "barrier").iterdir())) == 4
-    assert sorted(p.name[:5] for p in (tmp_path / "work").iterdir()) == ["cache", "dict_"]
+    # Both children built every directory; each kept its rename or the winner's.
+    assert len(list((tmp_path / "barrier").iterdir())) == 8
+    assert sorted(p.name.partition("_")[0] for p in (tmp_path / "work").iterdir()) == sorted(STAGES)
     modes = {p.stat().st_mode for p in (tmp_path / "work").iterdir()}
     assert modes == {(tmp_path / "work").stat().st_mode}
     report = run_pipeline(parse_config_text(CHILD_CONFIG), *tiny_dataset, tmp_path / "clean")
@@ -619,7 +673,7 @@ def test_a_run_killed_after_any_write_leaves_the_next_run_byte_identical(tiny_da
     out, err = clean.communicate(timeout=120)
     assert clean.returncode == 0, err
     writes = json.loads(out)[2]
-    assert writes == 3 + 2  # transform, dictionary, model, two test encodings
+    assert writes == 3 + 2  # transform, dictionary, two test encodings, model
     for kill_at in range(1, writes + 1):
         work = tmp_path / f"killed{kill_at}"
         killed = _child(tiny_dataset, work, kill_at=kill_at)
