@@ -16,7 +16,6 @@ import numpy as np
 
 from . import fileio, pipeline
 from .classifier import train_ovr
-from .codebook import subsample
 from .errors import VladkitError
 from .fileio import FeatureMap, read_feature_map
 from .pipeline import (
@@ -109,10 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(run=_cmd_preprocess_fit)
     fit.add_argument("--manifest", required=True)
     fit.add_argument("--out", type=fileio.nonempty, required=True)
-    fit.add_argument("--dim", type=int, default=None)
-    fit.add_argument("--epsilon", type=float, default=None)
-    fit.add_argument("--subsample", type=int, default=None)
-    fit.add_argument("--seed", type=_seed, default=0)
+    # The whitening stage's keys but its switch `whiten`: here the switch is
+    # running this command, and downstream it is giving --transform.
+    _add_config_flags(fit, [k for k in pipeline.stage_keys("whitening") if k != "whiten"])
     apply_p = pp.add_parser("apply")
     apply_p.set_defaults(run=_cmd_preprocess_apply)
     apply_p.add_argument("--transform", required=True)
@@ -206,10 +204,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_preprocess_fit(args) -> int:
+    config = _config(args)  # checked before --manifest is read
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
-    if args.subsample is not None:
-        descriptors = subsample(descriptors, args.subsample, args.seed)
-    transform = fit_whitening(descriptors, args.dim, args.epsilon)
+    transform = fit_whitening(descriptors, config.pca_dim, config.epsilon)
     fileio.write_whitening(transform.mean, transform.projection, args.out)
     print(f"fit whitening {transform.input_dim}->{transform.output_dim}")
     return 0

@@ -47,6 +47,16 @@ class SynthSpec:
                 raise VladkitError(f"{name} must be positive")
         if not 0 <= self.noise_sigma < math.inf:
             raise VladkitError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
+        # The largest arrays drawn are (H*W, D), (C, D) and (C, C) float64. One that
+        # NumPy cannot index is refused here, as PyramidSpec.encoding_length does; one
+        # too large for the host fails when it is allocated (MemoryError).
+        cells = self.grid_h * self.grid_w
+        largest = max(cells * self.dim, self.num_classes * max(self.dim, self.num_classes))
+        if largest * 8 > np.iinfo(np.intp).max:
+            raise VladkitError(
+                f"{self.num_classes} classes of {self.grid_h}x{self.grid_w}x{self.dim} maps:"
+                " arrays too large to index"
+            )
 
 
 def _largest_remainder_counts(total: int, proportions: np.ndarray) -> np.ndarray:
@@ -146,10 +156,12 @@ def synth_dataset(spec: SynthSpec, out_dir) -> DatasetManifest:
     spatial = spec.mode == "spatial-signal"
     images = _spatial_signal_images if spatial else _descriptor_signal_images
     entries = []
-    for c, i, grid in images(spec, rng):
-        name = f"c{c:03d}_i{i:04d}.vlf"
-        write_feature_map(FeatureMap(grid.astype(np.float32)), out_dir / name)
-        entries.append((c, i, name))
+    # A noise_sigma too large for float32 overflows to inf, which FeatureMap refuses.
+    with np.errstate(over="ignore"):
+        for c, i, grid in images(spec, rng):
+            name = f"c{c:03d}_i{i:04d}.vlf"
+            write_feature_map(FeatureMap(grid.astype(np.float32)), out_dir / name)
+            entries.append((c, i, name))
     entries = [(name, c) for c, _, name in sorted(entries)]  # by class, then image
     manifest = DatasetManifest(tuple(entries), out_dir)
     save_manifest(manifest, out_dir / "manifest.tsv")

@@ -50,6 +50,20 @@ def test_encodings_and_labels_of_different_lengths():
         train_ovr(np.zeros((5, 2)), np.array([0, 1, 0, 1]), PipelineConfig())
 
 
+def test_train_ovr_refuses_a_negative_label():
+    # As an index, -1 would train as the last class: a 2-class model.
+    with pytest.raises(VladkitError, match="label -1 is negative"):
+        train_ovr(np.eye(3), [-1, 0, 1], PipelineConfig(epochs=2))
+
+
+def test_tabulate_refuses_a_negative_label():
+    # As an index, -1 would count as class 1, a correct prediction.
+    with pytest.raises(VladkitError, match="label -1 is negative"):
+        tabulate([-1, 0], [1, 0], 2)
+    with pytest.raises(VladkitError, match="label -1 is negative"):
+        tabulate([1, 0], [-1, 0], 2)
+
+
 def test_predict_hand_scores():
     model = LinearModel(weights=np.eye(2), biases=np.zeros(2))
     labels, scores = predict(model, np.array([[2.0, 1.0], [0.5, 3.0]]))

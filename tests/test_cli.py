@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import warnings
@@ -11,7 +13,7 @@ import pytest
 
 from vladkit import fileio
 from vladkit.cli import build_parser, main
-from vladkit.pipeline import PipelineConfig, cache_dirs, run_pipeline
+from vladkit.pipeline import PipelineConfig, cache_dirs, run_pipeline, stage_keys
 
 STAGES = ("whitening", "dictionary", "encoder", "classifier")
 
@@ -217,6 +219,11 @@ USAGE_ERRORS = {
     "preprocess_fit_missing_out": (
         ["preprocess", "fit", "--manifest", "x"], "vladkit preprocess fit",
     ),
+    # preprocess fit's value flags are the config's --pca-dim and --epsilon. An
+    # unknown flag is reported by the top-level parser.
+    **{f"preprocess_fit_{flag}": (
+        ["preprocess", "fit", "--manifest", "x", "--out", "o", f"--{flag}", "2"], "vladkit",
+    ) for flag in ("dim", "subsample", "seed")},
     "codebook_train_missing_flags": (["codebook", "train"], "vladkit codebook train"),
     "encode_bad_int": (
         ["encode", "--dict", "d", "--in", "i", "--out", "o", "--knn", "abc"], "vladkit encode",
@@ -391,18 +398,27 @@ def _accuracy(out: str) -> str:
     return [line for line in out.splitlines() if line.startswith("accuracy=")][-1]
 
 
-# Encoder settings given both as config lines and as the flags of `vladkit
-# train` and `vladkit evaluate`: one flat config, one pyramid.
+# Settings given both as config lines and as the flags of the stage commands:
+# one flat config with its own whitening keys, one pyramid.
 REPRODUCED = {
-    "flat": {"mode": "sa"},
-    "pyramid": {"mode": "lsa", "knn": "2", "pyramid": "a"},
+    "flat": {"words": "4", "epochs": "5", "mode": "sa", "pca_dim": "4", "epsilon": "0.01"},
+    "pyramid": {"words": "4", "epochs": "5", "mode": "lsa", "knn": "2", "pyramid": "a"},
 }
+
+
+def _stage_flags(settings, *stages):
+    """The settings that the named stages read, as a stage command's flags."""
+    keys = stage_keys(*stages)
+    return [arg for key, value in settings.items() if key in keys
+            for arg in (f"--{key.replace('_', '-')}", value)]
 
 
 @pytest.mark.parametrize("settings", REPRODUCED.values(), ids=REPRODUCED.keys())
 def test_train_and_evaluate_reproduce_the_pipeline(settings, workspace, tmp_path, capsys):
+    """The pipeline run one stage command at a time writes each stage file byte
+    for byte and scores the same."""
     data = workspace / "data"
-    text = "words = 4\nepochs = 5\n" + "".join(f"{k} = {v}\n" for k, v in settings.items())
+    text = "".join(f"{k} = {v}\n" for k, v in settings.items())
     assert _pipeline(text, data, tmp_path / "work", tmp_path) == 0
     accuracy = _accuracy(capsys.readouterr().out)
     (whitening,) = (tmp_path / "work").glob("whitening_*")
@@ -416,15 +432,20 @@ def test_train_and_evaluate_reproduce_the_pipeline(settings, workspace, tmp_path
     assert _relative_files(encodings) == [f"{i:06d}.vle" for i in range(tests)]
     assert _relative_files(classifier) == ["model.vlm"]
 
-    encoder = ["--dict", str(stage / "dictionary.vld"),
-               "--transform", str(whitening / "transform.vlw")]
-    for key, value in settings.items():
-        encoder += [f"--{key}", value]
-    assert main(["train", "--manifest", str(data / "train.tsv"), "--epochs", "5",
-                 "--out", str(tmp_path / "model.vlm")] + encoder) == 0
-    assert (tmp_path / "model.vlm").read_bytes() == (classifier / "model.vlm").read_bytes()
-    assert main(["evaluate", "--manifest", str(data / "test.tsv"),
-                 "--model", str(classifier / "model.vlm")] + encoder) == 0
+    train = ["--manifest", str(data / "train.tsv")]
+    transform, dictionary, model = (tmp_path / n for n in ("t.vlw", "d.vld", "m.vlm"))
+    assert main(["preprocess", "fit", *train, "--out", str(transform),
+                 *_stage_flags(settings, "whitening")]) == 0
+    assert transform.read_bytes() == (whitening / "transform.vlw").read_bytes()
+    assert main(["codebook", "train", *train, "--transform", str(transform),
+                 "--out", str(dictionary), *_stage_flags(settings, "dictionary")]) == 0
+    assert dictionary.read_bytes() == (stage / "dictionary.vld").read_bytes()
+    stage_files = ["--dict", str(dictionary), "--transform", str(transform)]
+    assert main(["train", *train, *stage_files, "--out", str(model),
+                 *_stage_flags(settings, "encoder", "classifier")]) == 0
+    assert model.read_bytes() == (classifier / "model.vlm").read_bytes()
+    assert main(["evaluate", "--manifest", str(data / "test.tsv"), "--model", str(model),
+                 *stage_files, *_stage_flags(settings, "encoder")]) == 0
     assert _accuracy(capsys.readouterr().out) == accuracy
 
 
@@ -500,15 +521,9 @@ def test_pipeline_more_words_than_descriptors_leaves_no_file(tmp_path, capsys):
 
 def test_out_of_range_flags_exit_before_writing(workspace, tmp_path, capsys):
     data = workspace / "data"
-    out = tmp_path / "t.vlw"
-    fit = ["preprocess", "fit", "--manifest", str(data / "train.tsv"), "--out", str(out)]
-    assert main(fit + ["--subsample", "-5"]) == 2
-    assert main(fit + ["--subsample", "0"]) == 2
-    assert main(fit + ["--subsample", "10", "--seed", "-1"]) == 1
-    assert "invalid seed value: '-1'" in capsys.readouterr().err
-    assert not out.exists()
     synth = ["synth", "--height", "2", "--width", "2", "--out-dir", str(tmp_path / "synth")]
     assert main(synth + ["--classes", "2", "--per-class", "1", "--dim", "2", "--seed", "-1"]) == 1
+    assert "invalid seed value: '-1'" in capsys.readouterr().err
     for classes, per_class, dim in (("0", "1", "2"), ("2", "-1", "2"), ("2", "1", "0")):
         assert main(synth + ["--classes", classes, "--per-class", per_class, "--dim", dim]) == 2
     assert main(synth + ["--classes", "2", "--per-class", "1", "--dim", "2", "--noise", "nan"]) == 2
@@ -532,12 +547,13 @@ def test_out_of_range_flags_exit_before_writing(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--epsilon", "inf"), ("--epsilon", "-1"), ("--epsilon", "nan"), ("--dim", "0"),
+    ("--epsilon", "inf"), ("--epsilon", "-1"), ("--epsilon", "nan"), ("--pca-dim", "0"),
 ])
-def test_preprocess_fit_out_of_range_values_exit_2(flag, value, workspace, tmp_path, capsys):
+def test_preprocess_fit_out_of_range_values_exit_2(flag, value, tmp_path, capsys):
+    # The manifest does not exist: the config is checked before it is read.
     out = tmp_path / "t.vlw"
     assert main([
-        "preprocess", "fit", "--manifest", str(workspace / "data" / "train.tsv"),
+        "preprocess", "fit", "--manifest", str(tmp_path / "absent.tsv"),
         "--out", str(out), flag, value,
     ]) == 2
     assert f"got {value}" in capsys.readouterr().err
@@ -589,6 +605,7 @@ CONFIG_FIELDS = {
     "train": ENCODER_FIELDS | {"reg", "epochs", "seed"},
     "evaluate": ENCODER_FIELDS,
     "codebook_train": {"words", "seed", "max_iters", "tol", "subsample"},
+    "preprocess_fit": {"pca_dim", "epsilon"},
     "bench": {"words", "seed"},
 }
 
@@ -608,6 +625,9 @@ def _required_args(command, workspace, stages, out):
         "codebook_train": [
             "codebook", "train", "--manifest", str(data / "train.tsv"),
             "--transform", str(stages / "t.vlw"), "--out", str(out),
+        ],
+        "preprocess_fit": [
+            "preprocess", "fit", "--manifest", str(data / "train.tsv"), "--out", str(out),
         ],
         "preprocess_apply": [
             "preprocess", "apply", "--transform", str(stages / "t.vlw"), "--in", str(image),
@@ -660,19 +680,20 @@ def test_config_flags_follow_the_config_schema(command, workspace, stage_files, 
         assert args[name] == getattr(PipelineConfig(), name)
 
     # The config file's spelling of None is accepted and means the default.
-    for key, none_text in (("pyramid", "none"), ("subsample", "auto")):
+    for key, none_text in (("pyramid", "none"), ("subsample", "auto"), ("pca_dim", "auto"),
+                           ("epsilon", "auto")):
         if key in config_fields:
             assert main(required) == 0
             spelled = _required_args(command, workspace, stage_files, tmp_path / "spelled")
-            assert main(spelled + [f"--{key}", none_text]) == 0
+            assert main(spelled + [f"--{key.replace('_', '-')}", none_text]) == 0
             assert (tmp_path / "spelled").read_bytes() == (tmp_path / "out").read_bytes()
 
     bad = [("knn", "abc", "invalid int value: 'abc'"), ("words", "abc", "invalid int value: 'abc'"),
-           ("mode", "foo", "invalid choice: 'foo'")]
+           ("mode", "foo", "invalid choice: 'foo'"), ("pca_dim", "2.5", "invalid int value: '2.5'")]
     for key, value, message in bad:
         if key in config_fields:
             capsys.readouterr()
-            assert main(required + [f"--{key}", value]) == 1
+            assert main(required + [f"--{key.replace('_', '-')}", value]) == 1
             assert message in capsys.readouterr().err
 
 
@@ -823,6 +844,30 @@ def test_an_impossible_allocation_exits_2(tmp_path, capsys):
         "--width", "1", "--dim", "1000000000", "--out-dir", str(tmp_path / "d"),
     ]) == 2
     assert capsys.readouterr().err.startswith("vladkit: error: Unable to allocate")
+
+
+@pytest.mark.parametrize("sizes", [
+    {"--dim": "100000000000000000000"},  # (H*W, D) and (C, D)
+    {"--height": "100000000000", "--width": "100000000000"},  # (H*W, D)
+    {"--classes": "100000000000000000000"},  # (C, D) and (C, C)
+], ids=["dim", "cells", "classes"])
+def test_synth_sizes_too_large_to_index_exit_2_before_writing(sizes, tmp_path, capsys):
+    args = {"--classes": "2", "--per-class": "1", "--height": "1", "--width": "1", "--dim": "2"}
+    argv = [arg for flag, value in (args | sizes).items() for arg in (flag, value)]
+    assert main(["synth", *argv, "--out-dir", str(tmp_path / "d")]) == 2
+    assert "arrays too large to index" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("mode", ["descriptor-signal", "spatial-signal"])
+def test_synth_noise_too_large_for_float32_maps_exits_2(mode, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning first
+        assert main([
+            "synth", "--classes", "2", "--per-class", "1", "--height", "2", "--width", "2",
+            "--dim", "2", "--synth-mode", mode, "--noise", "1e308", "--out-dir", str(tmp_path),
+        ]) == 2
+    assert "feature map contains NaN/Inf" in capsys.readouterr().err
 
 
 def test_a_pyramid_too_large_to_allocate_exits_2_at_once(workspace, stage_files, tmp_path):
@@ -1110,3 +1155,17 @@ def test_a_directory_given_as_an_encode_input_exits_2_naming_it(
     assert main(args) == 2
     assert f"Is a directory: {str(stage_files)!r}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch, capsys):
+    """The README's ```sh block of commands, run in order from one directory."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```sh\n(vladkit synth .*?)^```", readme, re.M | re.S)
+    commands = block.replace("\\\n", " ").splitlines()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pipeline.cfg").write_text("words = 8\n")  # the config the block names
+    for command in commands:
+        program, *argv = shlex.split(command)
+        assert program == "vladkit"
+        assert main(argv) == 0, command
+    capsys.readouterr()

@@ -179,11 +179,12 @@ def test_corrupted_config_and_manifests_never_escape_main(kind, data, artifacts,
     capsys.readouterr()
 
 
-# The value flags of the stage commands; their path flags name the files of
-# the `artifacts` fixture. Each base command exits 0 as it stands.
+# The value flags of synth and the stage commands; their path flags name the
+# files of the `artifacts` fixture. Each base command exits 0 as it stands.
 ENCODER_FLAGS = ["--mode", "--beta", "--knn", "--lambda", "--sigma", "--norm-scheme", "--pyramid"]
 STAGE_FLAGS = {
-    "preprocess fit": ["--dim", "--epsilon", "--subsample"],
+    "synth": ["--classes", "--per-class", "--height", "--width", "--dim", "--noise", "--seed"],
+    "preprocess fit": ["--pca-dim", "--epsilon"],
     "codebook train": ["--words", "--seed", "--max-iters", "--tol", "--subsample"],
     "encode": ENCODER_FLAGS,
     "train": ["--reg", "--epochs", "--seed"] + ENCODER_FLAGS,
@@ -198,6 +199,8 @@ def _stage_command(command, artifacts, dataset, tmp: Path) -> list[str]:
     encoder = ["--dict", str(artifacts["vld"]), "--transform", str(artifacts["vlw"]),
                "--mode", "lsa", "--knn", "2", "--pyramid", "1x2"]  # the model's settings
     return command.split() + {
+        "synth": ["--classes", "2", "--per-class", "1", "--height", "2", "--width", "2",
+                  "--dim", "2", "--out-dir", str(tmp / "synth")],
         "preprocess fit": train + ["--out", str(tmp / "t.vlw")],
         "codebook train": train + ["--words", "2", "--out", str(tmp / "d.vld")],
         "encode": ["--in", str(artifacts["vlf"]), "--out", str(tmp / "e.vle")] + encoder,
@@ -216,7 +219,8 @@ def _stage_command(command, artifacts, dataset, tmp: Path) -> list[str]:
 @given(data=st.data())
 def test_stage_command_flags_never_escape_main(command, data, artifacts, dataset, capsys):
     flag = data.draw(st.sampled_from(STAGE_FLAGS[command]))
-    huge_ok = flag != "--epochs"  # a valid request whose run time grows with it
+    # A huge --epochs or --per-class is a valid request whose run time grows with it.
+    huge_ok = flag not in ("--epochs", "--per-class")
     value = data.draw(st.one_of(
         st.sampled_from([v for v in VALUES if huge_ok or v != HUGE]),
         st.integers(-10, 10).map(str),
