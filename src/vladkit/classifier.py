@@ -66,11 +66,13 @@ def _column_blocks(x: np.ndarray, use) -> None:
         use(cols, x[:, cols].astype(np.float64, copy=False))
 
 
-def _refuse_negative(labels) -> None:
+def _refuse_labels(labels, num_classes=None) -> None:
     """Labels index the classes, where -1 would stand for the last one."""
-    lowest = np.asarray(labels).min(initial=0)
-    if lowest < 0:
-        raise VladkitError(f"label {lowest} is negative")
+    labels = np.asarray(labels)
+    if labels.min(initial=0) < 0:
+        raise VladkitError(f"label {labels.min()} is negative")
+    if num_classes is not None and labels.size and labels.max() >= num_classes:
+        raise VladkitError(f"label {labels.max()} is not below num_classes {num_classes}")
 
 
 def _too_many_classes(count: int) -> VladkitError:
@@ -85,7 +87,7 @@ def train_ovr(encodings: np.ndarray, labels: np.ndarray, config: PipelineConfig)
     labels = np.asarray(labels, dtype=int)
     if x.ndim != 2 or x.shape[0] != labels.shape[0]:
         raise VladkitError("encodings and labels disagree in length")
-    _refuse_negative(labels)
+    _refuse_labels(labels)
     num_classes = int(labels.max()) + 1 if labels.size else 0
     if num_classes < 2:
         raise VladkitError("need at least two classes to train")
@@ -176,8 +178,8 @@ class EvalReport:
 
 
 def tabulate(true_labels: np.ndarray, predicted: np.ndarray, num_classes: int) -> EvalReport:
-    _refuse_negative(true_labels)
-    _refuse_negative(predicted)
+    _refuse_labels(true_labels, num_classes)
+    _refuse_labels(predicted, num_classes)
     try:
         confusion = np.zeros((num_classes, num_classes), dtype=int)
     except MemoryError:

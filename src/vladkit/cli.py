@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, pipeline
-from .classifier import train_ovr
 from .errors import VladkitError
 from .fileio import FeatureMap, read_feature_map
 from .pipeline import (
@@ -31,10 +30,9 @@ from .pipeline import (
     load_transform,
     run_bench,
     run_pipeline,
-    train_dictionary,
 )
 from .synth import SynthSpec, split_manifest, synth_dataset
-from .whitening import apply_whitening_batch, fit_whitening
+from .whitening import apply_whitening_batch
 
 
 def _flag_type(f):
@@ -206,8 +204,7 @@ def _cmd_split(args) -> int:
 def _cmd_preprocess_fit(args) -> int:
     config = _config(args)  # checked before --manifest is read
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest))
-    transform = fit_whitening(descriptors, config.pca_dim, config.epsilon)
-    fileio.write_whitening(transform.mean, transform.projection, args.out)
+    transform = pipeline.fit_transform(args.out, descriptors, config)
     print(f"fit whitening {transform.input_dim}->{transform.output_dim}")
     return 0
 
@@ -225,12 +222,9 @@ def _cmd_codebook(args) -> int:
     config = _config(args)
     transform = load_transform(args.transform) if args.transform is not None else None
     descriptors = load_descriptor_stack(fileio.load_manifest(args.manifest), transform)
-    dictionary, report = train_dictionary(descriptors, transform, config)
-    fileio.write_dictionary(dictionary.centers, args.out)
-    print(
-        f"trained {dictionary.num_words} words in {report.iterations} iterations"
-        f" (converged={report.converged})"
-    )
+    dictionary, report = pipeline.train_words(args.out, descriptors, transform, config)
+    print(f"trained {dictionary.num_words} words in {report.iterations} iterations"
+          f" (converged={report.converged})")
     return 0
 
 
@@ -250,10 +244,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dictionary, transform, config = _stage(args)
-    x, y = encode_manifest(fileio.load_manifest(args.manifest), dictionary, transform, config)
-    model = train_ovr(x, y, config)
-    fileio.write_model(model.weights, model.biases, args.out)
+    stage = _stage(args)  # the dictionary, transform and config, read before --manifest
+    model = pipeline.train_model(args.out, fileio.load_manifest(args.manifest), *stage)
     print(f"trained model: {model.num_classes} classes, dim {model.dim}")
     return 0
 

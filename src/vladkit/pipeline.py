@@ -170,7 +170,7 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-# -- loaders and stages, shared by run_pipeline and the cli ------------------
+# -- loaders and stage builders, shared by run_pipeline and the cli ----------
 
 def load_transform(path) -> WhiteningTransform:
     """A stored whitening transform, widened to float64."""
@@ -266,18 +266,30 @@ def encode_manifest(
     return encodings, manifest.labels()
 
 
-def train_dictionary(
-    descriptors: np.ndarray,
-    transform: WhiteningTransform | None,
-    config: PipelineConfig,
-) -> tuple[Dictionary, KmeansReport]:
-    """k-means over the (N, D) descriptors, whitened by transform when
-    given and subsampled to config.subsample (None = 256 * words)."""
+def fit_transform(out, descriptors: np.ndarray, config: PipelineConfig) -> WhiteningTransform:
+    """The whitening stage, written to out: fit_whitening under pca_dim and epsilon."""
+    fitted = fit_whitening(descriptors, config.pca_dim, config.epsilon)
+    fileio.write_whitening(fitted.mean, fitted.projection, out)
+    return fitted
+
+
+def train_words(out, descriptors: np.ndarray, transform: WhiteningTransform | None,
+                config: PipelineConfig) -> tuple[Dictionary, KmeansReport]:
+    """The dictionary stage, written to out: k-means over the (N, D) descriptors,
+    whitened by transform when given, subsampled to subsample (None = 256 * words)."""
     if transform is not None:
         descriptors = whitening.apply_whitening_batch(transform, descriptors)
-    cap = config.subsample if config.subsample is not None else 256 * config.words
-    descriptors = subsample(descriptors, cap, config.seed)
-    return kmeans_train(descriptors, config.words, config.max_iters, config.tol, config.seed)
+    sample = subsample(descriptors, config.subsample or 256 * config.words, config.seed)
+    trained, report = kmeans_train(sample, config.words, config.max_iters, config.tol, config.seed)
+    fileio.write_dictionary(trained.centers, out)
+    return trained, report
+
+
+def train_model(out, manifest, dictionary, transform, config: PipelineConfig) -> LinearModel:
+    """The classifier stage, written to out: train_ovr over the manifest's encodings."""
+    model = train_ovr(*encode_manifest(manifest, dictionary, transform, config), config)
+    fileio.write_model(model.weights, model.biases, out)
+    return model
 
 
 def evaluate(model: LinearModel, encodings: np.ndarray, labels: np.ndarray) -> EvalReport:
@@ -324,17 +336,17 @@ def _test_encoding_paths(encoder: Path, manifest: DatasetManifest) -> list[str]:
     return [f"{encoder}/{idx:06d}.vle" for idx in range(len(manifest.entries))]
 
 
-def _published(directory: Path, build, *args) -> None:
-    """Unless directory exists, build(tmp, *args) fills a fresh `.tmp-*`
-    directory beside it, and one rename publishes that. If another run wins,
-    its directory stays: by the determinism contract, its bytes are equal."""
+def _published(directory: Path, build) -> None:
+    """Unless directory exists, build(tmp) fills a fresh `.tmp-*` directory
+    beside it, and one rename publishes that. If another run wins, its
+    directory stays: by the determinism contract, its bytes are equal."""
     if directory.is_dir():
         return
     directory.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".tmp-", dir=directory.parent))
     tmp.chmod(directory.parent.stat().st_mode & 0o7777)  # the work dir's, not mkdtemp's 0700
     try:
-        build(tmp, *args)
+        build(tmp)
         tmp.rename(directory)
     except OSError:
         if not directory.is_dir():
@@ -343,28 +355,10 @@ def _published(directory: Path, build, *args) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _fit_transform(tmp: Path, descriptors, config: PipelineConfig) -> None:
-    if len(descriptors()) < config.words:  # k-means could not follow: publish no transform
-        raise VladkitError(f"{len(descriptors())} points < {config.words} requested centers")
-    fitted = fit_whitening(descriptors(), config.pca_dim, config.epsilon)
-    fileio.write_whitening(fitted.mean, fitted.projection, tmp / "transform.vlw")
-
-
-def _train_words(tmp: Path, descriptors, transform_path, config: PipelineConfig) -> None:
-    transform = None if transform_path is None else load_transform(transform_path)
-    trained, _ = train_dictionary(descriptors(), transform, config)
-    fileio.write_dictionary(trained.centers, tmp / "dictionary.vld")
-
-
 def _encode_test(tmp: Path, manifest, dictionary, transform, config: PipelineConfig) -> None:
     encodings, _ = encode_manifest(manifest, dictionary, transform, config)
     for values, path in zip(encodings, _test_encoding_paths(tmp, manifest)):
         fileio.write_encoding(values, path)
-
-
-def _train_model(tmp: Path, manifest, dictionary, transform, config: PipelineConfig) -> None:
-    model = train_ovr(*encode_manifest(manifest, dictionary, transform, config), config)
-    fileio.write_model(model.weights, model.biases, tmp / "model.vlm")
 
 
 def _run(config: PipelineConfig, train_path, test_path, work_dir):
@@ -374,16 +368,23 @@ def _run(config: PipelineConfig, train_path, test_path, work_dir):
     dirs = cache_dirs(config, train_path, test_path, work_dir)
     descriptors = functools.cache(lambda: load_descriptor_stack(train_manifest))  # read once
     transform_path = dirs["whitening"] / "transform.vlw" if config.whiten else None
+    def fit(tmp: Path) -> None:
+        if len(descriptors()) < config.words:  # k-means could not follow: publish no transform
+            raise VladkitError(f"{len(descriptors())} points < {config.words} requested centers")
+        fit_transform(tmp / "transform.vlw", descriptors(), config)
     if config.whiten:
-        _published(dirs["whitening"], _fit_transform, descriptors, config)
-    _published(dirs["dictionary"], _train_words, descriptors, transform_path, config)
+        _published(dirs["whitening"], fit)
+    _published(dirs["dictionary"], lambda tmp: train_words(tmp / "dictionary.vld", descriptors(),
+               transform_path and load_transform(transform_path), config))
     del descriptors  # frees the training descriptors before the encoder stage runs
     dictionary, transform = load_stage(dirs["dictionary"] / "dictionary.vld", transform_path)
     if dictionary.num_words != config.words:
         raise VladkitError(f"cached dictionary has {dictionary.num_words} words,"
                            f" config wants {config.words}")
-    _published(dirs["encoder"], _encode_test, test_manifest, dictionary, transform, config)
-    _published(dirs["classifier"], _train_model, train_manifest, dictionary, transform, config)
+    _published(dirs["encoder"],
+               lambda tmp: _encode_test(tmp, test_manifest, dictionary, transform, config))
+    _published(dirs["classifier"], lambda tmp: train_model(
+        tmp / "model.vlm", train_manifest, dictionary, transform, config))
 
     model = load_model(dirs["classifier"] / "model.vlm")
     paths = _test_encoding_paths(dirs["encoder"], test_manifest)

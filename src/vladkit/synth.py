@@ -17,6 +17,7 @@ Two constructions:
 from __future__ import annotations
 
 import math
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,13 +89,7 @@ def _cell_order(h: int, w: int, pattern: int) -> np.ndarray:
     """Four grid traversals: row-major, reverse row-major, column-major,
     reverse column-major. Returns flat row-major cell indices in visit order."""
     idx = np.arange(h * w).reshape(h, w)
-    if pattern == 0:
-        return idx.reshape(-1)
-    if pattern == 1:
-        return idx[::-1, ::-1].reshape(-1)
-    if pattern == 2:
-        return idx.T.reshape(-1)
-    return idx.T[::-1, ::-1].reshape(-1)
+    return (idx, idx[::-1, ::-1], idx.T, idx.T[::-1, ::-1])[pattern].reshape(-1)
 
 
 def _descriptor_signal_images(spec: SynthSpec, rng: np.random.Generator):
@@ -149,22 +144,31 @@ def _spatial_signal_images(spec: SynthSpec, rng: np.random.Generator):
 def synth_dataset(spec: SynthSpec, out_dir) -> DatasetManifest:
     """Write the feature-map files plus a `manifest.tsv` into out_dir and
     return the manifest. Pure function of (spec.seed, spec): identical specs
-    produce byte-identical directories."""
+    produce byte-identical directories. A failed call removes each directory it made."""
     out_dir = Path(nonempty(out_dir))
+    made = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     spatial = spec.mode == "spatial-signal"
     images = _spatial_signal_images if spatial else _descriptor_signal_images
     entries = []
-    # A noise_sigma too large for float32 overflows to inf, which FeatureMap refuses.
-    with np.errstate(over="ignore"):
-        for c, i, grid in images(spec, rng):
-            name = f"c{c:03d}_i{i:04d}.vlf"
-            write_feature_map(FeatureMap(grid.astype(np.float32)), out_dir / name)
-            entries.append((c, i, name))
-    entries = [(name, c) for c, _, name in sorted(entries)]  # by class, then image
-    manifest = DatasetManifest(tuple(entries), out_dir)
-    save_manifest(manifest, out_dir / "manifest.tsv")
+    try:
+        with np.errstate(over="ignore"):
+            for c, i, grid in images(spec, rng):
+                name = f"c{c:03d}_i{i:04d}.vlf"
+                try:
+                    fmap = FeatureMap(grid.astype(np.float32))
+                except VladkitError as exc:  # NaN/Inf: only the noise overflows float32
+                    raise VladkitError(f"noise {spec.noise_sigma} too large: {exc}") from None
+                write_feature_map(fmap, out_dir / name)
+                entries.append((c, i, name))
+        entries = [(name, c) for c, _, name in sorted(entries)]  # by class, then image
+        manifest = DatasetManifest(tuple(entries), out_dir)
+        save_manifest(manifest, out_dir / "manifest.tsv")
+    except BaseException:  # the topmost directory this call made goes, with all it wrote
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     return manifest
 
 

@@ -64,6 +64,15 @@ def test_tabulate_refuses_a_negative_label():
         tabulate([1, 0], [-1, 0], 2)
 
 
+def test_tabulate_refuses_a_label_outside_its_classes():
+    # As an index, 2 is past the (2, 2) confusion matrix.
+    with pytest.raises(VladkitError, match="label 2 is not below num_classes 2"):
+        tabulate([2, 0], [0, 0], 2)
+    with pytest.raises(VladkitError, match="label 2 is not below num_classes 2"):
+        tabulate([0, 0], [2, 0], 2)
+    assert tabulate([1, 0], [1, 1], 2).accuracy == 0.5
+
+
 def test_predict_hand_scores():
     model = LinearModel(weights=np.eye(2), biases=np.zeros(2))
     labels, scores = predict(model, np.array([[2.0, 1.0], [0.5, 3.0]]))

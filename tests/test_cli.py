@@ -870,6 +870,20 @@ def test_synth_noise_too_large_for_float32_maps_exits_2(mode, tmp_path, capsys):
     assert "feature map contains NaN/Inf" in capsys.readouterr().err
 
 
+def test_a_failed_synth_removes_the_directories_it_made(tmp_path, capsys):
+    """Only what the call made goes: a directory that existed stays, with its files."""
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "other.txt").write_text("x")
+    noisy = ["synth", "--classes", "2", "--per-class", "1", "--height", "2", "--width", "2",
+             "--dim", "2", "--noise", "1e308", "--out-dir"]
+    for out_dir in (tmp_path / "d", tmp_path / "a" / "b" / "c", kept / "new", kept):
+        assert main(noisy + [str(out_dir)]) == 2
+        assert "vladkit: error: noise 1e+308 too large" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "kept", "kept/other.txt"]
+
+
 def test_a_pyramid_too_large_to_allocate_exits_2_at_once(workspace, stage_files, tmp_path):
     """10^16 regions: the encoding's one allocation (1.7 EiB) fails before a
     region is cut. The child process caps its address space, so code that

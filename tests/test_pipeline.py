@@ -269,6 +269,29 @@ def test_a_warm_run_reads_each_test_encoding_once(dataset, tmp_path, monkeypatch
     assert all(row.base is calls[0][1].base for _, row in calls)
 
 
+@pytest.mark.parametrize("whiten", [True, False])
+def test_a_warm_run_reads_no_feature_map_and_builds_no_stage(whiten, dataset, tmp_path,
+                                                            monkeypatch):
+    """The training descriptors are read only when a stage that needs them is
+    built, and a warm run builds none."""
+    train_path, test_path = dataset
+    config = small_config(mode="lsa", pyramid="a", whiten=whiten)
+    cold = run_pipeline(config, train_path, test_path, tmp_path)
+    calls = []
+    for name in ("read_feature_map", "fit_transform", "train_words", "_encode_test",
+                 "train_model", "fit_whitening", "kmeans_train", "train_ovr"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    warm = run_pipeline(config, train_path, test_path, tmp_path)
+    assert _same_report(warm, cold)
+    assert calls == []
+    # The counters see the calls: a deleted dictionary stage is built alone.
+    shutil.rmtree(cache_dirs(config, train_path, test_path, tmp_path)["dictionary"])
+    assert _same_report(run_pipeline(config, train_path, test_path, tmp_path), cold)
+    assert set(calls) == {"read_feature_map", "train_words", "kmeans_train"}
+
+
 @pytest.mark.parametrize("pyramid", [None, "a", "c"])
 def test_encode_manifest_fills_one_float32_matrix_with_each_rounded_encoding(
     pyramid, dataset, tmp_path

@@ -75,3 +75,14 @@ def test_vladkit_error_is_the_only_exception_class():
         exceptions = found
         known |= {cls.rpartition(".")[2] for cls in found}
     assert sorted(exceptions) == ["errors.VladkitError"]
+
+
+def test_the_cli_fits_and_writes_no_stage_of_its_own():
+    """`preprocess fit`, `codebook train` and `train` run the pipeline's stage
+    builders, so each stage is fitted and written in one place."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    called = {ast.unparse(node.func).rpartition(".")[2] for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    twins = {"fit_whitening", "kmeans_train", "train_ovr",
+             "write_whitening", "write_dictionary", "write_model"}
+    assert called & twins == set()
